@@ -18,21 +18,48 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 
+# Miller-Rabin with the first twelve primes as bases is deterministic below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality test for 0 <= n < _MR_LIMIT."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Prime:
-    """A prime number, verified by trial division at construction."""
+    """A prime number, verified at construction by deterministic
+    Miller-Rabin; primes of 3.18e23 and above are refused."""
 
     p: int
 
     def __post_init__(self) -> None:
         n = self.p
-        if n < 2:
+        if n >= _MR_LIMIT:
+            raise ValueError(f"prime too large to certify (must be < {_MR_LIMIT}): {n}")
+        if not _is_prime(n):
             raise ValueError(f"not a prime: {n}")
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                raise ValueError(f"not a prime: {n}")
-            d += 1
 
     def __int__(self) -> int:
         return self.p

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .algebra import Element, Monomial, as_prime, iota, u_class
 from .algebra import KIND_ALPHA, KIND_BETA, KIND_IOTA, KIND_Q_IOTA, KIND_U
 from .catalog import UnsupportedCaseError, plane_config_generators
-from .enumeration import BigradedDims, GradedDims, monomial_basis, poincare
+from .enumeration import BigradedDims, GradedDims, monomial_basis, series_coefficient
 from .linalg import FpMatrix
 
 REGIME_TENSOR_BS1 = "tensor_bs1"
@@ -129,7 +129,7 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
     gens = plane_config_generators(prime, max(n, 1))
     mons = monomial_basis(gens, n, prime)
     if n % prime.p in (0, 1):
-        dims = poincare(gens, n, prime).convolve_geometric(2, dmax)
+        dims = GradedDims.of_degrees(m.degree for m in mons).convolve_geometric(2, dmax)
         basis = [
             (m, 2 * j)
             for m in mons
@@ -158,7 +158,7 @@ def equivariant_zp(n: int, p, dmax: int | None = None) -> GradedDims:
     if dmax is None:
         dmax = default_degree_bound(n)
     gens = plane_config_generators(prime, max(n, 1))
-    return poincare(gens, n, prime).convolve_geometric(1, dmax)
+    return series_coefficient(gens, n, None, prime).convolve_geometric(1, dmax)
 
 
 def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:

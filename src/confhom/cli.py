@@ -26,7 +26,7 @@ from .bv import (
     gravity_op_degree,
 )
 from .catalog import UnsupportedCaseError, plane_config_generators
-from .enumeration import monomial_basis, poincare
+from .enumeration import monomial_basis, series_coefficient
 from .signhom import sign_rep_homology
 from .verify import VERIFY_TARGETS, run_verifications
 
@@ -95,7 +95,7 @@ def _cmd_basis(args) -> tuple[dict, list[list], list[str]]:
 def _cmd_poincare(args) -> tuple[dict, list[list], list[str]]:
     prime = as_prime(args.p)
     gens = plane_config_generators(prime, max(args.n, 1))
-    dims = poincare(gens, args.n, prime)
+    dims = series_coefficient(gens, args.n, None, prime)
     return (
         {"dims": dims.to_pairs(), "total": dims.total()},
         dims.to_pairs(),

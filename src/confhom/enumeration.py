@@ -1,12 +1,18 @@
 """Monomial bases by weight, and their dimension counts two independent ways.
 
-`monomial_basis` enumerates the canonical monomials of a fixed weight over
-a generator list; `poincare` turns that into degree-indexed dimensions.
-`series_coefficient` computes the same numbers without enumerating, by
-expanding the two-variable Hilbert series of the free graded-commutative
-algebra (a geometric factor per polynomial generator, `1 + t^d s^w` per
-exterior one) with numpy convolutions.  Agreement of the two routes is one
-of the package's standing cross-checks.
+Counts come from the Hilbert series: `series_coefficient` expands the
+two-variable series of the free graded-commutative algebra (a geometric
+factor per polynomial generator, `1 + t^d s^w` per exterior one) with numpy
+convolutions, and `total_dim` and every dimension-only command read their
+answers from it.  `monomial_basis` enumerates the canonical monomials of a
+fixed weight, for callers that need the monomials themselves; `poincare`
+counts them by degree and is kept as the enumeration oracle that the
+verification suite compares with the series.
+
+The series is exact or refused: every cell is bounded by the weight's total
+dimension, computed first with Python ints, and a table whose totals reach
+2^63 or whose size exceeds `MAX_SERIES_CELLS` raises ValueError instead of
+wrapping or exhausting memory.
 """
 
 from __future__ import annotations
@@ -14,6 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Generator, Monomial, as_prime
+
+# Largest series table built before refusing: 2^24 int64 cells, 128 MiB.
+MAX_SERIES_CELLS = 1 << 24
+_INT64_LIMIT = 1 << 63
 
 
 class GradedDims:
@@ -50,13 +60,22 @@ class GradedDims:
 
     def convolve_geometric(self, step: int, dmax: int) -> "GradedDims":
         """Multiply by the series 1/(1 - t^step), truncated at degree dmax."""
-        out: dict[int, int] = {}
+        if step < 1:
+            raise ValueError(f"step must be >= 1, got {step}")
+        lo = min(self.dims, default=dmax + 1)
+        if lo > dmax:
+            return GradedDims()
+        # Degrees lo..dmax laid out in rows of `step`: a cumulative sum down
+        # each column adds a degree's count to every degree step above it.
+        size = dmax - lo + 1
+        rows = -(-size // step)
+        # No output cell exceeds the total, so int64 is exact below 2^63.
+        acc = np.zeros(rows * step, dtype=np.int64 if self.total() < _INT64_LIMIT else object)
         for d, n in self.dims.items():
-            k = d
-            while k <= dmax:
-                out[k] = out.get(k, 0) + n
-                k += step
-        return GradedDims(out)
+            if d <= dmax:
+                acc[d - lo] = n
+        acc = acc.reshape(rows, step).cumsum(axis=0).ravel()[:size]
+        return GradedDims({lo + i: n for i, n in enumerate(acc.tolist()) if n})
 
     def __getitem__(self, d: int) -> int:
         return self.dims.get(d, 0)
@@ -72,15 +91,40 @@ class GradedDims:
 
 
 class BigradedDims:
-    """A finite map (weight, degree) -> dimension, truncated by the caller."""
+    """A finite map (weight, degree) -> dimension, truncated by the caller.
 
-    __slots__ = ("dims",)
+    Built from a dict, or by `of_table` over a dense weight x degree count
+    array; the dict of an array's nonzero cells is then made only when
+    `dims` is read, and `weight_slice` reads the array's row directly.
+    """
+
+    __slots__ = ("_dims", "_table")
 
     def __init__(self, dims: dict[tuple[int, int], int] | None = None):
-        self.dims = {wd: n for wd, n in (dims or {}).items() if n}
+        self._dims = {wd: n for wd, n in (dims or {}).items() if n}
+        self._table = None
+
+    @classmethod
+    def of_table(cls, table: np.ndarray) -> "BigradedDims":
+        out = cls()
+        out._dims, out._table = None, table
+        return out
+
+    @property
+    def dims(self) -> dict[tuple[int, int], int]:
+        if self._dims is None:
+            ws, ds = np.nonzero(self._table)
+            self._dims = {
+                (int(w), int(d)): int(n) for w, d, n in zip(ws, ds, self._table[ws, ds])
+            }
+        return self._dims
 
     def weight_slice(self, w: int) -> GradedDims:
-        return GradedDims({d: n for (ww, d), n in self.dims.items() if ww == w})
+        if self._table is None:
+            return GradedDims({d: n for (ww, d), n in self.dims.items() if ww == w})
+        if not 0 <= w < len(self._table):
+            return GradedDims()
+        return GradedDims({d: n for d, n in enumerate(self._table[w].tolist()) if n})
 
     def total(self) -> int:
         return sum(self.dims.values())
@@ -135,7 +179,8 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
 
 
 def poincare(gens, n: int, p) -> GradedDims:
-    """Degree-indexed dimensions of the weight-n monomial basis."""
+    """Degree-indexed dimensions of the weight-n monomial basis, by
+    enumeration; the oracle for `series_coefficient`."""
     return GradedDims.of_degrees(m.degree for m in monomial_basis(gens, n, p))
 
 
@@ -143,42 +188,70 @@ def total_dim(n: int, p) -> int:
     """Total dimension of the weight-n homology of planar configurations."""
     from .catalog import plane_config_generators
 
-    return len(monomial_basis(plane_config_generators(p, max(n, 1)), n, p))
+    return series_coefficient(plane_config_generators(p, max(n, 1)), n, None, p).total()
+
+
+def _weight_totals(gens, max_weight: int) -> list[int]:
+    """Exact total dimension of each weight <= max_weight over all degrees:
+    the one-variable series, in Python ints.  It bounds every cell of the
+    two-variable table at every stage of its expansion."""
+    totals = [1] + [0] * max_weight
+    for g in gens:
+        w0 = g.weight
+        sweep = range(max_weight, w0 - 1, -1) if g.exterior else range(w0, max_weight + 1)
+        for w in sweep:
+            totals[w] += totals[w - w0]
+    return totals
 
 
 def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     """The two-variable Hilbert series of the free algebra on `gens`,
-    truncated to weight <= max_weight and degree <= dmax."""
+    truncated to weight <= max_weight and degree <= dmax.
+
+    Raises ValueError rather than build more than MAX_SERIES_CELLS cells or
+    let a coefficient reach 2^63.
+    """
     as_prime(p)
     if max_weight < 0 or dmax < 0:
         raise ValueError("bounds must be >= 0")
+    if any(g.weight < 1 or g.degree < 0 for g in gens):
+        raise ValueError("series generators need weight >= 1 and degree >= 0")
+    cells = (max_weight + 1) * (dmax + 1)
+    if cells > MAX_SERIES_CELLS:
+        raise ValueError(
+            f"series table of {cells} cells exceeds the limit of {MAX_SERIES_CELLS}"
+        )
+    gens = [g for g in gens if g.weight <= max_weight]
+    largest = max(_weight_totals(gens, max_weight))
+    if largest >= _INT64_LIMIT:
+        raise ValueError(f"series coefficients reach {largest}, beyond exact int64 range")
     table = np.zeros((max_weight + 1, dmax + 1), dtype=np.int64)
     table[0, 0] = 1
-    for g in sorted(gens, key=lambda g: g.rank):
+    for g in gens:
         w0, d0 = g.weight, g.degree
-        if w0 > max_weight:
+        if d0 > dmax:
             continue
         if g.exterior:
-            shifted = np.zeros_like(table)
-            if d0 <= dmax:
-                shifted[w0:, d0:] = table[: max_weight + 1 - w0, : dmax + 1 - d0]
-            table = table + shifted
+            # Overlapping in-place add reads the old values: the factor 1 + t^d0 s^w0.
+            table[w0:, d0:] += table[: max_weight + 1 - w0, : dmax + 1 - d0]
         else:
-            # In-place forward sweep realizes the geometric factor 1/(1 - t^d0 s^w0).
-            if d0 <= dmax:
-                for w in range(w0, max_weight + 1):
-                    table[w, d0:] += table[w - w0, : dmax + 1 - d0]
-    dims = {
-        (w, d): int(table[w, d])
-        for w in range(max_weight + 1)
-        for d in range(dmax + 1)
-        if table[w, d]
-    }
-    return BigradedDims(dims)
+            # In-place forward sweep realizes the geometric factor 1/(1 - t^d0 s^w0),
+            # w0 rows at a time: each block reads only the finished block below it.
+            for start in range(w0, max_weight + 1, w0):
+                stop = min(start + w0, max_weight + 1)
+                table[start:stop, d0:] += table[start - w0 : stop - w0, : dmax + 1 - d0]
+    return BigradedDims.of_table(table)
 
 
-def series_coefficient(gens, n: int, dmax: int, p) -> GradedDims:
-    """Weight-n slice of the truncated Hilbert series; degree <= dmax."""
+def series_coefficient(gens, n: int, dmax: int | None, p) -> GradedDims:
+    """Weight-n slice of the truncated Hilbert series; degree <= dmax.
+
+    With dmax None the bound is n times the largest degree-to-weight ratio
+    of the generators, which no weight-n monomial exceeds, so the slice is
+    complete: the dimensions `poincare` counts by enumeration.
+    """
     if n < 0:
         raise ValueError(f"weight must be >= 0, got {n}")
+    if dmax is None:
+        dmax = max((g.degree * n // g.weight for g in gens), default=0)
     return series_table(gens, n, dmax, p).weight_slice(n)

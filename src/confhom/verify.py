@@ -19,11 +19,11 @@ from .bv import (
     equivariant_s1,
     serre_e3,
 )
-from .catalog import fixed_point_total_dim, plane_config_generators
+from .catalog import fixed_point_total_dim, plane_config_generators, sphere_labelled_generators
 from .enumeration import GradedDims, monomial_basis, poincare, series_coefficient, total_dim
 from .identities import classify_monomial, verify_bijection, verify_dimension_identity
 from .reports import VerifyReport
-from .signhom import trivial_rep_homology_p2, verify_q_stability
+from .signhom import shifted_weight_slice, trivial_rep_homology_p2, verify_q_stability
 
 VERIFY_TARGETS = (
     "delta2",
@@ -59,13 +59,8 @@ def verify_delta_squared(p, max_n: int) -> VerifyReport:
     )
 
 
-def _coker_dims_by_rank(n: int, p) -> GradedDims:
+def _coker_dims_by_rank(n: int, p, by_deg: dict[int, list]) -> GradedDims:
     prime = as_prime(p)
-    gens = plane_config_generators(prime, max(n, 1))
-    mons = monomial_basis(gens, n, prime)
-    by_deg: dict[int, list] = {}
-    for m in mons:
-        by_deg.setdefault(m.degree, []).append(m)
     out: dict[int, int] = {}
     for d, basis in by_deg.items():
         rank_in = delta_matrix(
@@ -85,8 +80,13 @@ def verify_regime_dichotomy(p, max_n: int) -> VerifyReport:
     for n in range(max_n + 1):
         gens = plane_config_generators(prime, max(n, 1))
         mons = monomial_basis(gens, n, prime)
-        max_deg = max((m.degree for m in mons), default=0)
-        all_zero = all(delta_matrix(n, prime, d).is_zero() for d in range(max_deg + 1))
+        by_deg: dict[int, list] = {}
+        for m in mons:
+            by_deg.setdefault(m.degree, []).append(m)
+        all_zero = all(
+            delta_matrix(n, prime, d, bases=(by_deg.get(d, []), by_deg.get(d + 1, []))).is_zero()
+            for d in range(max(by_deg) + 1)
+        )
         expect_zero = n % prime.p in (0, 1)
         if all_zero != expect_zero:
             bad.append(f"n={n}: matrix zero={all_zero}, expected {expect_zero}")
@@ -97,7 +97,7 @@ def verify_regime_dichotomy(p, max_n: int) -> VerifyReport:
         u_carrying = [m for m in mons if m.contains_kind(KIND_U)]
         if len(u_free) != len(u_carrying):
             bad.append(f"n={n}: u-free {len(u_free)} != u-carrying {len(u_carrying)}")
-        if _coker_dims_by_rank(n, prime) != GradedDims.of_degrees(m.degree for m in u_free):
+        if _coker_dims_by_rank(n, prime, by_deg) != GradedDims.of_degrees(m.degree for m in u_free):
             bad.append(f"n={n}: rank cokernel != u-free counts")
     return VerifyReport(
         name=f"regime-dichotomy p={prime.p} n<={max_n}",
@@ -125,7 +125,10 @@ def verify_serre_agreement(p, max_n: int) -> VerifyReport:
 
 
 def verify_series_agreement(p, max_n: int, dmax: int | None = None) -> VerifyReport:
-    """Explicit enumeration equals the generating-function coefficients."""
+    """Explicit enumeration equals the generating-function coefficients: on
+    the plane algebra, and on the shifted weight slice over labels in the
+    1-sphere behind the sign answers (other sphere dimensions are compared
+    with it by the q-stability and mod-2 cross-route checks)."""
     prime = as_prime(p)
     bad: list[str] = []
     for n in range(max_n + 1):
@@ -133,6 +136,12 @@ def verify_series_agreement(p, max_n: int, dmax: int | None = None) -> VerifyRep
         gens = plane_config_generators(prime, max(n, 1))
         if poincare(gens, n, prime) != series_coefficient(gens, n, bound, prime):
             bad.append(f"n={n}")
+        labelled = sphere_labelled_generators(prime, 1, max(n, 1))
+        enumerated = GradedDims.of_degrees(
+            m.degree - n for m in monomial_basis(labelled, n, prime)
+        )
+        if shifted_weight_slice(n, prime, 0, 1).dims != enumerated:
+            bad.append(f"n={n} sign slice")
     return VerifyReport(
         name=f"enumeration-vs-series p={prime.p} n<={max_n}",
         passed=not bad,

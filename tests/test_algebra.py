@@ -1,6 +1,7 @@
 """Core algebra: primes, generators, canonical monomials, Koszul products."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,31 @@ def test_prime_validation():
     for bad in (0, 1, 4, 9, 15, -3):
         with pytest.raises(ValueError):
             Prime(bad)
+
+
+def test_prime_agrees_with_trial_division():
+    for n in range(-2, 5000):
+        if n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)):
+            assert Prime(n).p == n
+        else:
+            with pytest.raises(ValueError):
+                Prime(n)
+
+
+def test_prime_rejects_pseudoprimes_and_accepts_large_primes():
+    # Carmichael numbers, and strong pseudoprimes to the bases 2..7 and 2..23
+    for bad in (561, 1105, 1729, 3215031751, 3825123056546413051, (2**61 - 1) * 3):
+        with pytest.raises(ValueError, match="not a prime"):
+            Prime(bad)
+    for good in (1000000000000000003, 2**61 - 1, 2**64 - 59):
+        assert Prime(good).p == good
+
+
+def test_prime_refuses_numbers_beyond_the_certified_range():
+    # the bound is itself a strong pseudoprime to all twelve bases
+    for big in (318665857834031151167461, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            Prime(big)
 
 
 def test_generator_tables():

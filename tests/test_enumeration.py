@@ -1,8 +1,12 @@
 """Monomial bases by weight and the two dimension-counting routes."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confhom import (
+    BigradedDims,
     GradedDims,
     monomial_basis,
     plane_config_generators,
@@ -11,7 +15,8 @@ from confhom import (
     series_table,
     total_dim,
 )
-from confhom.algebra import iota, u_class
+from confhom.algebra import Generator, iota, u_class
+from confhom.enumeration import MAX_SERIES_CELLS
 
 
 def test_weight9_table_p3():
@@ -104,3 +109,73 @@ def test_monomial_basis_deterministic_order():
     gens = plane_config_generators(3, 9)
     mons = monomial_basis(gens, 9, 3)
     assert [(m.degree, m.text()) for m in mons] == sorted((m.degree, m.text()) for m in mons)
+
+
+def test_series_table_cells_match_enumeration():
+    gens = plane_config_generators(3, 12)
+    tab = series_table(gens, 12, 24, 3)
+    expected = BigradedDims({
+        (n, d): c for n in range(13) for d, c in poincare(gens, n, 3).dims.items() if d <= 24
+    })
+    assert tab == expected
+    assert tab.to_pairs() == expected.to_pairs() and tab.total() == expected.total()
+    assert tab[(9, 5)] == 2 and tab.weight_slice(13) == GradedDims({})
+
+
+def test_series_without_degree_bound_is_complete():
+    for p in (2, 3, 5):
+        gens = plane_config_generators(p, 40)
+        for n in (0, 1, 17, 40):
+            assert series_coefficient(gens, n, None, p) == series_coefficient(gens, n, 4 * n, p)
+
+
+def _weight_one_exterior(count):
+    return [Generator("tower", k, f"e{k}", 1, 1, True, (9, k)) for k in range(count)]
+
+
+def test_series_exact_below_int64_and_refused_at_it():
+    # C(66, 33) ~ 7.2e18 still fits; C(70, 35) ~ 1.1e20 would wrap in a tiny table
+    assert series_coefficient(_weight_one_exterior(66), 33, None, 3) == GradedDims(
+        {33: math.comb(66, 33)}
+    )
+    with pytest.raises(ValueError, match="int64"):
+        series_coefficient(_weight_one_exterior(70), 35, None, 3)
+
+
+def test_series_refuses_oversized_tables():
+    side = math.isqrt(MAX_SERIES_CELLS) + 1
+    with pytest.raises(ValueError, match="cells"):
+        series_table([iota()], side, side, 2)
+    with pytest.raises(ValueError):
+        total_dim(20000, 2)
+
+
+def _convolve_geometric_loop(dims, step, dmax):
+    """The loop that `GradedDims.convolve_geometric` replaced."""
+    out = {}
+    for d, n in dims.items():
+        k = d
+        while k <= dmax:
+            out[k] = out.get(k, 0) + n
+            k += step
+    return GradedDims(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dims=st.dictionaries(
+        st.integers(-12, 70),
+        st.one_of(st.integers(0, 10**6), st.integers(0, 2**80)),
+        max_size=12,
+    ),
+    step=st.integers(1, 7),
+    dmax=st.integers(-16, 90),
+)
+def test_convolve_geometric_matches_loop(dims, step, dmax):
+    g = GradedDims(dims)
+    assert g.convolve_geometric(step, dmax) == _convolve_geometric_loop(g.dims, step, dmax)
+
+
+def test_convolve_geometric_rejects_nonpositive_step():
+    with pytest.raises(ValueError):
+        GradedDims({0: 1}).convolve_geometric(0, 4)

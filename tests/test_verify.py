@@ -1,8 +1,10 @@
 """The verification aggregator behind the `verify` CLI subcommand."""
 
+from dataclasses import replace
+
 import pytest
 
-from confhom import run_verifications
+from confhom import run_verifications, verify
 from confhom.verify import verify_p2_routes, verify_regime_dichotomy, verify_serre_agreement
 
 
@@ -36,3 +38,20 @@ def test_report_payload_shape():
     payload = report.to_payload()
     assert set(payload) == {"name", "passed", "details"}
     assert payload["details"]["monomials_checked"] > 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_series_agreement_checks_the_shifted_sign_slice(p, monkeypatch):
+    assert verify.verify_series_agreement(p, 12).passed
+    real = verify.shifted_weight_slice
+
+    def off_by_one(n, prime, q, sphere_dim):
+        s = real(n, prime, q, sphere_dim)
+        return replace(s, dims=s.dims.shift(1))
+
+    monkeypatch.setattr(verify, "shifted_weight_slice", off_by_one)
+    report = verify.verify_series_agreement(p, 12)
+    assert not report.passed
+    assert report.name == f"enumeration-vs-series p={p} n<=12"
+    # a shift leaves an empty slice (weight 2 at odd p) unchanged
+    assert {"n=0 sign slice", "n=1 sign slice", "n=12 sign slice"} <= set(report.details["failures"])
