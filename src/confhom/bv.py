@@ -11,6 +11,9 @@ closed form taken verbatim; it differs from the normalization fixed by
 Delta(iota^2) = u by the invertible scalar 2, so every rank, kernel and
 cokernel computed here is normalization-independent.
 
+The operator's rank in each degree is counted from the nonzero images
+(`serre_e3`); the rank of its matrix (`delta_matrix`) is the oracle in `verify`.
+
 The equivariant dispatcher returns the tensor answer with the circle
 classifying space when n is 0 or 1 mod p, and the cokernel of the operator
 otherwise.  An independently computed spectral-sequence page
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 
 from .algebra import Element, Monomial, as_prime, iota, u_class
 from .algebra import KIND_ALPHA, KIND_BETA, KIND_IOTA, KIND_Q_IOTA, KIND_U
-from .catalog import UnsupportedCaseError, plane_config_generators
-from .enumeration import BigradedDims, GradedDims, monomial_basis, series_coefficient
+from .catalog import UnsupportedCaseError, _plane_basis, plane_config_generators
+from .enumeration import BigradedDims, GradedDims, _by_degree, series_coefficient
 from .linalg import FpMatrix
 
 REGIME_TENSOR_BS1 = "tensor_bs1"
@@ -88,30 +91,21 @@ def delta_element(el: Element) -> Element:
     return el.map_monomials(lambda m: delta(m, el.p))
 
 
-def delta_matrix(n: int, p, degree: int, bases=None) -> FpMatrix:
+def delta_matrix(n: int, p, degree: int, by_deg=None) -> FpMatrix:
     """Matrix of the BV operator from the weight-n, degree-`degree` monomial
-    basis to the degree+1 basis, columns in monomial_basis order."""
+    basis to the degree+1 basis, columns in monomial_basis order.  `by_deg`
+    is that basis grouped by degree; it is enumerated when omitted."""
     prime = as_prime(p)
-    if bases is None:
-        gens = plane_config_generators(prime, max(n, 1))
-        all_mons = monomial_basis(gens, n, prime)
-        source = [m for m in all_mons if m.degree == degree]
-        target = [m for m in all_mons if m.degree == degree + 1]
-    else:
-        source, target = bases
+    if by_deg is None:
+        by_deg = _by_degree(_plane_basis(n, prime))
+    source = by_deg.get(degree, [])
+    target = by_deg.get(degree + 1, [])
     index = {m: i for i, m in enumerate(target)}
     mat = FpMatrix.zeros(len(target), len(source), prime)
     for j, m in enumerate(source):
         for image, c in delta(m, prime).terms.items():
             mat.a[index[image], j] = c
     return mat
-
-
-def _by_degree(monomials) -> dict[int, list[Monomial]]:
-    out: dict[int, list[Monomial]] = {}
-    for m in monomials:
-        out.setdefault(m.degree, []).append(m)
-    return out
 
 
 def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
@@ -126,8 +120,7 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
         raise ValueError(f"n must be >= 0, got {n}")
     if dmax is None:
         dmax = default_degree_bound(n)
-    gens = plane_config_generators(prime, max(n, 1))
-    mons = monomial_basis(gens, n, prime)
+    mons = _plane_basis(n, prime)
     if n % prime.p in (0, 1):
         dims = GradedDims.of_degrees(m.degree for m in mons).convolve_geometric(2, dmax)
         basis = [
@@ -163,23 +156,23 @@ def equivariant_zp(n: int, p, dmax: int | None = None) -> GradedDims:
 
 def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:
     """Third page of the circle-fibration spectral sequence, computed from
-    the matrix form of its second-page differential.
+    the ranks of its second-page differential.
 
     Cells are indexed (fiber degree i, base column j) with the generator of
     the base in degree 2j; the differential maps column j >= 1 to column
-    j - 1 raising i by one, and is the BV operator on the fiber.  Cells are
-    kept while i + 2j <= degree_bound.
+    j - 1 raising i by one, and is the BV operator on the fiber, whose rank
+    in each degree is the count of nonzero images; `verify` checks ranks
+    against the matrix rank.  Cells are kept while i + 2j <= degree_bound.
     """
     prime = as_prime(p)
     if degree_bound is None:
         degree_bound = default_degree_bound(n)
-    gens = plane_config_generators(prime, max(n, 1))
-    mons = monomial_basis(gens, n, prime)
-    by_deg = _by_degree(mons)
+    by_deg = _by_degree(_plane_basis(n, prime))
     max_i = max(by_deg, default=0)
+    # Each source goes to zero or to a scalar times a monomial, and distinct
+    # sources have distinct images, so the rank is the count of nonzero images.
     ranks = {
-        d: delta_matrix(n, prime, d, bases=(by_deg.get(d, []), by_deg.get(d + 1, []))).rank()
-        for d in range(max_i + 1)
+        d: sum(not delta(m, prime).is_zero() for m in mons) for d, mons in by_deg.items()
     }
     dims: dict[tuple[int, int], int] = {}
     for i in range(0, min(max_i, degree_bound) + 1):

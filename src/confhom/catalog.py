@@ -2,8 +2,9 @@
 
 Covered: unordered configurations of the plane, plane configurations with
 labels in a sphere, configurations of the punctured plane, and the fixed
-points of the rotation of order p.  Sphere catalogs are produced twice, by
-closed form and through the brackets module, and cross-checked on the fly.
+points of the rotation of order p, and the plane basis every module reads
+(`_plane_basis`).  Sphere catalogs come from closed forms, which
+`signhom.verify_q_stability` checks against the bracket tower.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ from .algebra import (
     sphere_q,
     u_class,
 )
-from .brackets import (
-    LabelClass,
-    bracket_as_generator,
-    bracket_of,
-    cohen_generators,
-    enumerate_basic_brackets,
-    leaf,
-)
+from .brackets import LabelClass, bracket_as_generator, bracket_of, leaf
 from .enumeration import monomial_basis
 
 
@@ -92,6 +86,11 @@ def plane_config_generators(p, weight_bound: int) -> list[Generator]:
     return gens
 
 
+def _plane_basis(n: int, p) -> list[Monomial]:
+    """The weight-n plane monomial basis, in `monomial_basis` order."""
+    return monomial_basis(plane_config_generators(p, max(n, 1)), n, p)
+
+
 def sphere_labelled_generators(p, m: int, weight_bound: int) -> list[Generator]:
     """Generators for plane configurations with labels in an m-sphere.
 
@@ -112,13 +111,6 @@ def sphere_labelled_generators(p, m: int, weight_bound: int) -> list[Generator]:
             gens.append(sphere_bq(i, m, prime))
         i += 1
     gens.sort(key=lambda g: g.rank)
-
-    # Redundant derivation through the brackets module guards the closed forms.
-    tower = cohen_generators(
-        enumerate_basic_brackets([LabelClass("s", m)], 1, prime), prime, weight_bound
-    )
-    if sorted((g.weight, g.degree) for g in gens) != sorted((g.weight, g.degree) for g in tower):
-        raise AssertionError("sphere generator closed forms disagree with the bracket tower")
     return gens
 
 
@@ -142,11 +134,10 @@ def punctured_plane_basis(q: int, p) -> list[Monomial]:
     prime = as_prime(p)
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
-    plane = plane_config_generators(prime, max(q, 1))
     out: list[Monomial] = []
     for j in range(q + 1):
         w = _white_bracket(j, prime)
-        for m in monomial_basis(plane, q - j, prime):
+        for m in _plane_basis(q - j, prime):
             out.append(Monomial(m.factors + ((w, 1),)))
     out.sort(key=Monomial.sort_key)
     return out

@@ -25,8 +25,8 @@ from .bv import (
     equivariant_zp,
     gravity_op_degree,
 )
-from .catalog import UnsupportedCaseError, plane_config_generators
-from .enumeration import monomial_basis, series_coefficient
+from .catalog import UnsupportedCaseError, _plane_basis, plane_config_generators
+from .enumeration import _by_degree, series_coefficient
 from .signhom import sign_rep_homology
 from .verify import VERIFY_TARGETS, run_verifications
 
@@ -82,11 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_basis(args) -> tuple[dict, list[list], list[str]]:
-    prime = as_prime(args.p)
-    gens = plane_config_generators(prime, max(args.n, 1))
     rows = [
         {"monomial": m.text(), "degree": m.degree, "weight": m.weight}
-        for m in monomial_basis(gens, args.n, prime)
+        for m in _plane_basis(args.n, args.p)
     ]
     table = [[r["monomial"], r["degree"], r["weight"]] for r in rows]
     return {"rows": rows}, table, ["monomial", "degree", "weight"]
@@ -105,17 +103,13 @@ def _cmd_poincare(args) -> tuple[dict, list[list], list[str]]:
 
 def _cmd_delta(args) -> tuple[dict, list[list], list[str]]:
     prime = as_prime(args.p)
-    gens = plane_config_generators(prime, max(args.n, 1))
-    mons = monomial_basis(gens, args.n, prime)
-    by_deg: dict[int, list] = {}
-    for m in mons:
-        by_deg.setdefault(m.degree, []).append(m)
+    by_deg = _by_degree(_plane_basis(args.n, prime))
     degrees = [args.degree] if args.degree is not None else sorted(by_deg)
     maps = []
     for d in degrees:
         source = by_deg.get(d, [])
         target = by_deg.get(d + 1, [])
-        mat = delta_matrix(args.n, prime, d, bases=(source, target))
+        mat = delta_matrix(args.n, prime, d, by_deg)
         maps.append(
             {
                 "degree": d,

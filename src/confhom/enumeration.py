@@ -178,6 +178,13 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
     return out
 
 
+def _by_degree(monomials) -> dict[int, list[Monomial]]:
+    out: dict[int, list[Monomial]] = {}
+    for m in monomials:
+        out.setdefault(m.degree, []).append(m)
+    return out
+
+
 def poincare(gens, n: int, p) -> GradedDims:
     """Degree-indexed dimensions of the weight-n monomial basis, by
     enumeration; the oracle for `series_coefficient`."""

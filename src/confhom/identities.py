@@ -29,8 +29,8 @@ from .algebra import (
     q_iota,
     u_class,
 )
-from .catalog import plane_config_generators
-from .enumeration import monomial_basis, total_dim
+from .catalog import _plane_basis
+from .enumeration import total_dim
 from .reports import VerifyReport
 
 
@@ -110,9 +110,8 @@ def verify_bijection(p, q: int) -> VerifyReport:
     onto the weight-p(q+1) basis."""
     prime = as_prime(p)
     target_weight = prime.p * (q + 1)
-    gens = plane_config_generators(prime, max(target_weight, 1))
-    src_pq = monomial_basis(gens, prime.p * q, prime)
-    src_q1 = monomial_basis(gens, q + 1, prime)
+    src_pq = _plane_basis(prime.p * q, prime)
+    src_q1 = _plane_basis(q + 1, prime)
     images = [bijection_image(m, SOURCE_WEIGHT_PQ, prime, q) for m in src_pq]
     images += [bijection_image(m, SOURCE_WEIGHT_Q_PLUS_1, prime, q) for m in src_q1]
     weights_ok = all(im.weight == target_weight for im in images)

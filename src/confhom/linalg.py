@@ -3,6 +3,10 @@
 Gauss-Jordan elimination on numpy integer arrays with all arithmetic
 reduced mod p; no floating point anywhere.  Matrices at the scales this
 package meets stay well under a thousand columns, so dense is fine.
+
+Entries are int64 while the product of two residues fits, (p-1)^2 < 2^63,
+and Python ints (object dtype) above that, so every prime `Prime` accepts
+is exact.
 """
 
 from __future__ import annotations
@@ -15,14 +19,14 @@ from .algebra import as_prime
 class FpMatrix:
     """A dense matrix over F_p with rank / kernel / image queries.
 
-    Entries are stored as int64 in [0, p).  Zero-row and zero-column
-    matrices are allowed; they come up constantly as boundary cases of
-    graded maps.
+    Entries are stored in [0, p), as int64 or as Python ints (see
+    `_dtype`).  Zero-row and zero-column matrices are allowed; they come up
+    constantly as boundary cases of graded maps.
     """
 
     def __init__(self, entries, p, shape: tuple[int, int] | None = None):
         self.p = as_prime(p)
-        a = np.array(entries, dtype=np.int64)
+        a = _as_array(entries, _dtype(self.p.p))
         if a.size == 0:
             if shape is None:
                 a = a.reshape(a.shape if a.ndim == 2 else (0, 0))
@@ -80,7 +84,7 @@ class FpMatrix:
         p = self.p.p
         r, pivots = self.rref()
         free = [c for c in range(self.cols) if c not in pivots]
-        basis = np.zeros((len(free), self.cols), dtype=np.int64)
+        basis = np.zeros((len(free), self.cols), dtype=self.a.dtype)
         for k, f in enumerate(free):
             basis[k, f] = 1
             for i, c in enumerate(pivots):
@@ -93,11 +97,28 @@ class FpMatrix:
         return self.a[:, pivots].T.copy()
 
     def apply(self, vec) -> np.ndarray:
-        v = np.mod(np.array(vec, dtype=np.int64), self.p.p)
-        return np.mod(self.a @ v, self.p.p)
+        # The product sums `cols` products of residues; int64 only if that fits.
+        dtype = _dtype(self.p.p, max(self.cols, 1))
+        v = np.mod(_as_array(vec, dtype), self.p.p)
+        return np.mod(self.a.astype(dtype) @ v, self.p.p)
 
     def __repr__(self) -> str:
         return f"FpMatrix({self.rows}x{self.cols} mod {self.p})"
+
+
+def _dtype(p: int, terms: int = 1):
+    """int64 when a sum of `terms` products of two residues mod p fits in
+    it, otherwise object (exact Python ints)."""
+    return np.int64 if terms * (p - 1) ** 2 < 2**63 else object
+
+
+def _as_array(entries, dtype) -> np.ndarray:
+    if dtype is object:
+        # Python ints throughout: numpy integer scalars in the input would
+        # otherwise overflow in the elimination.
+        ints = np.frompyfunc(int, 1, 1)(np.array(entries, dtype=object))
+        return np.asarray(ints, dtype=object)
+    return np.array(entries, dtype=dtype)
 
 
 def rank_kernel_image(m: FpMatrix) -> tuple[int, np.ndarray, np.ndarray]:

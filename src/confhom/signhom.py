@@ -6,7 +6,9 @@ degree shifted down by n times the sphere dimension, computes the local
 homology of the braid quotient, and the line-bundle fibration contributes
 a polynomial circle-classifying-space factor.  The shifted generator
 degrees are p^i - 1 and p^i - 2, independent of the sphere parameter q;
-`verify_q_stability` checks that independence on the computed answers.
+`verify_q_stability` checks that independence on the computed answers, and
+checks the closed-form generators against the tower built from basic
+brackets, a route that does not know the closed forms.
 
 A weight-n monomial's degree drops by n * sphere_dim exactly when each
 generator's degree drops by sphere_dim times its weight, so the slice is
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .algebra import as_prime
+from .brackets import LabelClass, cohen_generators, enumerate_basic_brackets
 from .bv import default_degree_bound
 from .catalog import sphere_labelled_generators
 from .enumeration import GradedDims, series_coefficient
@@ -90,8 +93,24 @@ def trivial_rep_homology_p2(n: int, q: int, degree_bound: int | None = None) -> 
     return slice_.dims.convolve_geometric(2, degree_bound)
 
 
+def _closed_forms_match_tower(n: int, p, sphere_dim: int) -> bool:
+    """Closed-form sphere generators up to weight max(n, 1) against the tower
+    built from basic brackets, compared as (weight, degree) multisets."""
+    labels = enumerate_basic_brackets([LabelClass("s", sphere_dim)], 1, p)
+    tower = cohen_generators(labels, p, max(n, 1))
+    closed = sphere_labelled_generators(p, sphere_dim, max(n, 1))
+    return sorted((g.weight, g.degree) for g in closed) == sorted(
+        (g.weight, g.degree) for g in tower
+    )
+
+
 def verify_q_stability(n: int, p, q_list, degree_bound: int | None = None) -> VerifyReport:
-    """Check the sign-coefficient answer is the same for every q in q_list."""
+    """Check the sign-coefficient answer is the same for every q in q_list,
+    and that the closed-form generators behind each q match the bracket tower.
+
+    A q is mismatching when its answer differs from the first q's, or when
+    its closed forms disagree with the tower.
+    """
     qs = list(q_list)
     if not qs:
         raise ValueError("q_list must be nonempty")
@@ -100,12 +119,13 @@ def verify_q_stability(n: int, p, q_list, degree_bound: int | None = None) -> Ve
         degree_bound = default_degree_bound(n)
     answers = {q: sign_rep_homology(n, prime, q, degree_bound) for q in qs}
     first = answers[qs[0]]
-    stable = all(a == first for a in answers.values())
+    mismatching = [
+        q
+        for q, a in answers.items()
+        if a != first or not _closed_forms_match_tower(n, prime, 2 * q + 1)
+    ]
     return VerifyReport(
         name=f"q-stability n={n} p={prime.p} q={qs}",
-        passed=stable,
-        details={
-            "dims": first.to_pairs(),
-            "mismatching_q": [q for q, a in answers.items() if a != first],
-        },
+        passed=not mismatching,
+        details={"dims": first.to_pairs(), "mismatching_q": mismatching},
     )

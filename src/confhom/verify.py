@@ -19,8 +19,10 @@ from .bv import (
     equivariant_s1,
     serre_e3,
 )
-from .catalog import fixed_point_total_dim, plane_config_generators, sphere_labelled_generators
-from .enumeration import GradedDims, monomial_basis, poincare, series_coefficient, total_dim
+from .catalog import _plane_basis, fixed_point_total_dim
+from .catalog import plane_config_generators, sphere_labelled_generators
+from .enumeration import GradedDims, _by_degree, monomial_basis, poincare
+from .enumeration import series_coefficient, total_dim
 from .identities import classify_monomial, verify_bijection, verify_dimension_identity
 from .reports import VerifyReport
 from .signhom import shifted_weight_slice, trivial_rep_homology_p2, verify_q_stability
@@ -43,8 +45,7 @@ def verify_delta_squared(p, max_n: int) -> VerifyReport:
     checked = 0
     bad: list[str] = []
     for n in range(max_n + 1):
-        gens = plane_config_generators(prime, max(n, 1))
-        for m in monomial_basis(gens, n, prime):
+        for m in _plane_basis(n, prime):
             image = delta(m, prime)
             checked += 1
             for mm in image.terms:
@@ -63,9 +64,7 @@ def _coker_dims_by_rank(n: int, p, by_deg: dict[int, list]) -> GradedDims:
     prime = as_prime(p)
     out: dict[int, int] = {}
     for d, basis in by_deg.items():
-        rank_in = delta_matrix(
-            n, prime, d - 1, bases=(by_deg.get(d - 1, []), basis)
-        ).rank()
+        rank_in = delta_matrix(n, prime, d - 1, by_deg).rank()
         if len(basis) - rank_in:
             out[d] = len(basis) - rank_in
     return GradedDims(out)
@@ -78,14 +77,10 @@ def verify_regime_dichotomy(p, max_n: int) -> VerifyReport:
     prime = as_prime(p)
     bad: list[str] = []
     for n in range(max_n + 1):
-        gens = plane_config_generators(prime, max(n, 1))
-        mons = monomial_basis(gens, n, prime)
-        by_deg: dict[int, list] = {}
-        for m in mons:
-            by_deg.setdefault(m.degree, []).append(m)
+        mons = _plane_basis(n, prime)
+        by_deg = _by_degree(mons)
         all_zero = all(
-            delta_matrix(n, prime, d, bases=(by_deg.get(d, []), by_deg.get(d + 1, []))).is_zero()
-            for d in range(max(by_deg) + 1)
+            delta_matrix(n, prime, d, by_deg).is_zero() for d in range(max(by_deg) + 1)
         )
         expect_zero = n % prime.p in (0, 1)
         if all_zero != expect_zero:
@@ -155,8 +150,7 @@ def verify_classify_total(p, max_n: int) -> VerifyReport:
     checked = 0
     bad: list[str] = []
     for n in range(max_n + 1):
-        gens = plane_config_generators(prime, max(n, 1))
-        for m in monomial_basis(gens, n, prime):
+        for m in _plane_basis(n, prime):
             try:
                 classify_monomial(m, prime, n)
                 checked += 1
@@ -209,6 +203,8 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
     prime = as_prime(p)
     if target not in VERIFY_TARGETS:
         raise ValueError(f"unknown verify target {target!r}")
+    if max_n < 0 or max_q < 0:
+        raise ValueError(f"max_n and max_q must be >= 0, got {max_n} and {max_q}")
     reports: list[VerifyReport] = []
     want = lambda name: target in (name, "all")
     if want("delta2"):

@@ -21,6 +21,8 @@ from confhom import (
     serre_e3,
 )
 from confhom.algebra import alpha_gen, beta_gen, iota, q_iota, u_class
+from confhom.catalog import _plane_basis
+from confhom.enumeration import _by_degree
 
 
 def mono(*pairs):
@@ -201,3 +203,24 @@ def test_gravity_op_degree():
         gravity_op_degree(0, 2, 1, "even")
     with pytest.raises(ValueError):
         gravity_op_degree(0, 2, 2, "odd")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_delta_rank_is_count_of_nonzero_images(p):
+    # the closed-form rank behind serre_e3, against the matrix rank
+    for n in range(31):
+        by_deg = _by_degree(_plane_basis(n, p))
+        for d in range(max(by_deg) + 2):
+            nonzero = sum(not delta(m, p).is_zero() for m in by_deg.get(d, []))
+            assert delta_matrix(n, p, d, by_deg).rank() == nonzero
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_delta_matrix_from_grouped_basis_matches_enumerated(p):
+    for n in range(16):
+        by_deg = _by_degree(_plane_basis(n, p))
+        for d in range(-1, max(by_deg) + 2):
+            grouped = delta_matrix(n, p, d, by_deg)
+            enumerated = delta_matrix(n, p, d)
+            assert grouped.a.shape == enumerated.a.shape
+            assert grouped.a.tolist() == enumerated.a.tolist()

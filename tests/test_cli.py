@@ -155,3 +155,24 @@ def test_module_entry_point():
     # timing goes to the diagnostics channel, never the payload
     assert "elapsed_ms" in proc.stderr
     assert "elapsed_ms" not in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", "--p", "9223372036854775837", "--n", "5"],
+    ["verify", "cross-route", "--p", "9223372036854775837", "--max-n", "6"],
+])
+def test_primes_beyond_int64_products_answer(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["status"] == "ok"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("target", ["delta2", "dimension-identity", "bijection", "classify",
+                                    "stability", "cross-route", "all"])
+@pytest.mark.parametrize("bound", [["--max-n", "-3"], ["--max-q", "-1"]])
+def test_verify_negative_bounds_exit_2(capsys, target, bound):
+    assert main(["verify", target, "--p", "3", *bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err

@@ -1,5 +1,7 @@
 """Exact F_p linear algebra: rank, kernel, image."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,3 +83,31 @@ def test_rref_is_reduced():
         column = r[:, c].copy()
         column[i] = 0
         assert not column.any()
+
+
+def test_rank_exact_when_residue_products_overflow_int64():
+    p = 4294967311
+    x = p - 2
+    assert FpMatrix([[1, x], [x, x * x % p]], p).rank() == 1
+
+
+@pytest.mark.parametrize("p", [4294967311, 18446744073709551629])
+def test_rank_at_large_primes_matches_sympy(p):
+    domain = pytest.importorskip("sympy.polys.matrices")
+    field = pytest.importorskip("sympy").GF(p)
+    rng = random.Random(p)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        inner = rng.randint(1, min(rows, cols))
+        # a product through `inner` dimensions usually has rank below full
+        left = [[rng.randrange(p) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)]
+        entries = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+                   for row in left]
+        expected = domain.DomainMatrix(
+            [[field(v) for v in row] for row in entries], (rows, cols), field
+        ).rank()
+        m = FpMatrix(entries, p)
+        assert m.rank() == expected
+        for v in m.kernel_basis():
+            assert not m.apply(v).any()

@@ -127,3 +127,23 @@ def test_degree_zero_only_from_bottom_generators():
         dims = sign_rep_homology(n, 3, 0, 0)
         expected = 1 if n in (1,) else 0  # the bottom class is exterior, weight 1
         assert dims.total() == expected
+
+
+def test_q_stability_checks_closed_forms_against_bracket_tower(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from confhom import catalog
+    from confhom.cli import main
+
+    real = catalog.sphere_q
+    # one degree too high: the answer moves alike for every q, so only the
+    # comparison with the bracket tower can see it
+    monkeypatch.setattr(catalog, "sphere_q",
+                        lambda i, m, p: replace(real(i, m, p), degree=real(i, m, p).degree + 1))
+    report = verify_q_stability(4, 3, [0, 1, 2])
+    assert not report.passed
+    assert report.details["mismatching_q"] == [0, 1, 2]
+    assert main(["verify", "stability", "--p", "3", "--max-n", "4", "--max-q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert '"status": "failed"' in captured.out
+    assert "Traceback" not in captured.err
