@@ -234,10 +234,6 @@ class Monomial:
                 return e
         return 0
 
-    def exponent_of_kind(self, kind: str) -> int:
-        """Total exponent over all generators of the given kind."""
-        return sum(e for g, e in self.factors if g.kind == kind)
-
     def contains_kind(self, kind: str) -> bool:
         return any(g.kind == kind for g, _ in self.factors)
 

@@ -11,8 +11,9 @@ closed form taken verbatim; it differs from the normalization fixed by
 Delta(iota^2) = u by the invertible scalar 2, so every rank, kernel and
 cokernel computed here is normalization-independent.
 
-The operator's rank in each degree is counted from the nonzero images
-(`serre_e3`); the rank of its matrix (`delta_matrix`) is the oracle in `verify`.
+The operator's rank in each degree is the count of nonzero images
+(`_delta_rank`, used by `serre_e3` and the `delta` command); the rank of its
+matrix (`delta_matrix`) is the oracle in `verify`.
 
 The equivariant dispatcher returns the tensor answer with the circle
 classifying space when n is 0 or 1 mod p, and the cokernel of the operator
@@ -24,17 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, Monomial, as_prime, iota, u_class
-from .algebra import KIND_ALPHA, KIND_BETA, KIND_IOTA, KIND_Q_IOTA, KIND_U
-from .catalog import UnsupportedCaseError, _plane_basis, plane_config_generators
+from .algebra import KIND_U, Element, Monomial, as_prime, iota, u_class
+from .catalog import UnsupportedCaseError, _plane_basis, _split_plane_monomial
+from .catalog import plane_config_generators
 from .enumeration import BigradedDims, GradedDims, _by_degree, series_coefficient
 from .linalg import FpMatrix
 
 REGIME_TENSOR_BS1 = "tensor_bs1"
 REGIME_COKER_DELTA = "coker_delta"
-
-_PLANE_KINDS_ODD = {KIND_IOTA, KIND_U, KIND_ALPHA, KIND_BETA}
-_PLANE_KINDS_TWO = {KIND_IOTA, KIND_Q_IOTA}
 
 
 def default_degree_bound(n: int) -> int:
@@ -56,23 +54,6 @@ class EquivariantAnswer:
     basis: list
 
 
-def _split_plane_monomial(m: Monomial, p) -> tuple[int, int, list]:
-    prime = as_prime(p)
-    allowed = _PLANE_KINDS_TWO if prime.p == 2 else _PLANE_KINDS_ODD
-    k = eps = 0
-    rest = []
-    for g, e in m.factors:
-        if g.kind not in allowed:
-            raise ValueError(f"not a plane-configuration monomial: {m.text()}")
-        if g.kind == KIND_IOTA:
-            k = e
-        elif g.kind == KIND_U:
-            eps = e
-        else:
-            rest.append((g, e))
-    return k, eps, rest
-
-
 def delta(m: Monomial, p) -> Element:
     """Apply the BV operator to a canonical plane-configuration monomial."""
     prime = as_prime(p)
@@ -84,6 +65,14 @@ def delta(m: Monomial, p) -> Element:
         return Element.zero(prime)
     image = Monomial([(iota(), k - 2), (u_class(prime), 1)] + rest)
     return Element.term(coeff, image, prime)
+
+
+def _delta_rank(images) -> int:
+    """Rank of the operator on a span of source monomials, given their
+    images: each source goes to zero or to a scalar times a monomial, and
+    distinct sources have distinct images, so the rank is the count of
+    nonzero images."""
+    return sum(not im.is_zero() for im in images)
 
 
 def delta_element(el: Element) -> Element:
@@ -169,11 +158,7 @@ def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:
         degree_bound = default_degree_bound(n)
     by_deg = _by_degree(_plane_basis(n, prime))
     max_i = max(by_deg, default=0)
-    # Each source goes to zero or to a scalar times a monomial, and distinct
-    # sources have distinct images, so the rank is the count of nonzero images.
-    ranks = {
-        d: sum(not delta(m, prime).is_zero() for m in mons) for d, mons in by_deg.items()
-    }
+    ranks = {d: _delta_rank(delta(m, prime) for m in mons) for d, mons in by_deg.items()}
     dims: dict[tuple[int, int], int] = {}
     for i in range(0, min(max_i, degree_bound) + 1):
         h_i = len(by_deg.get(i, []))

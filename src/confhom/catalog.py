@@ -2,8 +2,10 @@
 
 Covered: unordered configurations of the plane, plane configurations with
 labels in a sphere, configurations of the punctured plane, and the fixed
-points of the rotation of order p, and the plane basis every module reads
-(`_plane_basis`).  Sphere catalogs come from closed forms, which
+points of the rotation of order p.  Plane monomials are written and read
+here only: `_plane_basis` is the basis every module uses, and
+`_split_plane_monomial` the one reader that knows which generator kinds a
+plane monomial may hold at p.  Sphere catalogs come from closed forms, which
 `signhom.verify_q_stability` checks against the bracket tower.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .algebra import KIND_ALPHA, KIND_BETA, KIND_IOTA, KIND_Q_IOTA, KIND_U, Prime
 from .algebra import (
     Generator,
     Monomial,
@@ -36,6 +39,9 @@ SPACE_PLANE = "plane"
 SPACE_SPHERE_LABELLED = "sphere_labelled"
 SPACE_PUNCTURED_PLANE = "punctured_plane"
 SPACE_FIXED_POINTS = "fixed_points"
+
+_PLANE_KINDS_ODD = {KIND_IOTA, KIND_U, KIND_ALPHA, KIND_BETA}
+_PLANE_KINDS_TWO = {KIND_IOTA, KIND_Q_IOTA}
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,25 @@ def plane_config_generators(p, weight_bound: int) -> list[Generator]:
 def _plane_basis(n: int, p) -> list[Monomial]:
     """The weight-n plane monomial basis, in `monomial_basis` order."""
     return monomial_basis(plane_config_generators(p, max(n, 1)), n, p)
+
+
+def _split_plane_monomial(m: Monomial, prime: Prime) -> tuple[int, int, list]:
+    """Read a plane monomial as (point-class exponent k, odd-class exponent
+    eps, the other factors); a generator the plane algebra at p lacks
+    raises ValueError."""
+    allowed = _PLANE_KINDS_TWO if prime.p == 2 else _PLANE_KINDS_ODD
+    k = eps = 0
+    rest = []
+    for g, e in m.factors:
+        if g.kind not in allowed:
+            raise ValueError(f"not a plane-configuration monomial: {m.text()}")
+        if g.kind == KIND_IOTA:
+            k = e
+        elif g.kind == KIND_U:
+            eps = e
+        else:
+            rest.append((g, e))
+    return k, eps, rest
 
 
 def sphere_labelled_generators(p, m: int, weight_bound: int) -> list[Generator]:

@@ -18,6 +18,7 @@ import time
 from .algebra import as_prime
 from .bv import (
     REGIME_TENSOR_BS1,
+    _delta_rank,
     default_degree_bound,
     delta,
     delta_matrix,
@@ -109,16 +110,16 @@ def _cmd_delta(args) -> tuple[dict, list[list], list[str]]:
     for d in degrees:
         source = by_deg.get(d, [])
         target = by_deg.get(d + 1, [])
-        mat = delta_matrix(args.n, prime, d, by_deg)
+        images = [delta(m, prime) for m in source]
         maps.append(
             {
                 "degree": d,
                 "source": [m.text() for m in source],
                 "target": [m.text() for m in target],
-                "matrix": mat.a.tolist(),
-                "rank": mat.rank(),
+                "matrix": delta_matrix(args.n, prime, d, by_deg).a.tolist(),
+                "rank": _delta_rank(images),
                 "images": [
-                    {"monomial": m.text(), "image": delta(m, prime).text()} for m in source
+                    {"monomial": m.text(), "image": im.text()} for m, im in zip(source, images)
                 ],
             }
         )

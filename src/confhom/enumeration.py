@@ -3,16 +3,16 @@
 Counts come from the Hilbert series: `series_coefficient` expands the
 two-variable series of the free graded-commutative algebra (a geometric
 factor per polynomial generator, `1 + t^d s^w` per exterior one) with numpy
-convolutions, and `total_dim` and every dimension-only command read their
-answers from it.  `monomial_basis` enumerates the canonical monomials of a
-fixed weight, for callers that need the monomials themselves; `poincare`
-counts them by degree and is kept as the enumeration oracle that the
-verification suite compares with the series.
+convolutions, and every dimension-only command reads its answer from it;
+`total_dim` reads the one-variable series in weight alone.  `monomial_basis`
+enumerates the canonical monomials of a fixed weight, for callers that need
+the monomials themselves; `poincare` counts them by degree and is kept as
+the enumeration oracle that the verification suite compares with the series.
 
 The series is exact or refused: every cell is bounded by the weight's total
 dimension, computed first with Python ints, and a table whose totals reach
 2^63 or whose size exceeds `MAX_SERIES_CELLS` raises ValueError instead of
-wrapping or exhausting memory.
+wrapping or exhausting memory; `total_dim` refuses weights past 2^20.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .algebra import Generator, Monomial, as_prime
 
 # Largest series table built before refusing: 2^24 int64 cells, 128 MiB.
 MAX_SERIES_CELLS = 1 << 24
+# Largest weight of `total_dim`: 2^20 Python ints, 50 MiB at p = 2 (the widest).
+_MAX_TOTAL_WEIGHT = 1 << 20
 _INT64_LIMIT = 1 << 63
 
 
@@ -45,9 +47,6 @@ class GradedDims:
 
     def total(self) -> int:
         return sum(self.dims.values())
-
-    def max_degree(self) -> int:
-        return max(self.dims, default=-1)
 
     def to_pairs(self) -> list[list[int]]:
         return [[d, self.dims[d]] for d in sorted(self.dims)]
@@ -193,9 +192,17 @@ def poincare(gens, n: int, p) -> GradedDims:
 
 def total_dim(n: int, p) -> int:
     """Total dimension of the weight-n homology of planar configurations."""
+    return _plane_totals(n, p)[n]
+
+
+def _plane_totals(max_weight: int, p) -> list[int]:
+    """Plane total dimensions of the weights <= max_weight from the
+    one-variable series, which resolves no degree and builds no table."""
     from .catalog import plane_config_generators
 
-    return series_coefficient(plane_config_generators(p, max(n, 1)), n, None, p).total()
+    if not 0 <= max_weight <= _MAX_TOTAL_WEIGHT:
+        raise ValueError(f"weight must be in 0..{_MAX_TOTAL_WEIGHT}, got {max_weight}")
+    return _weight_totals(plane_config_generators(p, max(max_weight, 1)), max_weight)
 
 
 def _weight_totals(gens, max_weight: int) -> list[int]:

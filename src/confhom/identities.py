@@ -18,9 +18,6 @@ from enum import Enum
 from .algebra import (
     KIND_ALPHA,
     KIND_BETA,
-    KIND_IOTA,
-    KIND_Q_IOTA,
-    KIND_U,
     Monomial,
     alpha_gen,
     as_prime,
@@ -29,8 +26,8 @@ from .algebra import (
     q_iota,
     u_class,
 )
-from .catalog import _plane_basis
-from .enumeration import total_dim
+from .catalog import _plane_basis, _split_plane_monomial
+from .enumeration import _plane_totals, total_dim
 from .reports import VerifyReport
 
 
@@ -62,30 +59,22 @@ def bijection_image(m: Monomial, source: str, p, q: int) -> Monomial:
     prime = as_prime(p)
     if q < 0:
         raise ValueError(f"q must be >= 0, got {q}")
-    if source == SOURCE_WEIGHT_PQ:
-        if m.weight != prime.p * q:
-            raise ValueError(f"expected weight {prime.p * q}, got {m.weight}")
-        return Monomial(m.factors + ((iota(), prime.p),))
-    if source != SOURCE_WEIGHT_Q_PLUS_1:
+    if source not in (SOURCE_WEIGHT_PQ, SOURCE_WEIGHT_Q_PLUS_1):
         raise ValueError(f"unknown source {source!r}")
-    if m.weight != q + 1:
-        raise ValueError(f"expected weight {q + 1}, got {m.weight}")
-
-    factors: list[tuple] = []
-    k = 0
-    for g, e in m.factors:
-        if g.kind == KIND_IOTA:
-            k = e
-        elif g.kind == KIND_U:
-            factors.append((alpha_gen(1, prime), e))
-        elif g.kind == KIND_ALPHA:
+    weight = prime.p * q if source == SOURCE_WEIGHT_PQ else q + 1
+    if m.weight != weight:
+        raise ValueError(f"expected weight {weight}, got {m.weight}")
+    k, eps, rest = _split_plane_monomial(m, prime)
+    if source == SOURCE_WEIGHT_PQ:
+        return Monomial(m.factors + ((iota(), prime.p),))
+    factors: list[tuple] = [(alpha_gen(1, prime), eps)] if eps else []
+    for g, e in rest:
+        if g.kind == KIND_ALPHA:
             factors.append((alpha_gen(g.index + 1, prime), e))
         elif g.kind == KIND_BETA:
             factors.append((beta_gen(g.index + 1, prime), e))
-        elif g.kind == KIND_Q_IOTA:
-            factors.append((q_iota(g.index + 1), e))
         else:
-            raise ValueError(f"not a plane-configuration monomial: {m.text()}")
+            factors.append((q_iota(g.index + 1), e))
     if prime.p == 2:
         if k:
             factors.append((q_iota(1), k))
@@ -145,13 +134,10 @@ def classify_monomial(m: Monomial, p, n: int) -> MonomialForm:
     prime = as_prime(p)
     if m.weight != n:
         raise ValueError(f"monomial has weight {m.weight}, expected {n}")
-    allowed = {KIND_IOTA, KIND_Q_IOTA} if prime.p == 2 else {KIND_IOTA, KIND_U, KIND_ALPHA, KIND_BETA}
-    if any(g.kind not in allowed for g, _ in m.factors):
-        raise ValueError(f"not a plane-configuration monomial: {m.text()}")
-    k = m.exponent_of_kind(KIND_IOTA)
+    k, eps, _ = _split_plane_monomial(m, prime)
     if k >= prime.p:
         return MonomialForm.DIVISIBLE_BY_IOTA_P
-    if m.exponent_of_kind(KIND_U) == 0:
+    if eps == 0:
         if k != n % prime.p:
             raise InvariantViolation(
                 f"u-free monomial {m.text()} has point-class exponent {k}, expected {n % prime.p}"
@@ -169,13 +155,13 @@ def verify_dimension_identity(p, q_max: int) -> VerifyReport:
     prime = as_prime(p)
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
+    totals = _plane_totals(prime.p * q_max + 1, prime)
     rows = []
     ok = True
     partial = 0
     for q in range(q_max + 1):
-        partial += total_dim(q, prime)
-        d_pq = total_dim(prime.p * q, prime)
-        d_pq1 = total_dim(prime.p * q + 1, prime)
+        partial += totals[q]
+        d_pq, d_pq1 = totals[prime.p * q], totals[prime.p * q + 1]
         good = d_pq == partial and d_pq1 == d_pq
         ok = ok and good
         rows.append(

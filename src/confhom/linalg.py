@@ -126,5 +126,5 @@ def rank_kernel_image(m: FpMatrix) -> tuple[int, np.ndarray, np.ndarray]:
 
     rank + len(kernel) == cols and the image rows span the column space.
     """
-    rank = m.rank()
-    return rank, m.kernel_basis(), m.image_basis()
+    image = m.image_basis()
+    return len(image), m.kernel_basis(), image

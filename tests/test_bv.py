@@ -21,6 +21,7 @@ from confhom import (
     serre_e3,
 )
 from confhom.algebra import alpha_gen, beta_gen, iota, q_iota, u_class
+from confhom.bv import _delta_rank
 from confhom.catalog import _plane_basis
 from confhom.enumeration import _by_degree
 
@@ -212,7 +213,9 @@ def test_delta_rank_is_count_of_nonzero_images(p):
         by_deg = _by_degree(_plane_basis(n, p))
         for d in range(max(by_deg) + 2):
             nonzero = sum(not delta(m, p).is_zero() for m in by_deg.get(d, []))
-            assert delta_matrix(n, p, d, by_deg).rank() == nonzero
+            rank = delta_matrix(n, p, d, by_deg).rank()
+            assert rank == nonzero
+            assert _delta_rank(delta(m, p) for m in by_deg.get(d, [])) == rank
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

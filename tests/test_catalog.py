@@ -3,8 +3,12 @@
 import pytest
 
 from confhom import (
+    Monomial,
     SpaceSpec,
     UnsupportedCaseError,
+    bijection_image,
+    classify_monomial,
+    delta,
     fixed_point_total_dim,
     generators_for,
     plane_config_generators,
@@ -12,7 +16,9 @@ from confhom import (
     sphere_labelled_generators,
     total_dim,
 )
+from confhom.algebra import iota, q_iota, u_class
 from confhom.catalog import SPACE_PLANE, SPACE_SPHERE_LABELLED
+from confhom.identities import SOURCE_WEIGHT_PQ, SOURCE_WEIGHT_Q_PLUS_1
 
 from oracles import iterated_q_degree, multiset
 
@@ -144,3 +150,20 @@ def test_generators_for_dispatch():
     assert table(plane) == table(plane_config_generators(3, 9))
     sphere = generators_for(SpaceSpec(SPACE_SPHERE_LABELLED, 1), 3, 9)
     assert table(sphere) == table(sphere_labelled_generators(3, 1, 9))
+
+
+@pytest.mark.parametrize("p, foreign", [(3, q_iota(1)), (2, u_class(3))], ids=["p3-Qi1", "p2-u"])
+def test_foreign_generator_refused_by_every_plane_reader(p, foreign):
+    # i^2 times a weight-2 generator the plane algebra at p lacks: weight 4 = q + 1
+    m = Monomial([(iota(), 2), (foreign, 1)])
+    # i^(2p-2) times the same generator: weight 2p = p * q
+    m_pq = Monomial([(iota(), 2 * p - 2), (foreign, 1)])
+    readers = [
+        lambda: delta(m, p),
+        lambda: classify_monomial(m, p, 4),
+        lambda: bijection_image(m, SOURCE_WEIGHT_Q_PLUS_1, p, 3),
+        lambda: bijection_image(m_pq, SOURCE_WEIGHT_PQ, p, 2),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match="not a plane-configuration monomial"):
+            read()

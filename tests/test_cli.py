@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from confhom import FpMatrix
 from confhom.cli import main
 
 
@@ -173,6 +174,34 @@ def test_primes_beyond_int64_products_answer(capsys, argv):
 @pytest.mark.parametrize("bound", [["--max-n", "-3"], ["--max-q", "-1"]])
 def test_verify_negative_bounds_exit_2(capsys, target, bound):
     assert main(["verify", target, "--p", "3", *bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_delta_rank_matches_printed_matrix(capsys, p):
+    for n in range(31):
+        assert main(["delta", "--p", str(p), "--n", str(n)]) == 0
+        for mp in json.loads(capsys.readouterr().out)["result"]["maps"]:
+            matrix = FpMatrix(mp["matrix"], p, shape=(len(mp["target"]), len(mp["source"])))
+            assert mp["rank"] == matrix.rank()
+
+
+@pytest.mark.parametrize("target", ["bijection", "dimension-identity"])
+def test_verify_at_large_prime_answers(capsys, target):
+    # the weight-20014 totals come from the one-variable series, not a table
+    assert main(["verify", target, "--p", "10007", "--max-q", "1"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["result"]["passed"] is True
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("p", ["1000000007", "9223372036854775837"])
+@pytest.mark.parametrize("target, max_q", [("bijection", "0"), ("dimension-identity", "1")])
+def test_verify_totals_beyond_weight_limit_exit_2(capsys, p, target, max_q):
+    # the totals of weight p or p + 1 would need a list of p Python ints
+    assert main(["verify", target, "--p", p, "--max-q", max_q]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err

@@ -16,7 +16,7 @@ from confhom import (
     total_dim,
 )
 from confhom.algebra import Generator, iota, u_class
-from confhom.enumeration import MAX_SERIES_CELLS
+from confhom.enumeration import _MAX_TOTAL_WEIGHT, MAX_SERIES_CELLS
 
 
 def test_weight9_table_p3():
@@ -146,8 +146,28 @@ def test_series_refuses_oversized_tables():
     side = math.isqrt(MAX_SERIES_CELLS) + 1
     with pytest.raises(ValueError, match="cells"):
         series_table([iota()], side, side, 2)
-    with pytest.raises(ValueError):
-        total_dim(20000, 2)
+    # the total reads the one-variable series, which has no table to refuse
+    assert total_dim(20000, 2) == _binary_partitions(20000)
+
+
+def _binary_partitions(n):
+    """b(0) = 1, b(2m+1) = b(2m), b(2m) = b(2m-1) + b(m): the p = 2 plane
+    algebra is polynomial on generators of weight 1, 2, 4, ..."""
+    b = [1] * (n + 1)
+    for k in range(1, n + 1):
+        b[k] = b[k - 1] + (b[k // 2] if k % 2 == 0 else 0)
+    return b[n]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_total_dim_matches_series_and_enumeration(p):
+    for n in range(41):
+        gens = plane_config_generators(p, max(n, 1))
+        expected = len(monomial_basis(gens, n, p))
+        assert total_dim(n, p) == series_coefficient(gens, n, None, p).total() == expected
+    for refused in (-1, _MAX_TOTAL_WEIGHT + 1):
+        with pytest.raises(ValueError, match="weight must be in"):
+            total_dim(refused, p)
 
 
 def _convolve_geometric_loop(dims, step, dmax):
