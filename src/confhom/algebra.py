@@ -207,10 +207,22 @@ class Monomial:
     exterior generators carry exponent exactly one.  Weight and degree are
     the exponent-weighted sums over the factors.  The constructor merges
     repeated generators and validates the exterior constraint; it does not
-    track Koszul signs, which belong to `monomial_mul`.
+    track Koszul signs, which belong to `monomial_mul`.  Enumeration, whose
+    factors are canonical by construction, builds through the trusted
+    `_canonical` instead.  The hash and the text are computed on first use
+    and kept.
     """
 
-    __slots__ = ("factors", "weight", "degree", "_hash")
+    __slots__ = ("factors", "weight", "degree", "_hash", "_text")
+
+    @classmethod
+    def _canonical(cls, factors: tuple, weight: int, degree: int) -> "Monomial":
+        """A monomial from factors already canonical (strictly increasing
+        rank, positive exponents, exterior exponents 1) and their weight and
+        degree sums; nothing is merged, sorted or checked."""
+        m = object.__new__(cls)
+        m.factors, m.weight, m.degree, m._hash, m._text = factors, weight, degree, None, None
+        return m
 
     def __init__(self, factors: Iterable[tuple[Generator, int]] = ()):
         merged: dict[Generator, int] = {}
@@ -226,7 +238,7 @@ class Monomial:
         self.factors = tuple(items)
         self.weight = sum(g.weight * e for g, e in items)
         self.degree = sum(g.degree * e for g, e in items)
-        self._hash = hash(self.factors)
+        self._hash = self._text = None
 
     def exponent(self, gen: Generator) -> int:
         for g, e in self.factors:
@@ -239,9 +251,13 @@ class Monomial:
 
     def text(self) -> str:
         """Canonical text: factors space-separated, `^e` only when e > 1."""
-        if not self.factors:
-            return "1"
-        return " ".join(g.name if e == 1 else f"{g.name}^{e}" for g, e in self.factors)
+        if self._text is None:
+            self._text = (
+                " ".join(g.name if e == 1 else f"{g.name}^{e}" for g, e in self.factors)
+                if self.factors
+                else "1"
+            )
+        return self._text
 
     def sort_key(self) -> tuple[int, str]:
         return (self.degree, self.text())
@@ -250,6 +266,8 @@ class Monomial:
         return isinstance(other, Monomial) and self.factors == other.factors
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.factors)
         return self._hash
 
     def __str__(self) -> str:

@@ -28,7 +28,7 @@ from .algebra import (
     u_class,
 )
 from .brackets import LabelClass, bracket_as_generator, bracket_of, leaf
-from .enumeration import monomial_basis
+from .enumeration import _plane_totals, monomial_basis
 
 
 class UnsupportedCaseError(ValueError):
@@ -42,6 +42,10 @@ SPACE_FIXED_POINTS = "fixed_points"
 
 _PLANE_KINDS_ODD = {KIND_IOTA, KIND_U, KIND_ALPHA, KIND_BETA}
 _PLANE_KINDS_TWO = {KIND_IOTA, KIND_Q_IOTA}
+
+# Largest plane basis enumerated before refusing: 2^20 monomials (at p = 2
+# the basis passes it at weight 278).
+MAX_BASIS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,15 @@ def plane_config_generators(p, weight_bound: int) -> list[Generator]:
 
 
 def _plane_basis(n: int, p) -> list[Monomial]:
-    """The weight-n plane monomial basis, in `monomial_basis` order."""
+    """The weight-n plane monomial basis, in `monomial_basis` order.  Its
+    size is read from the series first, and a basis of more than MAX_BASIS
+    monomials raises ValueError instead of being built."""
+    if n >= 0:
+        size = _plane_totals(n, p)[n]
+        if size > MAX_BASIS:
+            raise ValueError(
+                f"weight-{n} basis of {size} monomials exceeds the limit of {MAX_BASIS}"
+            )
     return monomial_basis(plane_config_generators(p, max(n, 1)), n, p)
 
 

@@ -6,8 +6,11 @@ factor per polynomial generator, `1 + t^d s^w` per exterior one) with numpy
 convolutions, and every dimension-only command reads its answer from it;
 `total_dim` reads the one-variable series in weight alone.  `monomial_basis`
 enumerates the canonical monomials of a fixed weight, for callers that need
-the monomials themselves; `poincare` counts them by degree and is kept as
-the enumeration oracle that the verification suite compares with the series.
+the monomials themselves: it walks the generators down by rank, closes the
+lowest-rank one in one step, and builds through the trusted
+`Monomial._canonical`.  `poincare` counts the monomials by degree and is
+kept as the enumeration oracle that the verification suite compares with
+the series.
 
 The series is exact or refused: every cell is bounded by the weight's total
 dimension, computed first with Python ints, and a table whose totals reach
@@ -146,6 +149,15 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
 
     Exterior generators contribute exponent at most one.  The result is
     sorted by (degree, canonical text).
+
+    The recursion chooses exponents from the highest rank down, carrying
+    the weight still to fill and the degree so far, and emits a monomial as
+    soon as nothing remains.  The lowest-rank generator (the point class on
+    the plane) is closed in one step: its exponent is the remaining weight
+    over its own, and the branch is dropped only when that leaves a
+    remainder or gives an exterior generator exponent above one.  Factors
+    are prepended as the rank falls, so they arrive in canonical order and
+    each monomial is built by the trusted `Monomial._canonical`.
     """
     as_prime(p)
     if n < 0:
@@ -153,26 +165,32 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
     ordered: list[Generator] = sorted(gens, key=lambda g: g.rank)
     if len({g.rank for g in ordered}) != len(ordered):
         raise ValueError("duplicate generators")
+    if not ordered:
+        return [Monomial()] if n == 0 else []
+    canonical = Monomial._canonical
     out: list[Monomial] = []
-    acc: list[tuple[Generator, int]] = []
+    low = ordered[0]
+    descending = ordered[:0:-1]
+    depth = len(descending)
 
-    def extend(idx: int, remaining: int) -> None:
+    def extend(idx: int, remaining: int, degree: int, tail: tuple) -> None:
         if remaining == 0:
-            out.append(Monomial(tuple(acc)))
+            out.append(canonical(tail, n, degree))
             return
-        if idx == len(ordered):
+        if idx == depth:
+            e, r = divmod(remaining, low.weight)
+            if not r and (e == 1 or not low.exterior):
+                out.append(canonical(((low, e),) + tail, n, degree + e * low.degree))
             return
-        g = ordered[idx]
-        extend(idx + 1, remaining)
+        g = descending[idx]
+        extend(idx + 1, remaining, degree, tail)
         top = remaining // g.weight
         if g.exterior:
             top = min(top, 1)
         for e in range(1, top + 1):
-            acc.append((g, e))
-            extend(idx + 1, remaining - e * g.weight)
-            acc.pop()
+            extend(idx + 1, remaining - e * g.weight, degree + e * g.degree, ((g, e),) + tail)
 
-    extend(0, n)
+    extend(0, n, 0, ())
     out.sort(key=Monomial.sort_key)
     return out
 

@@ -95,12 +95,13 @@ def trivial_rep_homology_p2(n: int, q: int, degree_bound: int | None = None) -> 
 
 def _closed_forms_match_tower(n: int, p, sphere_dim: int) -> bool:
     """Closed-form sphere generators up to weight max(n, 1) against the tower
-    built from basic brackets, compared as (weight, degree) multisets."""
+    built from basic brackets, compared as (weight, degree, exterior)
+    multisets."""
     labels = enumerate_basic_brackets([LabelClass("s", sphere_dim)], 1, p)
     tower = cohen_generators(labels, p, max(n, 1))
     closed = sphere_labelled_generators(p, sphere_dim, max(n, 1))
-    return sorted((g.weight, g.degree) for g in closed) == sorted(
-        (g.weight, g.degree) for g in tower
+    return sorted((g.weight, g.degree, g.exterior) for g in closed) == sorted(
+        (g.weight, g.degree, g.exterior) for g in tower
     )
 
 

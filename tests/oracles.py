@@ -3,13 +3,16 @@
 Everything in this file recomputes expected values from first principles,
 without calling into the package internals it is checking: Koszul signs by
 explicit bubble sort, bracket admissibility by brute force over all binary
-trees, tower degrees by naive iteration, and group homology of cyclic
-groups and their free products from the 2-periodic resolution.
+trees, tower degrees by naive iteration, monomial bases by filtering every
+exponent vector, and group homology of cyclic groups and their free
+products from the 2-periodic resolution.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from confhom.algebra import Monomial
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +121,23 @@ def basic_brackets_bruteforce(leaves, max_weight, p):
                 found.append(t)
     found.sort(key=tree_key)
     return [tree_text(t) for t in found]
+
+
+# ---------------------------------------------------------------------------
+# Monomial bases by brute force: every exponent vector in the box, kept when
+# its weight is n, built by the validating constructor.
+
+def monomial_basis_bruteforce(gens, n):
+    """All monomials of weight exactly n over `gens` (exterior exponents 0..1),
+    sorted by (degree, text)."""
+    ranges = [range(2 if g.exterior else n // g.weight + 1) for g in gens]
+    out = [
+        Monomial(zip(gens, exps))
+        for exps in itertools.product(*ranges)
+        if sum(g.weight * e for g, e in zip(gens, exps)) == n
+    ]
+    out.sort(key=Monomial.sort_key)
+    return out
 
 
 # ---------------------------------------------------------------------------

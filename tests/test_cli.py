@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from confhom import FpMatrix
+from confhom.catalog import MAX_BASIS
 from confhom.cli import main
+from confhom.enumeration import _plane_totals
 
 
 def run_cli(capsys, *argv):
@@ -205,3 +208,21 @@ def test_verify_totals_beyond_weight_limit_exit_2(capsys, p, target, max_q):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--p", "2", "--n", "400"],
+    ["delta", "--p", "2", "--n", "400"],
+    ["equivariant", "--group", "S1", "--p", "2", "--n", "400"],
+])
+def test_oversized_basis_refused_up_front(capsys, argv):
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "7389572" in captured.err
+    assert "Traceback" not in captured.err
+    # the bound leaves the largest bases the benchmark and the roadmap ask for
+    assert _plane_totals(400, 2)[400] == 7389572 > MAX_BASIS
+    assert _plane_totals(200, 2)[200] == 205658 <= MAX_BASIS

@@ -16,7 +16,10 @@ from confhom import (
     total_dim,
 )
 from confhom.algebra import Generator, iota, u_class
+from confhom.catalog import sphere_labelled_generators
 from confhom.enumeration import _MAX_TOTAL_WEIGHT, MAX_SERIES_CELLS
+
+from oracles import monomial_basis_bruteforce
 
 
 def test_weight9_table_p3():
@@ -103,6 +106,51 @@ def test_monomial_basis_exterior_constraint():
             for g, e in m.factors:
                 if g.exterior:
                     assert e == 1
+
+
+def _plane_gens(p):
+    return lambda n: plane_config_generators(p, max(n, 1))
+
+
+def _sphere_gens(p, m):
+    return lambda n: sphere_labelled_generators(p, m, max(n, 1))
+
+
+def _plane_gens_without_point_class(p):
+    return lambda n: plane_config_generators(p, max(n, 1))[1:]
+
+
+@pytest.mark.parametrize("make_gens, p, max_n", [
+    (_plane_gens(2), 2, 24),
+    (_plane_gens(3), 3, 24),
+    (_plane_gens(5), 5, 24),
+    (_plane_gens(7), 7, 24),
+    # the lowest-rank generator is the weight-1 exterior class at odd p
+    (_sphere_gens(3, 1), 3, 18),
+    (_sphere_gens(3, 3), 3, 18),
+    (_sphere_gens(5, 1), 5, 18),
+    (_sphere_gens(2, 2), 2, 18),
+    # the lowest-rank generator has weight 2: u (exterior) at p = 3, Qi1 at p = 2
+    (_plane_gens_without_point_class(3), 3, 24),
+    (_plane_gens_without_point_class(2), 2, 24),
+], ids=["plane2", "plane3", "plane5", "plane7", "sphere3m1", "sphere3m3", "sphere5m1",
+        "sphere2m2", "no-point-class3", "no-point-class2"])
+def test_monomial_basis_matches_bruteforce(make_gens, p, max_n):
+    for n in range(max_n + 1):
+        gens = make_gens(n)
+        got = monomial_basis(gens, n, p)
+        want = monomial_basis_bruteforce(gens, n)
+        assert [m.factors for m in got] == [m.factors for m in want]
+        for a, b in zip(got, want):
+            assert a == b and hash(a) == hash(b) and a.text() == b.text()
+            assert (a.weight, a.degree) == (b.weight, b.degree)
+
+
+def test_monomial_basis_over_no_generators():
+    assert [m.text() for m in monomial_basis([], 0, 3)] == ["1"]
+    assert monomial_basis_bruteforce([], 0) == monomial_basis([], 0, 3)
+    for n in (1, 5):
+        assert monomial_basis([], n, 3) == monomial_basis_bruteforce([], n) == []
 
 
 def test_monomial_basis_deterministic_order():

@@ -147,3 +147,31 @@ def test_q_stability_checks_closed_forms_against_bracket_tower(capsys, monkeypat
     captured = capsys.readouterr()
     assert '"status": "failed"' in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_q_stability_checks_exterior_flags_against_bracket_tower(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from confhom import signhom
+    from confhom.cli import main
+
+    real = signhom.sphere_labelled_generators
+
+    def flipped(p, m, weight_bound):
+        # Qs1 (weight 3) made polynomial for q = 1 only: its square has weight
+        # 6, so below weight 6 the answers stay equal and only the comparison
+        # with the bracket tower sees the flag
+        gens = real(p, m, weight_bound)
+        return [replace(g, exterior=not g.exterior) if m == 3 and g.name == "Qs1" else g
+                for g in gens]
+
+    expected = verify_q_stability(4, 3, [0, 1, 2])
+    monkeypatch.setattr(signhom, "sphere_labelled_generators", flipped)
+    report = verify_q_stability(4, 3, [0, 1, 2])
+    assert not report.passed
+    assert report.details["mismatching_q"] == [1]
+    assert report.details["dims"] == expected.details["dims"]
+    assert main(["verify", "stability", "--p", "3", "--max-n", "4", "--max-q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert '"status": "failed"' in captured.out
+    assert "Traceback" not in captured.err

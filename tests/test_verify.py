@@ -1,10 +1,12 @@
 """The verification aggregator behind the `verify` CLI subcommand."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
-from confhom import run_verifications, verify
+from confhom import bv, run_verifications, verify
+from confhom.cli import main
 from confhom.verify import verify_p2_routes, verify_regime_dichotomy, verify_serre_agreement
 
 
@@ -55,3 +57,19 @@ def test_series_agreement_checks_the_shifted_sign_slice(p, monkeypatch):
     assert report.name == f"enumeration-vs-series p={p} n<=12"
     # a shift leaves an empty slice (weight 2 at odd p) unchanged
     assert {"n=0 sign slice", "n=1 sign slice", "n=12 sign slice"} <= set(report.details["failures"])
+
+
+def test_cross_route_reports_a_negative_serre_page(capsys, monkeypatch):
+    real = bv._delta_rank
+    # a rank one above the count of nonzero images drives third-page cells negative
+    monkeypatch.setattr(bv, "_delta_rank", lambda images: real(images) + 1)
+    report = verify_serre_agreement(3, 8)
+    assert not report.passed
+    assert "n=2: negative dimension" in report.details["failures"]
+    assert main(["verify", "cross-route", "--p", "3", "--max-n", "8"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["status"] == "failed"
+    serre = [c for c in payload["result"]["checks"] if c["name"].startswith("serre-vs-dispatcher")]
+    assert len(serre) == 1 and serre[0]["passed"] is False
+    assert "Traceback" not in captured.err
