@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import KIND_U, Element, Monomial, as_prime, iota, u_class
-from .catalog import UnsupportedCaseError, _plane_basis, _split_plane_monomial
+from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _split_plane_monomial
 from .catalog import plane_config_generators
 from .enumeration import BigradedDims, GradedDims, _by_degree, series_coefficient
 from .linalg import FpMatrix
@@ -38,6 +38,17 @@ REGIME_COKER_DELTA = "coker_delta"
 def default_degree_bound(n: int) -> int:
     """Truncation for the infinite tensor factors: eight periods past 2n."""
     return 2 * n + 16
+
+
+def _degree_bound(n: int, dmax: int | None) -> int:
+    """The truncation of a tensor answer: dmax, or the default for n.  A
+    bound above MAX_BASIS raises ValueError, before any array of that
+    length is built."""
+    if dmax is None:
+        dmax = default_degree_bound(n)
+    if dmax > MAX_BASIS:
+        raise ValueError(f"degree bound {dmax} exceeds the limit of {MAX_BASIS}")
+    return dmax
 
 
 @dataclass
@@ -102,7 +113,8 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
 
     n = 0, 1 mod p: the plane homology tensored with the homology of the
     circle classifying space, truncated at dmax.  Otherwise: the cokernel
-    of the BV operator, whose basis is the u-free monomials.
+    of the BV operator, whose basis is the u-free monomials.  In the
+    tensor regime a dmax, or a basis, above MAX_BASIS raises ValueError.
     """
     prime = as_prime(p)
     if n < 0:
@@ -111,7 +123,13 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
         dmax = default_degree_bound(n)
     mons = _plane_basis(n, prime)
     if n % prime.p in (0, 1):
-        dims = GradedDims.of_degrees(m.degree for m in mons).convolve_geometric(2, dmax)
+        dims = GradedDims.of_degrees(m.degree for m in mons).convolve_geometric(
+            2, _degree_bound(n, dmax)
+        )
+        if dims.total() > MAX_BASIS:
+            raise ValueError(
+                f"tensor basis of {dims.total()} pairs exceeds the limit of {MAX_BASIS}"
+            )
         basis = [
             (m, 2 * j)
             for m in mons
@@ -128,7 +146,8 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
 def equivariant_zp(n: int, p, dmax: int | None = None) -> GradedDims:
     """Equivariant homology for the order-p rotation subgroup, computed as
     the plane homology tensored with the cyclic-group classifying space.
-    Only defined for n = 0, 1 mod p."""
+    Only defined for n = 0, 1 mod p; a dmax above MAX_BASIS raises
+    ValueError."""
     prime = as_prime(p)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -137,8 +156,7 @@ def equivariant_zp(n: int, p, dmax: int | None = None) -> GradedDims:
             f"rotation-equivariant homology is computed only for n = 0, 1 mod p "
             f"(got n={n}, p={prime.p})"
         )
-    if dmax is None:
-        dmax = default_degree_bound(n)
+    dmax = _degree_bound(n, dmax)
     gens = plane_config_generators(prime, max(n, 1))
     return series_coefficient(gens, n, None, prime).convolve_geometric(1, dmax)
 

@@ -183,7 +183,9 @@ def punctured_plane_basis(q: int, p) -> list[Monomial]:
 def fixed_point_total_dim(n: int, p) -> int:
     """Total homology dimension of the order-p rotation fixed points in
     weight n; defined when n is 0 or 1 mod p, where the fixed-point space
-    is a punctured-plane configuration space of floor(n/p) points."""
+    is a punctured-plane configuration space of q = floor(n/p) points.
+    It is read from the plane totals d(0) + ... + d(q), whose enumerated
+    oracle is `punctured_plane_basis`."""
     prime = as_prime(p)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -191,7 +193,8 @@ def fixed_point_total_dim(n: int, p) -> int:
         raise UnsupportedCaseError(
             f"fixed points computed only for n = 0, 1 mod p (got n={n}, p={prime.p})"
         )
-    return len(punctured_plane_basis(n // prime.p, prime))
+    q = n // prime.p
+    return sum(_plane_totals(q, prime)[: q + 1])
 
 
 def generators_for(space: SpaceSpec, p, weight_bound: int) -> list[Generator]:

@@ -4,16 +4,29 @@ Every payload is byte-identical across runs for identical arguments: the
 JSON schema is {"command", "params", "result", "status"} with stable key
 order, and timing goes to stderr only.  Exit codes: 0 on success, 1 when a
 verification fails, 2 on usage errors or mathematically unsupported cases.
+
+`main` is cheap to call repeatedly in one process: it parses with one
+parser, built on the first call and reused (`parse_args` makes a fresh
+namespace each time, and a usage error only raises SystemExit), while
+`build_parser` still returns a new parser on every call.  JSON is written
+by `_render_json`, whose output is byte-identical to
+`json.dumps(payload, indent=2)`: the stdlib serves `indent` with its
+pure-Python encoder, and the renderer joins the rows the commands emit
+(integer pairs and matrix rows, flat dicts sharing one key order) from
+precomputed indents, handing any other value back to the stdlib.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .algebra import as_prime
 from .bv import (
@@ -80,6 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-q", type=int, default=4)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on the first call, not at import."""
+    return build_parser()
 
 
 def _cmd_basis(args) -> tuple[dict, list[list], list[str]]:
@@ -194,6 +213,81 @@ def _params_of(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
+def _render_json(payload) -> str:
+    """`json.dumps(payload, indent=2)`, byte for byte."""
+    return _render(payload, "\n")
+
+
+def _render(x, nl: str) -> str:
+    # `nl` is a newline and the indent of the line that closes x.
+    t = type(x)
+    if t is str:
+        return _encode_str(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if (t is list or t is dict) and not x:
+        return "[]" if t is list else "{}"
+    inner = nl + "  "
+    if t is list:
+        kinds = set(map(type, x))
+        items = None
+        if kinds == {str}:
+            items = map(_encode_str, x)
+        elif kinds == {int}:
+            items = map(int.__repr__, x)
+        elif kinds == {list}:
+            items = _int_rows(x, inner)
+        elif kinds == {dict}:
+            items = _flat_rows(x, inner)
+        if items is None:
+            items = [_render(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict and all(type(k) is str for k in x):
+        items = [_encode_str(k) + ": " + _render(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    # Encoded JSON holds no raw newline, so re-indenting the stdlib's output is exact.
+    return json.dumps(x, indent=2).replace("\n", nl)
+
+
+def _int_rows(rows: list, nl: str):
+    """Lists of ints (not bools), all of one nonzero length, one per line at
+    indent `nl`; None for any other list of lists."""
+    lengths = set(map(len, rows))
+    if len(lengths) > 1 or set(map(type, itertools.chain.from_iterable(rows))) != {int}:
+        return None
+    cell = nl + "  "
+    row = "[" + cell + ("," + cell).join(["%d"] * lengths.pop()) + nl + "]"
+    return list(map(row.__mod__, map(tuple, rows)))
+
+
+def _flat_rows(rows: list, nl: str):
+    """Dicts with the same str keys in the same order and str or int values,
+    one per line at indent `nl`, or None for any other list of dicts."""
+    keys = tuple(rows[0])
+    if not keys or not all(type(k) is str for k in keys):
+        return None
+    if not all(map(keys.__eq__, map(tuple, rows))):
+        return None
+    columns = []
+    for col in zip(*map(dict.values, rows)):
+        kinds = set(map(type, col))
+        if kinds == {str}:
+            columns.append(map(_encode_str, col))
+        elif kinds == {int}:
+            columns.append(map(int.__repr__, col))
+        else:
+            return None
+    cell = nl + "  "
+    fields = ("," + cell).join(_encode_str(k).replace("%", "%%") + ": %s" for k in keys)
+    return list(map(("{" + cell + fields + nl + "}").__mod__, zip(*columns)))
+
+
 def _render_table(table: list[list], header: list[str]) -> str:
     rows = [header] + [[str(c) for c in row] for row in table]
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
@@ -211,8 +305,7 @@ def _render_csv(table: list[list], header: list[str]) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     status = "ok"
     try:
@@ -224,7 +317,7 @@ def main(argv=None) -> int:
             "result": {"error": str(exc)},
             "status": "unsupported",
         }
-        print(json.dumps(payload, indent=2))
+        print(_render_json(payload))
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -241,7 +334,7 @@ def main(argv=None) -> int:
     }
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_render_json(payload))
     elif fmt == "table":
         print(_render_table(table, header))
     else:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from .algebra import as_prime
 from .brackets import LabelClass, cohen_generators, enumerate_basic_brackets
-from .bv import default_degree_bound
+from .bv import _degree_bound, default_degree_bound
 from .catalog import sphere_labelled_generators
 from .enumeration import GradedDims, series_coefficient
 from .reports import VerifyReport
@@ -64,13 +64,13 @@ def sign_rep_homology(n: int, p, q: int, degree_bound: int | None = None) -> Gra
     Computed from odd-dimensional sphere labels (dimension 2q + 1) as the
     shifted weight-n slice tensored with the circle-classifying-space
     series, truncated at degree_bound.  Any q >= 0 gives the same answer;
-    at p = 2 the sign representation is the trivial one.
+    at p = 2 the sign representation is the trivial one.  A degree_bound
+    above MAX_BASIS raises ValueError.
     """
     prime = as_prime(p)
     if n < 0 or q < 0:
         raise ValueError("n and q must be >= 0")
-    if degree_bound is None:
-        degree_bound = default_degree_bound(n)
+    degree_bound = _degree_bound(n, degree_bound)
     slice_ = shifted_weight_slice(n, prime, q, 2 * q + 1)
     return slice_.dims.convolve_geometric(2, degree_bound)
 
@@ -87,8 +87,7 @@ def trivial_rep_homology_p2(n: int, q: int, degree_bound: int | None = None) -> 
         raise ValueError(f"n must be >= 0, got {n}")
     if q < 1:
         raise ValueError(f"q must be >= 1 for even sphere labels, got {q}")
-    if degree_bound is None:
-        degree_bound = default_degree_bound(n)
+    degree_bound = _degree_bound(n, degree_bound)
     slice_ = shifted_weight_slice(n, 2, q, 2 * q)
     return slice_.dims.convolve_geometric(2, degree_bound)
 

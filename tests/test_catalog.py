@@ -138,6 +138,14 @@ def test_fixed_point_dims():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
+def test_fixed_point_total_dim_counts_the_punctured_plane_basis(p):
+    # the totals route against the enumerated basis
+    for n in range(31):
+        if n % p in (0, 1):
+            assert len(punctured_plane_basis(n // p, p)) == fixed_point_total_dim(n, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_fixed_point_dimension_equality(p):
     # total fixed-point homology equals total ambient homology, n <= 40
     for n in range(41):

@@ -1,15 +1,19 @@
 """CLI surface: grammar, formats, exit codes, and byte-stable output."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from confhom import FpMatrix
+from confhom import FpMatrix, bv, cli
 from confhom.catalog import MAX_BASIS
-from confhom.cli import main
+from confhom.cli import _render_json, build_parser, main
 from confhom.enumeration import _plane_totals
 
 
@@ -226,3 +230,236 @@ def test_oversized_basis_refused_up_front(capsys, argv):
     # the bound leaves the largest bases the benchmark and the roadmap ask for
     assert _plane_totals(400, 2)[400] == 7389572 > MAX_BASIS
     assert _plane_totals(200, 2)[200] == 205658 <= MAX_BASIS
+
+
+@pytest.mark.parametrize("argv", [
+    ["equivariant", "--group", "S1", "--p", "3", "--n", "9", "--dmax", "20000000"],
+    ["sign", "--p", "3", "--n", "9", "--q", "0", "--dmax", "20000000"],
+    ["equivariant", "--group", "Zp", "--p", "3", "--n", "9", "--dmax", "3000000"],
+])
+def test_oversized_degree_bound_refused_up_front(capsys, argv):
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: degree bound") and str(MAX_BASIS) in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_oversized_tensor_basis_refused(capsys):
+    # a bound at the limit, with 3145722 (monomial, circle degree) pairs below it
+    assert main(["equivariant", "--group", "S1", "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tensor basis of 3145722 pairs")
+
+
+def test_degree_bound_is_unused_in_the_cokernel_regime(capsys):
+    # n = 8 is 2 mod 3: the answer is finite and no truncated array is built
+    assert main(["equivariant", "--group", "S1", "--p", "3", "--n", "8", "--dmax", "20000000"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["regime"] == "coker_delta"
+
+
+def _capture(argv) -> tuple[int, str, str]:
+    """Run `main` with stdout and stderr captured; a usage error gives its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_RENDERED_COMMANDS = [
+    ["basis", "--p", "3", "--n", "9"],
+    ["basis", "--p", "2", "--n", "0"],
+    ["poincare", "--p", "5", "--n", "12"],
+    ["delta", "--p", "3", "--n", "6"],
+    ["delta", "--p", "3", "--n", "6", "--degree", "2"],
+    # no source monomial in degree 3: the matrix has a row and no columns
+    ["delta", "--p", "3", "--n", "6", "--degree", "3"],
+    ["delta", "--p", "3", "--n", "6", "--degree", "40"],
+    ["equivariant", "--group", "S1", "--p", "3", "--n", "6", "--dmax", "12"],
+    ["equivariant", "--group", "S1", "--p", "3", "--n", "8"],
+    ["equivariant", "--group", "Zp", "--p", "3", "--n", "9", "--dmax", "12"],
+    ["equivariant", "--group", "Zp", "--p", "3", "--n", "5"],
+    ["sign", "--p", "3", "--n", "3", "--q", "0"],
+    ["sign", "--p", "3", "--n", "2", "--q", "0"],
+    ["gravity-degree", "--op-degree", "4", "--arity", "3", "--input", "0", "--parity", "even"],
+    *(["verify", t, "--p", "3", "--max-n", "8", "--max-q", "1"]
+      for t in ("delta2", "dimension-identity", "bijection", "classify", "stability",
+                "cross-route", "all")),
+    ["verify", "all", "--p", "2", "--max-n", "8", "--max-q", "1"],
+]
+
+
+def _rendered_payloads(monkeypatch, argv) -> tuple[list, str]:
+    seen = []
+    real = cli._render_json
+    monkeypatch.setattr(cli, "_render_json", lambda payload: seen.append(payload) or real(payload))
+    _, out, _ = _capture(argv)
+    return seen, out
+
+
+@pytest.mark.parametrize("argv", _RENDERED_COMMANDS, ids=" ".join)
+def test_renderer_matches_json_dumps_on_command_payloads(monkeypatch, argv):
+    seen, out = _rendered_payloads(monkeypatch, argv)
+    assert len(seen) == 1
+    expected = json.dumps(seen[0], indent=2)
+    assert _render_json(seen[0]) == expected
+    assert out == expected + "\n"
+
+
+def test_renderer_matches_json_dumps_on_a_failed_verify(monkeypatch):
+    real_rank = bv._delta_rank
+    monkeypatch.setattr(bv, "_delta_rank", lambda images: real_rank(images) + 1)
+    seen, out = _rendered_payloads(monkeypatch, ["verify", "cross-route", "--p", "3", "--max-n", "8"])
+    assert seen[0]["status"] == "failed"
+    expected = json.dumps(seen[0], indent=2)
+    assert _render_json(seen[0]) == expected
+    assert out == expected + "\n"
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_TEXT = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from('"\\%\n\t\x00\x1f\x7f\u00e9\u2028')),
+    max_size=6,
+)
+_BIG_INTS = st.integers(min_value=-(2**80), max_value=2**80)
+_SCALARS = st.one_of(
+    _TEXT,
+    _BIG_INTS,
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.builds(_Int, st.integers(-9, 9)),
+    st.builds(_Str, _TEXT),
+)
+_KEYS = st.one_of(st.sampled_from(["a", "b", "%s", "\u00e9"]), _TEXT, st.integers(-3, 3))
+
+
+@st.composite
+def _int_row_lists(draw):
+    """Lists of int rows of one width, as dims pairs and matrix rows are,
+    sometimes with one cell or one row's width changed."""
+    width = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(_BIG_INTS, min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    odd = draw(st.sampled_from(["none", "cell", "width"]))
+    if odd == "cell" and width:
+        rows[-1][-1] = draw(_SCALARS)
+    elif odd == "width":
+        rows[-1] = rows[-1][1:] if width else [draw(_BIG_INTS)]
+    return rows
+
+
+@st.composite
+def _dict_row_lists(draw):
+    """Lists of flat dicts sharing one key tuple and one type per column,
+    as basis rows and images are, sometimes with one row changed."""
+    keys = draw(st.lists(st.sampled_from(["a", "b", "%s", "%%", "\u00e9", '"q"', 0]),
+                         min_size=1, max_size=3, unique=True))
+    row = st.fixed_dictionaries(
+        {k: draw(st.sampled_from([_TEXT, _BIG_INTS])) for k in keys})
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    last = rows[-1]
+    odd = draw(st.sampled_from(["none", "value", "order", "extra key", "missing key", "empty"]))
+    if odd == "value":
+        last[keys[-1]] = draw(_SCALARS)
+    elif odd == "order":
+        rows[-1] = dict(reversed(last.items()))
+    elif odd == "extra key":
+        last[draw(_KEYS)] = draw(_SCALARS)
+    elif odd == "missing key":
+        del last[keys[0]]
+    elif odd == "empty":
+        rows[-1] = {}
+    return rows
+
+
+def _nested(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(_KEYS, children, max_size=4),
+        _int_row_lists(),
+        _dict_row_lists(),
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.recursive(_SCALARS, _nested, max_leaves=40))
+def test_renderer_matches_json_dumps_on_nested_payloads(payload):
+    assert _render_json(payload) == json.dumps(payload, indent=2)
+
+
+def test_main_reuses_one_parser_without_leaking_options(capsys):
+    assert build_parser() is not build_parser()
+    assert main(["delta", "--p", "3", "--n", "6", "--degree", "2"]) == 0
+    with pytest.raises(SystemExit):
+        main(["basis", "--p", "3"])
+    capsys.readouterr()
+    assert main(["delta", "--p", "3", "--n", "6"]) == 0
+    out = capsys.readouterr().out
+    fresh = subprocess.run(
+        [sys.executable, "-m", "confhom", "delta", "--p", "3", "--n", "6"],
+        capture_output=True,
+        text=True,
+    )
+    assert fresh.returncode == 0
+    assert out == fresh.stdout
+    assert "degree" not in json.loads(out)["params"]
+
+
+_FUZZ_P = st.sampled_from(["-3", "0", "1", "2", "3", "4", "5", "7", "9"])
+_FUZZ_N = st.integers(-3, 12).map(str)
+_FUZZ_FORMAT = st.sampled_from([[], ["--format", "json"], ["--format", "table"], ["--format", "csv"]])
+_FUZZ_COMMANDS = st.one_of(
+    st.tuples(st.just(["basis"]), _FUZZ_P, _FUZZ_N).map(
+        lambda a: a[0] + ["--p", a[1], "--n", a[2]]),
+    st.tuples(st.just(["poincare"]), _FUZZ_P, _FUZZ_N).map(
+        lambda a: a[0] + ["--p", a[1], "--n", a[2]]),
+    st.tuples(_FUZZ_P, _FUZZ_N, st.sampled_from([[], ["--degree", "-1"], ["--degree", "0"],
+                                                 ["--degree", "3"], ["--degree", "50"]])).map(
+        lambda a: ["delta", "--p", a[0], "--n", a[1], *a[2]]),
+    st.tuples(st.sampled_from(["S1", "Zp"]), _FUZZ_P, _FUZZ_N, st.integers(-3, 30)).map(
+        lambda a: ["equivariant", "--group", a[0], "--p", a[1], "--n", a[2], "--dmax", str(a[3])]),
+    st.tuples(_FUZZ_P, _FUZZ_N, st.integers(-2, 3), st.integers(-3, 30)).map(
+        lambda a: ["sign", "--p", a[0], "--n", a[1], "--q", str(a[2]), "--dmax", str(a[3])]),
+    st.tuples(st.integers(-2, 6), st.integers(-1, 4), st.integers(-1, 6),
+              st.sampled_from(["even", "odd"])).map(
+        lambda a: ["gravity-degree", "--op-degree", str(a[0]), "--arity", str(a[1]),
+                   "--input", str(a[2]), "--parity", a[3]]),
+    st.tuples(st.sampled_from(["delta2", "dimension-identity", "bijection", "classify",
+                               "stability", "cross-route", "all"]),
+              _FUZZ_P, st.integers(-1, 6), st.integers(-1, 2)).map(
+        lambda a: ["verify", a[0], "--p", a[1], "--max-n", str(a[2]), "--max-q", str(a[3])]),
+    # token soup: missing, repeated and unknown options
+    st.lists(st.sampled_from(["basis", "delta", "verify", "all", "--p", "--n", "3", "-1",
+                              "--degree", "--format", "xml", "--help-me"]), max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FUZZ_COMMANDS, _FUZZ_FORMAT)
+@example(["basis", "--p", "2", "--n", "278"], [])  # first weight above MAX_BASIS at p = 2
+@example(["poincare", "--p", "3", "--n", "5000"], [])  # series table above MAX_SERIES_CELLS
+@example(["equivariant", "--group", "S1", "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS)], [])
+@example(["equivariant", "--group", "S1", "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS + 1)], [])
+@example(["equivariant", "--group", "Zp", "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS + 1)], [])
+@example(["sign", "--p", "3", "--n", "9", "--q", "0", "--dmax", str(MAX_BASIS + 1)], [])
+def test_cli_fuzz_exits_cleanly(argv, fmt):
+    code, out, err = _capture(argv + fmt)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code in (0, 1) and fmt[1:] in ([], ["json"]):
+        assert json.loads(out)["status"] == ("ok" if code == 0 else "failed")
