@@ -76,7 +76,6 @@ from .identities import (
 from .linalg import FpMatrix, rank_kernel_image
 from .reports import VerifyReport
 from .signhom import (
-    ShiftedWeightSlice,
     shifted_weight_slice,
     sign_rep_homology,
     trivial_rep_homology_p2,

@@ -80,18 +80,18 @@ def bracket_sort_key(b: BasicBracket) -> tuple:
     return (b.weight, b.degree, _enc(b))
 
 
+def _hall_pair(x: BasicBracket, y: BasicBracket) -> bool:
+    """Hall's condition on [x, y] given admissible x and y: x < y, and
+    c <= x when y = [c, d]."""
+    key_x = bracket_sort_key(x)
+    return key_x < bracket_sort_key(y) and (y.is_leaf() or bracket_sort_key(y.left) <= key_x)
+
+
 def is_hall(b: BasicBracket) -> bool:
     """Hall admissibility with the strict a < b condition (no self-brackets)."""
     if b.is_leaf():
         return True
-    x, y = b.left, b.right
-    if not (is_hall(x) and is_hall(y)):
-        return False
-    if not bracket_sort_key(x) < bracket_sort_key(y):
-        return False
-    if not y.is_leaf() and not bracket_sort_key(y.left) <= bracket_sort_key(x):
-        return False
-    return True
+    return is_hall(b.left) and is_hall(b.right) and _hall_pair(b.left, b.right)
 
 
 def is_basic(b: BasicBracket, p) -> bool:
@@ -134,11 +134,8 @@ def enumerate_basic_brackets(labels, max_weight: int, p) -> list[BasicBracket]:
         for i in range(1, k):
             for x in by_weight.get(i, ()):
                 for y in by_weight.get(k - i, ()):
-                    if bracket_sort_key(x) >= bracket_sort_key(y):
-                        continue
-                    if not y.is_leaf() and bracket_sort_key(y.left) > bracket_sort_key(x):
-                        continue
-                    found.append(bracket_of(x, y))
+                    if _hall_pair(x, y):
+                        found.append(bracket_of(x, y))
         found.sort(key=bracket_sort_key)
 
     result = [b for k in sorted(by_weight) if k <= max_weight for b in by_weight[k]]

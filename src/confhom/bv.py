@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import KIND_U, Element, Monomial, as_prime, iota, u_class
 from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _split_plane_monomial
 from .catalog import plane_config_generators
@@ -113,23 +115,20 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
 
     n = 0, 1 mod p: the plane homology tensored with the homology of the
     circle classifying space, truncated at dmax.  Otherwise: the cokernel
-    of the BV operator, whose basis is the u-free monomials.  In the
-    tensor regime a dmax, or a basis, above MAX_BASIS raises ValueError.
+    of the BV operator, whose basis is the u-free monomials, and dmax is
+    not read.  In the tensor regime a dmax, or a count of (monomial, circle
+    degree) pairs, above MAX_BASIS raises ValueError before either is built.
     """
     prime = as_prime(p)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if dmax is None:
-        dmax = default_degree_bound(n)
     mons = _plane_basis(n, prime)
     if n % prime.p in (0, 1):
-        dims = GradedDims.of_degrees(m.degree for m in mons).convolve_geometric(
-            2, _degree_bound(n, dmax)
-        )
-        if dims.total() > MAX_BASIS:
-            raise ValueError(
-                f"tensor basis of {dims.total()} pairs exceeds the limit of {MAX_BASIS}"
-            )
+        dmax = _degree_bound(n, dmax)
+        pairs = sum((dmax - m.degree) // 2 + 1 for m in mons if m.degree <= dmax)
+        if pairs > MAX_BASIS:
+            raise ValueError(f"tensor basis of {pairs} pairs exceeds the limit of {MAX_BASIS}")
+        dims = GradedDims.of_degrees(m.degree for m in mons).convolve_geometric(2, dmax)
         basis = [
             (m, 2 * j)
             for m in mons
@@ -169,26 +168,25 @@ def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:
     the base in degree 2j; the differential maps column j >= 1 to column
     j - 1 raising i by one, and is the BV operator on the fiber, whose rank
     in each degree is the count of nonzero images; `verify` checks ranks
-    against the matrix rank.  Cells are kept while i + 2j <= degree_bound.
+    against the matrix rank.  Cells are kept while i + 2j <= degree_bound,
+    in an int64 count table indexed [i, j] whose cells the basis size
+    bounds; a negative cell is kept, for `collapse_total_degree` to refuse.
     """
     prime = as_prime(p)
     if degree_bound is None:
         degree_bound = default_degree_bound(n)
     by_deg = _by_degree(_plane_basis(n, prime))
-    max_i = max(by_deg, default=0)
     ranks = {d: _delta_rank(delta(m, prime) for m in mons) for d, mons in by_deg.items()}
-    dims: dict[tuple[int, int], int] = {}
-    for i in range(0, min(max_i, degree_bound) + 1):
+    top = min(max(by_deg, default=0), degree_bound)
+    page = np.zeros((max(top + 1, 0), max(degree_bound // 2 + 1, 0)), dtype=np.int64)
+    for i in range(top + 1):
         h_i = len(by_deg.get(i, []))
         if not h_i:
             continue
         rank_in = ranks.get(i - 1, 0)
-        rank_out = ranks.get(i, 0)
-        for j in range(0, (degree_bound - i) // 2 + 1):
-            e3 = h_i - rank_in if j == 0 else h_i - rank_in - rank_out
-            if e3:
-                dims[(i, j)] = e3
-    return BigradedDims(dims)
+        page[i, : (degree_bound - i) // 2 + 1] = h_i - rank_in - ranks.get(i, 0)
+        page[i, 0] = h_i - rank_in
+    return BigradedDims(page)
 
 
 def collapse_total_degree(page: BigradedDims) -> GradedDims:

@@ -37,8 +37,6 @@ class UnsupportedCaseError(ValueError):
 
 SPACE_PLANE = "plane"
 SPACE_SPHERE_LABELLED = "sphere_labelled"
-SPACE_PUNCTURED_PLANE = "punctured_plane"
-SPACE_FIXED_POINTS = "fixed_points"
 
 _PLANE_KINDS_ODD = {KIND_IOTA, KIND_U, KIND_ALPHA, KIND_BETA}
 _PLANE_KINDS_TWO = {KIND_IOTA, KIND_Q_IOTA}
@@ -50,7 +48,8 @@ MAX_BASIS = 1 << 20
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """One of the supported spaces; `m` is the sphere dimension when labelled."""
+    """A space with a generator catalog: the plane, or the plane with labels
+    in an m-sphere."""
 
     kind: str
     m: Optional[int] = None
@@ -65,7 +64,7 @@ class SpaceSpec:
                     f"even sphere labels (m={self.m}) are only supported at p = 2; "
                     "for odd p the labelled homology does not stabilize injectively"
                 )
-        elif self.kind not in (SPACE_PLANE, SPACE_PUNCTURED_PLANE, SPACE_FIXED_POINTS):
+        elif self.kind != SPACE_PLANE:
             raise ValueError(f"unknown space kind: {self.kind}")
 
 
@@ -198,10 +197,8 @@ def fixed_point_total_dim(n: int, p) -> int:
 
 
 def generators_for(space: SpaceSpec, p, weight_bound: int) -> list[Generator]:
-    """Dispatch to the generator catalog of a space with its own generators."""
+    """Dispatch to the generator catalog of a space."""
     space.validate(p)
     if space.kind == SPACE_PLANE:
         return plane_config_generators(p, weight_bound)
-    if space.kind == SPACE_SPHERE_LABELLED:
-        return sphere_labelled_generators(p, space.m, weight_bound)
-    raise ValueError(f"{space.kind} has a basis catalog, not a generator catalog")
+    return sphere_labelled_generators(p, space.m, weight_bound)

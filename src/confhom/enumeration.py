@@ -2,15 +2,15 @@
 
 Counts come from the Hilbert series: `series_coefficient` expands the
 two-variable series of the free graded-commutative algebra (a geometric
-factor per polynomial generator, `1 + t^d s^w` per exterior one) with numpy
-convolutions, and every dimension-only command reads its answer from it;
-`total_dim` reads the one-variable series in weight alone.  `monomial_basis`
-enumerates the canonical monomials of a fixed weight, for callers that need
-the monomials themselves: it walks the generators down by rank, closes the
-lowest-rank one in one step, and builds through the trusted
-`Monomial._canonical`.  `poincare` counts the monomials by degree and is
-kept as the enumeration oracle that the verification suite compares with
-the series.
+factor per polynomial generator, `1 + t^d s^w` per exterior one) in place
+on an int64 weight x degree table, and every dimension-only command reads
+its answer from it; `total_dim` reads the one-variable series in weight
+alone.  `monomial_basis` enumerates the canonical monomials of a fixed
+weight, for callers that need the monomials themselves: it walks the
+generators down by rank, closes the lowest-rank one in one step, and
+builds through the trusted `Monomial._canonical`.  `poincare` counts the
+monomials by degree and is kept as the enumeration oracle that the
+verification suite compares with the series.
 
 The series is exact or refused: every cell is bounded by the weight's total
 dimension, computed first with Python ints, and a table whose totals reach
@@ -19,6 +19,8 @@ wrapping or exhausting memory; `total_dim` refuses weights past 2^20.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,23 +63,21 @@ class GradedDims:
         return GradedDims({d + offset: n for d, n in self.dims.items()})
 
     def convolve_geometric(self, step: int, dmax: int) -> "GradedDims":
-        """Multiply by the series 1/(1 - t^step), truncated at degree dmax."""
+        """Multiply by the series 1/(1 - t^step), truncated at degree dmax;
+        exact at any size, in Python ints."""
         if step < 1:
             raise ValueError(f"step must be >= 1, got {step}")
         lo = min(self.dims, default=dmax + 1)
         if lo > dmax:
             return GradedDims()
-        # Degrees lo..dmax laid out in rows of `step`: a cumulative sum down
-        # each column adds a degree's count to every degree step above it.
-        size = dmax - lo + 1
-        rows = -(-size // step)
-        # No output cell exceeds the total, so int64 is exact below 2^63.
-        acc = np.zeros(rows * step, dtype=np.int64 if self.total() < _INT64_LIMIT else object)
+        # Degrees lo..dmax; each residue class mod step becomes its running sum.
+        acc = [0] * (dmax - lo + 1)
         for d, n in self.dims.items():
             if d <= dmax:
                 acc[d - lo] = n
-        acc = acc.reshape(rows, step).cumsum(axis=0).ravel()[:size]
-        return GradedDims({lo + i: n for i, n in enumerate(acc.tolist()) if n})
+        for r in range(step):
+            acc[r::step] = accumulate(acc[r::step])
+        return GradedDims({lo + i: n for i, n in enumerate(acc) if n})
 
     def __getitem__(self, d: int) -> int:
         return self.dims.get(d, 0)
@@ -93,24 +93,16 @@ class GradedDims:
 
 
 class BigradedDims:
-    """A finite map (weight, degree) -> dimension, truncated by the caller.
-
-    Built from a dict, or by `of_table` over a dense weight x degree count
-    array; the dict of an array's nonzero cells is then made only when
-    `dims` is read, and `weight_slice` reads the array's row directly.
-    """
+    """A finite map (weight, degree) -> dimension over a dense int64 count
+    table indexed [weight, degree] (the spectral-sequence page indexes it
+    [fiber degree, base column]); `dims` is the dict of its nonzero cells,
+    made when first read, and `weight_slice` reads one row."""
 
     __slots__ = ("_dims", "_table")
 
-    def __init__(self, dims: dict[tuple[int, int], int] | None = None):
-        self._dims = {wd: n for wd, n in (dims or {}).items() if n}
-        self._table = None
-
-    @classmethod
-    def of_table(cls, table: np.ndarray) -> "BigradedDims":
-        out = cls()
-        out._dims, out._table = None, table
-        return out
+    def __init__(self, table: np.ndarray):
+        self._dims = None
+        self._table = table
 
     @property
     def dims(self) -> dict[tuple[int, int], int]:
@@ -122,8 +114,6 @@ class BigradedDims:
         return self._dims
 
     def weight_slice(self, w: int) -> GradedDims:
-        if self._table is None:
-            return GradedDims({d: n for (ww, d), n in self.dims.items() if ww == w})
         if not 0 <= w < len(self._table):
             return GradedDims()
         return GradedDims({d: n for d, n in enumerate(self._table[w].tolist()) if n})
@@ -272,7 +262,7 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
             for start in range(w0, max_weight + 1, w0):
                 stop = min(start + w0, max_weight + 1)
                 table[start:stop, d0:] += table[start - w0 : stop - w0, : dmax + 1 - d0]
-    return BigradedDims.of_table(table)
+    return BigradedDims(table)
 
 
 def series_coefficient(gens, n: int, dmax: int | None, p) -> GradedDims:

@@ -21,32 +21,20 @@ algebra map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .algebra import as_prime
 from .brackets import LabelClass, cohen_generators, enumerate_basic_brackets
-from .bv import _degree_bound, default_degree_bound
+from .bv import _degree_bound
 from .catalog import sphere_labelled_generators
 from .enumeration import GradedDims, series_coefficient
 from .reports import VerifyReport
 
 
-@dataclass(frozen=True)
-class ShiftedWeightSlice:
-    """The weight-n slice of a sphere-labelled algebra in shifted degrees.
-
-    The shift is n times the sphere dimension (2q+1 for sign coefficients,
-    2q for the mod-2 trivial route); shifted degrees are always >= 0.
-    """
-
-    n: int
-    q: int
-    dims: GradedDims
-
-
-def shifted_weight_slice(n: int, p, q: int, sphere_dim: int) -> ShiftedWeightSlice:
-    """Weight-n slice of the sphere-labelled algebra, degrees shifted down
-    by n * sphere_dim."""
+def shifted_weight_slice(n: int, p, sphere_dim: int) -> GradedDims:
+    """Weight-n slice of the algebra over labels in a sphere of dimension
+    sphere_dim (2q+1 for sign coefficients, 2q for the mod-2 trivial route),
+    degrees shifted down by n * sphere_dim; shifted degrees are always >= 0."""
     prime = as_prime(p)
     shifted = [
         replace(g, degree=g.degree - sphere_dim * g.weight)
@@ -55,7 +43,7 @@ def shifted_weight_slice(n: int, p, q: int, sphere_dim: int) -> ShiftedWeightSli
     for g in shifted:
         if g.degree < 0:
             raise AssertionError(f"negative shifted degree for generator {g.name}")
-    return ShiftedWeightSlice(n, q, series_coefficient(shifted, n, None, prime))
+    return series_coefficient(shifted, n, None, prime)
 
 
 def sign_rep_homology(n: int, p, q: int, degree_bound: int | None = None) -> GradedDims:
@@ -71,8 +59,7 @@ def sign_rep_homology(n: int, p, q: int, degree_bound: int | None = None) -> Gra
     if n < 0 or q < 0:
         raise ValueError("n and q must be >= 0")
     degree_bound = _degree_bound(n, degree_bound)
-    slice_ = shifted_weight_slice(n, prime, q, 2 * q + 1)
-    return slice_.dims.convolve_geometric(2, degree_bound)
+    return shifted_weight_slice(n, prime, 2 * q + 1).convolve_geometric(2, degree_bound)
 
 
 def trivial_rep_homology_p2(n: int, q: int, degree_bound: int | None = None) -> GradedDims:
@@ -88,8 +75,7 @@ def trivial_rep_homology_p2(n: int, q: int, degree_bound: int | None = None) -> 
     if q < 1:
         raise ValueError(f"q must be >= 1 for even sphere labels, got {q}")
     degree_bound = _degree_bound(n, degree_bound)
-    slice_ = shifted_weight_slice(n, 2, q, 2 * q)
-    return slice_.dims.convolve_geometric(2, degree_bound)
+    return shifted_weight_slice(n, 2, 2 * q).convolve_geometric(2, degree_bound)
 
 
 def _closed_forms_match_tower(n: int, p, sphere_dim: int) -> bool:
@@ -115,8 +101,6 @@ def verify_q_stability(n: int, p, q_list, degree_bound: int | None = None) -> Ve
     if not qs:
         raise ValueError("q_list must be nonempty")
     prime = as_prime(p)
-    if degree_bound is None:
-        degree_bound = default_degree_bound(n)
     answers = {q: sign_rep_homology(n, prime, q, degree_bound) for q in qs}
     first = answers[qs[0]]
     mismatching = [

@@ -9,20 +9,20 @@ routes against each other.  Checks report failures instead of raising.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .algebra import KIND_U, as_prime
 from .bv import (
     collapse_total_degree,
-    default_degree_bound,
     delta,
     delta_element,
     delta_matrix,
     equivariant_s1,
     serre_e3,
 )
-from .catalog import _plane_basis, fixed_point_total_dim
-from .catalog import plane_config_generators, sphere_labelled_generators
-from .enumeration import GradedDims, _by_degree, monomial_basis, poincare
-from .enumeration import series_coefficient, total_dim
+from .catalog import _plane_basis, plane_config_generators, sphere_labelled_generators
+from .enumeration import GradedDims, _by_degree, _plane_totals, monomial_basis, poincare
+from .enumeration import series_coefficient
 from .identities import classify_monomial, verify_bijection, verify_dimension_identity
 from .reports import VerifyReport
 from .signhom import shifted_weight_slice, trivial_rep_homology_p2, verify_q_stability
@@ -107,14 +107,13 @@ def verify_serre_agreement(p, max_n: int) -> VerifyReport:
     prime = as_prime(p)
     bad: list[str] = []
     for n in range(max_n + 1):
-        bound = default_degree_bound(n)
-        e3 = serre_e3(n, prime, bound)
+        e3 = serre_e3(n, prime)
         try:
             page = collapse_total_degree(e3)
         except ValueError as exc:
             bad.append(f"n={n}: {exc}")
             continue
-        answer = equivariant_s1(n, prime, bound).dims
+        answer = equivariant_s1(n, prime).dims
         if page != answer:
             bad.append(f"n={n}")
     return VerifyReport(
@@ -139,7 +138,7 @@ def verify_series_agreement(p, max_n: int) -> VerifyReport:
         enumerated = GradedDims.of_degrees(
             m.degree - n for m in monomial_basis(labelled, n, prime)
         )
-        if shifted_weight_slice(n, prime, 0, 1).dims != enumerated:
+        if shifted_weight_slice(n, prime, 1) != enumerated:
             bad.append(f"n={n} sign slice")
     return VerifyReport(
         name=f"enumeration-vs-series p={prime.p} n<={max_n}",
@@ -169,15 +168,19 @@ def verify_classify_total(p, max_n: int) -> VerifyReport:
 
 def verify_fixed_points(p, max_n: int) -> VerifyReport:
     """Fixed-point total dimension equals the ambient total dimension for
-    every n = 0, 1 mod p up to max_n."""
+    every n = 0, 1 mod p up to max_n: the plane total d(n) against the
+    punctured-plane total d(0) + ... + d(n // p), both read from one list
+    of plane totals (`fixed_point_total_dim` reads the same sum)."""
     prime = as_prime(p)
+    totals = _plane_totals(max(max_n, 0), prime)
+    prefix = list(accumulate(totals[: len(totals) // prime.p + 1]))
     bad: list[str] = []
     count = 0
     for n in range(max_n + 1):
         if n % prime.p not in (0, 1):
             continue
         count += 1
-        if fixed_point_total_dim(n, prime) != total_dim(n, prime):
+        if prefix[n // prime.p] != totals[n]:
             bad.append(f"n={n}")
     return VerifyReport(
         name=f"fixed-points p={prime.p} n<={max_n}",
@@ -190,10 +193,9 @@ def verify_p2_routes(max_n: int, q_list=(1, 2)) -> VerifyReport:
     """At p = 2 the labelled-configuration route equals the equivariant one."""
     bad: list[str] = []
     for n in range(max_n + 1):
-        bound = default_degree_bound(n)
-        expected = equivariant_s1(n, 2, bound).dims
+        expected = equivariant_s1(n, 2).dims
         for q in q_list:
-            if trivial_rep_homology_p2(n, q, bound) != expected:
+            if trivial_rep_homology_p2(n, q) != expected:
                 bad.append(f"n={n} q={q}")
     return VerifyReport(
         name=f"p2-cross-route n<={max_n}",

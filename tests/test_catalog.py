@@ -158,6 +158,10 @@ def test_generators_for_dispatch():
     assert table(plane) == table(plane_config_generators(3, 9))
     sphere = generators_for(SpaceSpec(SPACE_SPHERE_LABELLED, 1), 3, 9)
     assert table(sphere) == table(sphere_labelled_generators(3, 1, 9))
+    # the punctured plane and the fixed points have bases, not generator catalogs
+    for kind in ("punctured_plane", "fixed_points", "torus"):
+        with pytest.raises(ValueError, match="unknown space kind"):
+            generators_for(SpaceSpec(kind), 3, 9)
 
 
 @pytest.mark.parametrize("p, foreign", [(3, q_iota(1)), (2, u_class(3))], ids=["p3-Qi1", "p2-u"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from confhom import FpMatrix, bv, cli
 from confhom.catalog import MAX_BASIS
 from confhom.cli import _render_json, build_parser, main
-from confhom.enumeration import _plane_totals
+from confhom.enumeration import GradedDims, _plane_totals
 
 
 def run_cli(capsys, *argv):
@@ -253,6 +253,15 @@ def test_oversized_tensor_basis_refused(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: tensor basis of 3145722 pairs")
+
+
+def test_tensor_basis_refused_before_its_series_is_built(capsys, monkeypatch):
+    def unreachable(self, step, dmax):
+        raise AssertionError("the refusal must come from the pair count")
+
+    monkeypatch.setattr(GradedDims, "convolve_geometric", unreachable)
+    assert main(["equivariant", "--group", "S1", "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS)]) == 2
+    assert capsys.readouterr().err.startswith("error: tensor basis of 3145722 pairs")
 
 
 def test_degree_bound_is_unused_in_the_cokernel_regime(capsys):

@@ -64,9 +64,7 @@ def test_shifted_slice_is_nonnegative_and_truncated():
 def test_shifted_weight_slice_record():
     from confhom import shifted_weight_slice
 
-    slice_ = shifted_weight_slice(3, 3, 1, 3)
-    assert (slice_.n, slice_.q) == (3, 1)
-    assert slice_.dims == GradedDims({1: 1, 2: 1})
+    assert shifted_weight_slice(3, 3, 3) == GradedDims({1: 1, 2: 1})
 
 
 @pytest.mark.parametrize("n,p,qs", [(3, 3, (0, 1, 2)), (1, 3, (0, 4)), (6, 5, (0, 3)), (8, 2, (0, 1, 2))])

@@ -1,11 +1,10 @@
 """The verification aggregator behind the `verify` CLI subcommand."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
-from confhom import bv, run_verifications, verify
+from confhom import bv, fixed_point_total_dim, run_verifications, total_dim, verify
 from confhom.cli import main
 from confhom.verify import verify_p2_routes, verify_regime_dichotomy, verify_serre_agreement
 
@@ -47,9 +46,8 @@ def test_series_agreement_checks_the_shifted_sign_slice(p, monkeypatch):
     assert verify.verify_series_agreement(p, 12).passed
     real = verify.shifted_weight_slice
 
-    def off_by_one(n, prime, q, sphere_dim):
-        s = real(n, prime, q, sphere_dim)
-        return replace(s, dims=s.dims.shift(1))
+    def off_by_one(n, prime, sphere_dim):
+        return real(n, prime, sphere_dim).shift(1)
 
     monkeypatch.setattr(verify, "shifted_weight_slice", off_by_one)
     report = verify.verify_series_agreement(p, 12)
@@ -73,3 +71,20 @@ def test_cross_route_reports_a_negative_serre_page(capsys, monkeypatch):
     serre = [c for c in payload["result"]["checks"] if c["name"].startswith("serre-vs-dispatcher")]
     assert len(serre) == 1 and serre[0]["passed"] is False
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fixed_points_read_one_list_of_plane_totals(p, monkeypatch):
+    real = verify._plane_totals
+    calls = []
+
+    def counted(max_weight, prime):
+        calls.append(max_weight)
+        return real(max_weight, prime)
+
+    monkeypatch.setattr(verify, "_plane_totals", counted)
+    report = verify.verify_fixed_points(p, 60)
+    assert calls == [60]
+    cases = [n for n in range(61) if n % p in (0, 1)]
+    assert report.passed and report.details == {"cases": len(cases), "failures": []}
+    assert all(fixed_point_total_dim(n, p) == total_dim(n, p) for n in cases)
