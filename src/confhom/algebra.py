@@ -209,19 +209,21 @@ class Monomial:
     repeated generators and validates the exterior constraint; it does not
     track Koszul signs, which belong to `monomial_mul`.  Enumeration, whose
     factors are canonical by construction, builds through the trusted
-    `_canonical` instead.  The hash and the text are computed on first use
+    `_canonical` instead, handing over the text it wrote on the way.  The
+    hash, and the text of a constructed monomial, are computed on first use
     and kept.
     """
 
     __slots__ = ("factors", "weight", "degree", "_hash", "_text")
 
     @classmethod
-    def _canonical(cls, factors: tuple, weight: int, degree: int) -> "Monomial":
+    def _canonical(cls, factors: tuple, weight: int, degree: int, text: str) -> "Monomial":
         """A monomial from factors already canonical (strictly increasing
-        rank, positive exponents, exterior exponents 1) and their weight and
-        degree sums; nothing is merged, sorted or checked."""
+        rank, positive exponents, exterior exponents 1), their weight and
+        degree sums and their canonical text; nothing is merged, sorted or
+        checked."""
         m = object.__new__(cls)
-        m.factors, m.weight, m.degree, m._hash, m._text = factors, weight, degree, None, None
+        m.factors, m.weight, m.degree, m._hash, m._text = factors, weight, degree, None, text
         return m
 
     def __init__(self, factors: Iterable[tuple[Generator, int]] = ()):

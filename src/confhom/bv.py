@@ -101,12 +101,18 @@ def delta_matrix(n: int, p, degree: int, by_deg=None) -> FpMatrix:
     if by_deg is None:
         by_deg = _by_degree(_plane_basis(n, prime))
     source = by_deg.get(degree, [])
-    target = by_deg.get(degree + 1, [])
+    images = [delta(m, prime) for m in source]
+    return _images_matrix(images, by_deg.get(degree + 1, []), prime)
+
+
+def _images_matrix(images, target, prime) -> FpMatrix:
+    """The matrix whose column j holds the image of the j-th source monomial
+    in the `target` basis."""
     index = {m: i for i, m in enumerate(target)}
-    mat = FpMatrix.zeros(len(target), len(source), prime)
-    for j, m in enumerate(source):
-        for image, c in delta(m, prime).terms.items():
-            mat.a[index[image], j] = c
+    mat = FpMatrix.zeros(len(target), len(images), prime)
+    for j, image in enumerate(images):
+        for m, c in image.terms.items():
+            mat.a[index[m], j] = c
     return mat
 
 
@@ -122,7 +128,11 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
     prime = as_prime(p)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    mons = _plane_basis(n, prime)
+    return _equivariant_s1(n, prime, _plane_basis(n, prime), dmax)
+
+
+def _equivariant_s1(n: int, prime, mons: list, dmax: int | None) -> EquivariantAnswer:
+    """`equivariant_s1` from the weight-n plane basis `mons`."""
     if n % prime.p in (0, 1):
         dmax = _degree_bound(n, dmax)
         pairs = sum((dmax - m.degree) // 2 + 1 for m in mons if m.degree <= dmax)
@@ -173,9 +183,13 @@ def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:
     bounds; a negative cell is kept, for `collapse_total_degree` to refuse.
     """
     prime = as_prime(p)
+    return _serre_e3(n, prime, _by_degree(_plane_basis(n, prime)), degree_bound)
+
+
+def _serre_e3(n: int, prime, by_deg: dict, degree_bound: int | None) -> BigradedDims:
+    """`serre_e3` from the weight-n plane basis grouped by degree."""
     if degree_bound is None:
         degree_bound = default_degree_bound(n)
-    by_deg = _by_degree(_plane_basis(n, prime))
     ranks = {d: _delta_rank(delta(m, prime) for m in mons) for d, mons in by_deg.items()}
     top = min(max(by_deg, default=0), degree_bound)
     page = np.zeros((max(top + 1, 0), max(degree_bound // 2 + 1, 0)), dtype=np.int64)

@@ -32,9 +32,9 @@ from .algebra import as_prime
 from .bv import (
     REGIME_TENSOR_BS1,
     _delta_rank,
+    _images_matrix,
     default_degree_bound,
     delta,
-    delta_matrix,
     equivariant_s1,
     equivariant_zp,
     gravity_op_degree,
@@ -135,7 +135,7 @@ def _cmd_delta(args) -> tuple[dict, list[list], list[str]]:
                 "degree": d,
                 "source": [m.text() for m in source],
                 "target": [m.text() for m in target],
-                "matrix": delta_matrix(args.n, prime, d, by_deg).a.tolist(),
+                "matrix": _images_matrix(images, target, prime).a.tolist(),
                 "rank": _delta_rank(images),
                 "images": [
                     {"monomial": m.text(), "image": im.text()} for m, im in zip(source, images)

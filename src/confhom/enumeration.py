@@ -7,10 +7,12 @@ on an int64 weight x degree table, and every dimension-only command reads
 its answer from it; `total_dim` reads the one-variable series in weight
 alone.  `monomial_basis` enumerates the canonical monomials of a fixed
 weight, for callers that need the monomials themselves: it walks the
-generators down by rank, closes the lowest-rank one in one step, and
-builds through the trusted `Monomial._canonical`.  `poincare` counts the
-monomials by degree and is kept as the enumeration oracle that the
-verification suite compares with the series.
+generators down by rank, closes the lowest-rank one in one step, writes
+each monomial's text in the walk, and builds through the trusted
+`Monomial._canonical`, so the final sort calls no `text()`.  `poincare`
+counts the monomials by degree, the enumeration side of the series in the
+demos and tests; the verification suite counts the plane basis it has
+already swept.
 
 The series is exact or refused: every cell is bounded by the weight's total
 dimension, computed first with Python ints, and a table whose totals reach
@@ -21,6 +23,7 @@ wrapping or exhausting memory; `total_dim` refuses weights past 2^20.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,6 +34,8 @@ MAX_SERIES_CELLS = 1 << 24
 # Largest weight of `total_dim`: 2^20 Python ints, 50 MiB at p = 2 (the widest).
 _MAX_TOTAL_WEIGHT = 1 << 20
 _INT64_LIMIT = 1 << 63
+# `Monomial.sort_key` read from the slots, for monomials built with their text.
+_DEGREE_TEXT = attrgetter("degree", "_text")
 
 
 class GradedDims:
@@ -42,6 +47,14 @@ class GradedDims:
         self.dims = {d: n for d, n in (dims or {}).items() if n}
         if any(n < 0 for n in self.dims.values()):
             raise ValueError("negative dimension")
+
+    @classmethod
+    def _trusted(cls, dims: dict[int, int]) -> "GradedDims":
+        """Wrap a dict already free of zeros and negatives, unchecked: the
+        output of this class's own methods."""
+        g = object.__new__(cls)
+        g.dims = dims
+        return g
 
     @classmethod
     def of_degrees(cls, degrees) -> "GradedDims":
@@ -57,10 +70,10 @@ class GradedDims:
         return [[d, self.dims[d]] for d in sorted(self.dims)]
 
     def truncate(self, dmax: int) -> "GradedDims":
-        return GradedDims({d: n for d, n in self.dims.items() if d <= dmax})
+        return GradedDims._trusted({d: n for d, n in self.dims.items() if d <= dmax})
 
     def shift(self, offset: int) -> "GradedDims":
-        return GradedDims({d + offset: n for d, n in self.dims.items()})
+        return GradedDims._trusted({d + offset: n for d, n in self.dims.items()})
 
     def convolve_geometric(self, step: int, dmax: int) -> "GradedDims":
         """Multiply by the series 1/(1 - t^step), truncated at degree dmax;
@@ -77,7 +90,7 @@ class GradedDims:
                 acc[d - lo] = n
         for r in range(step):
             acc[r::step] = accumulate(acc[r::step])
-        return GradedDims({lo + i: n for i, n in enumerate(acc) if n})
+        return GradedDims._trusted({lo + i: n for i, n in enumerate(acc) if n})
 
     def __getitem__(self, d: int) -> int:
         return self.dims.get(d, 0)
@@ -146,8 +159,10 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
     the plane) is closed in one step: its exponent is the remaining weight
     over its own, and the branch is dropped only when that leaves a
     remainder or gives an exterior generator exponent above one.  Factors
-    are prepended as the rank falls, so they arrive in canonical order and
-    each monomial is built by the trusted `Monomial._canonical`.
+    are prepended as the rank falls, so they arrive in canonical order, and
+    each node carries its canonical text: the new factor's text, a space,
+    then the parent's text.  Each monomial is built with that text by the
+    trusted `Monomial._canonical`, and the sort reads it from the slot.
     """
     as_prime(p)
     if n < 0:
@@ -163,25 +178,35 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
     descending = ordered[:0:-1]
     depth = len(descending)
 
-    def extend(idx: int, remaining: int, degree: int, tail: tuple) -> None:
+    # `text` is the node's canonical text, "" at the root.
+    def extend(idx: int, remaining: int, degree: int, tail: tuple, text: str) -> None:
         if remaining == 0:
-            out.append(canonical(tail, n, degree))
+            out.append(canonical(tail, n, degree, text or "1"))
             return
+        sep = " " + text if text else ""
         if idx == depth:
             e, r = divmod(remaining, low.weight)
             if not r and (e == 1 or not low.exterior):
-                out.append(canonical(((low, e),) + tail, n, degree + e * low.degree))
+                name = low.name if e == 1 else f"{low.name}^{e}"
+                out.append(canonical(((low, e),) + tail, n, degree + e * low.degree, name + sep))
             return
         g = descending[idx]
-        extend(idx + 1, remaining, degree, tail)
+        extend(idx + 1, remaining, degree, tail, text)
         top = remaining // g.weight
         if g.exterior:
             top = min(top, 1)
         for e in range(1, top + 1):
-            extend(idx + 1, remaining - e * g.weight, degree + e * g.degree, ((g, e),) + tail)
+            name = g.name if e == 1 else f"{g.name}^{e}"
+            extend(
+                idx + 1,
+                remaining - e * g.weight,
+                degree + e * g.degree,
+                ((g, e),) + tail,
+                name + sep,
+            )
 
-    extend(0, n, 0, ())
-    out.sort(key=Monomial.sort_key)
+    extend(0, n, 0, (), "")
+    out.sort(key=_DEGREE_TEXT)
     return out
 
 

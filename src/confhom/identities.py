@@ -96,30 +96,41 @@ def bijection_image(m: Monomial, source: str, p, q: int) -> Monomial:
 
 def verify_bijection(p, q: int) -> VerifyReport:
     """Apply the substitution to both source bases and check it is a bijection
-    onto the weight-p(q+1) basis."""
+    onto the weight-p(q+1) basis.  A source monomial whose image breaks an
+    invariant of the substitution is a failure of this q, listed under
+    `failures` (a key only a failed report has)."""
     prime = as_prime(p)
     target_weight = prime.p * (q + 1)
     src_pq = _plane_basis(prime.p * q, prime)
     src_q1 = _plane_basis(q + 1, prime)
-    images = [bijection_image(m, SOURCE_WEIGHT_PQ, prime, q) for m in src_pq]
-    images += [bijection_image(m, SOURCE_WEIGHT_Q_PLUS_1, prime, q) for m in src_q1]
+    images: list[Monomial] = []
+    bad: list[str] = []
+    for source, basis in ((SOURCE_WEIGHT_PQ, src_pq), (SOURCE_WEIGHT_Q_PLUS_1, src_q1)):
+        for m in basis:
+            try:
+                images.append(bijection_image(m, source, prime, q))
+            except InvariantViolation as exc:
+                bad.append(f"{m.text()}: {exc}")
     weights_ok = all(im.weight == target_weight for im in images)
     injective = len(set(images)) == len(images)
     expected = total_dim(target_weight, prime)
     surjective = injective and weights_ok and len(images) == expected
+    details = {
+        "injective": injective,
+        "surjective": surjective,
+        "counts": {
+            "weight_pq_source": len(src_pq),
+            "weight_q_plus_1_source": len(src_q1),
+            "images": len(images),
+            "target_dim": expected,
+        },
+    }
+    if bad:
+        details["failures"] = bad[:10]
     return VerifyReport(
         name=f"bijection p={prime.p} q={q}",
-        passed=injective and surjective and weights_ok,
-        details={
-            "injective": injective,
-            "surjective": surjective,
-            "counts": {
-                "weight_pq_source": len(src_pq),
-                "weight_q_plus_1_source": len(src_q1),
-                "images": len(images),
-                "target_dim": expected,
-            },
-        },
+        passed=injective and surjective and weights_ok and not bad,
+        details=details,
     )
 
 

@@ -5,23 +5,34 @@ operator against its square and gradings, matrix ranks against monomial
 counts, the spectral-sequence page against the equivariant dispatcher,
 generating functions against explicit enumeration, and the two mod-2
 routes against each other.  Checks report failures instead of raising.
+
+The checks that read the weight-n plane basis are steps of one sweep:
+`run_verifications` walks n = 0..max_n once, enumerates each weight's basis
+once, groups it by degree once, and hands both to every step that reads
+weight n, then drops them, so no basis outlives its weight.  Sharing the
+list merges no oracle: every route already started from that basis, and
+each step still compares its own two routes (the matrix rank against the
+u-free count, the page against the dispatcher, the enumerated degrees
+against the series) and keeps its own failure list and report.  Each public
+`verify_*` function of a swept check is a sweep with that one step.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from typing import Callable, NamedTuple
 
 from .algebra import KIND_U, as_prime
 from .bv import (
+    _equivariant_s1,
+    _serre_e3,
     collapse_total_degree,
     delta,
     delta_element,
     delta_matrix,
-    equivariant_s1,
-    serre_e3,
 )
 from .catalog import _plane_basis, plane_config_generators, sphere_labelled_generators
-from .enumeration import GradedDims, _by_degree, _plane_totals, monomial_basis, poincare
+from .enumeration import GradedDims, _by_degree, _plane_totals, monomial_basis
 from .enumeration import series_coefficient
 from .identities import classify_monomial, verify_bijection, verify_dimension_identity
 from .reports import VerifyReport
@@ -38,14 +49,38 @@ VERIFY_TARGETS = (
 )
 
 
-def verify_delta_squared(p, max_n: int) -> VerifyReport:
-    """Delta o Delta = 0 on every monomial of weight <= max_n, and Delta
-    preserves weight while raising degree by exactly one."""
-    prime = as_prime(p)
+class _Step(NamedTuple):
+    """One check's per-weight body: `visit(n, mons, by_deg)` is fed the
+    weight-n plane basis and its degree grouping for each n <= bound, and
+    `report()` then makes the check's report."""
+
+    bound: int
+    visit: Callable[[int, list, dict], None]
+    report: Callable[[], VerifyReport]
+
+
+def _sweep(prime, steps: list[_Step]) -> list[VerifyReport]:
+    """Feed each weight's plane basis, enumerated once, to every step
+    bounded at or above it; the reports come in the order of `steps`."""
+    for n in range(max((s.bound for s in steps), default=-1) + 1):
+        _visit(n, _plane_basis(n, prime), [s for s in steps if n <= s.bound])
+    return [s.report() for s in steps]
+
+
+def _visit(n: int, mons: list, steps: list[_Step]) -> None:
+    # The basis lives in this frame only: it is freed before weight n + 1 is built.
+    by_deg = _by_degree(mons)
+    for s in steps:
+        s.visit(n, mons, by_deg)
+
+
+def _delta_squared(prime, max_n: int) -> _Step:
     checked = 0
     bad: list[str] = []
-    for n in range(max_n + 1):
-        for m in _plane_basis(n, prime):
+
+    def visit(n, mons, by_deg):
+        nonlocal checked
+        for m in mons:
             image = delta(m, prime)
             checked += 1
             for mm in image.terms:
@@ -53,11 +88,19 @@ def verify_delta_squared(p, max_n: int) -> VerifyReport:
                     bad.append(f"grading broken at {m.text()}")
             if not delta_element(image).is_zero():
                 bad.append(f"square nonzero at {m.text()}")
-    return VerifyReport(
+
+    return _Step(max_n, visit, lambda: VerifyReport(
         name=f"delta2 p={prime.p} n<={max_n}",
         passed=not bad,
         details={"monomials_checked": checked, "failures": bad[:10]},
-    )
+    ))
+
+
+def verify_delta_squared(p, max_n: int) -> VerifyReport:
+    """Delta o Delta = 0 on every monomial of weight <= max_n, and Delta
+    preserves weight while raising degree by exactly one."""
+    prime = as_prime(p)
+    return _sweep(prime, [_delta_squared(prime, max_n)])[0]
 
 
 def _coker_dims_by_rank(by_deg: dict[int, list], mats: dict) -> GradedDims:
@@ -70,34 +113,58 @@ def _coker_dims_by_rank(by_deg: dict[int, list], mats: dict) -> GradedDims:
     return GradedDims(out)
 
 
-def verify_regime_dichotomy(p, max_n: int) -> VerifyReport:
-    """The operator's matrix vanishes exactly when n is 0 or 1 mod p, and in
-    the other regime the rank-computed cokernel equals the count of u-free
-    monomials per degree (with u-free and u-carrying monomials equinumerous)."""
-    prime = as_prime(p)
+def _regime_dichotomy(prime, max_n: int) -> _Step:
     bad: list[str] = []
-    for n in range(max_n + 1):
-        mons = _plane_basis(n, prime)
-        by_deg = _by_degree(mons)
+
+    def visit(n, mons, by_deg):
         mats = {d: delta_matrix(n, prime, d, by_deg) for d in by_deg}
         all_zero = all(mat.is_zero() for mat in mats.values())
         expect_zero = n % prime.p in (0, 1)
         if all_zero != expect_zero:
             bad.append(f"n={n}: matrix zero={all_zero}, expected {expect_zero}")
-            continue
+            return
         if expect_zero:
-            continue
+            return
         u_free = [m for m in mons if not m.contains_kind(KIND_U)]
         u_carrying = [m for m in mons if m.contains_kind(KIND_U)]
         if len(u_free) != len(u_carrying):
             bad.append(f"n={n}: u-free {len(u_free)} != u-carrying {len(u_carrying)}")
         if _coker_dims_by_rank(by_deg, mats) != GradedDims.of_degrees(m.degree for m in u_free):
             bad.append(f"n={n}: rank cokernel != u-free counts")
-    return VerifyReport(
+
+    return _Step(max_n, visit, lambda: VerifyReport(
         name=f"regime-dichotomy p={prime.p} n<={max_n}",
         passed=not bad,
         details={"failures": bad[:10]},
-    )
+    ))
+
+
+def verify_regime_dichotomy(p, max_n: int) -> VerifyReport:
+    """The operator's matrix vanishes exactly when n is 0 or 1 mod p, and in
+    the other regime the rank-computed cokernel equals the count of u-free
+    monomials per degree (with u-free and u-carrying monomials equinumerous)."""
+    prime = as_prime(p)
+    return _sweep(prime, [_regime_dichotomy(prime, max_n)])[0]
+
+
+def _serre_agreement(prime, max_n: int) -> _Step:
+    bad: list[str] = []
+
+    def visit(n, mons, by_deg):
+        e3 = _serre_e3(n, prime, by_deg, None)
+        try:
+            page = collapse_total_degree(e3)
+        except ValueError as exc:
+            bad.append(f"n={n}: {exc}")
+            return
+        if page != _equivariant_s1(n, prime, mons, None).dims:
+            bad.append(f"n={n}")
+
+    return _Step(max_n, visit, lambda: VerifyReport(
+        name=f"serre-vs-dispatcher p={prime.p} n<={max_n}",
+        passed=not bad,
+        details={"failures": bad},
+    ))
 
 
 def verify_serre_agreement(p, max_n: int) -> VerifyReport:
@@ -105,34 +172,16 @@ def verify_serre_agreement(p, max_n: int) -> VerifyReport:
     equivariant dispatcher in both regimes.  A page with a negative cell
     (a rank above its degree's dimension) is a failure of that n."""
     prime = as_prime(p)
-    bad: list[str] = []
-    for n in range(max_n + 1):
-        e3 = serre_e3(n, prime)
-        try:
-            page = collapse_total_degree(e3)
-        except ValueError as exc:
-            bad.append(f"n={n}: {exc}")
-            continue
-        answer = equivariant_s1(n, prime).dims
-        if page != answer:
-            bad.append(f"n={n}")
-    return VerifyReport(
-        name=f"serre-vs-dispatcher p={prime.p} n<={max_n}",
-        passed=not bad,
-        details={"failures": bad},
-    )
+    return _sweep(prime, [_serre_agreement(prime, max_n)])[0]
 
 
-def verify_series_agreement(p, max_n: int) -> VerifyReport:
-    """Explicit enumeration equals the generating-function coefficients: on
-    the plane algebra, and on the shifted weight slice over labels in the
-    1-sphere behind the sign answers (other sphere dimensions are compared
-    with it by the q-stability and mod-2 cross-route checks)."""
-    prime = as_prime(p)
+def _series_agreement(prime, max_n: int) -> _Step:
     bad: list[str] = []
-    for n in range(max_n + 1):
+
+    def visit(n, mons, by_deg):
         gens = plane_config_generators(prime, max(n, 1))
-        if poincare(gens, n, prime) != series_coefficient(gens, n, None, prime):
+        counted = GradedDims({d: len(ms) for d, ms in by_deg.items()})
+        if counted != series_coefficient(gens, n, None, prime):
             bad.append(f"n={n}")
         labelled = sphere_labelled_generators(prime, 1, max(n, 1))
         enumerated = GradedDims.of_degrees(
@@ -140,30 +189,48 @@ def verify_series_agreement(p, max_n: int) -> VerifyReport:
         )
         if shifted_weight_slice(n, prime, 1) != enumerated:
             bad.append(f"n={n} sign slice")
-    return VerifyReport(
+
+    return _Step(max_n, visit, lambda: VerifyReport(
         name=f"enumeration-vs-series p={prime.p} n<={max_n}",
         passed=not bad,
         details={"failures": bad},
-    )
+    ))
 
 
-def verify_classify_total(p, max_n: int) -> VerifyReport:
-    """The trichotomy classifies every basis monomial without violations."""
+def verify_series_agreement(p, max_n: int) -> VerifyReport:
+    """Explicit enumeration equals the generating-function coefficients: on
+    the plane algebra (the swept basis counted by degree), and on the
+    shifted weight slice over labels in the 1-sphere behind the sign answers
+    (other sphere dimensions are compared with it by the q-stability and
+    mod-2 cross-route checks)."""
     prime = as_prime(p)
+    return _sweep(prime, [_series_agreement(prime, max_n)])[0]
+
+
+def _classify_total(prime, max_n: int) -> _Step:
     checked = 0
     bad: list[str] = []
-    for n in range(max_n + 1):
-        for m in _plane_basis(n, prime):
+
+    def visit(n, mons, by_deg):
+        nonlocal checked
+        for m in mons:
             try:
                 classify_monomial(m, prime, n)
                 checked += 1
             except Exception as exc:  # noqa: BLE001 - report, don't raise
                 bad.append(f"n={n} {m.text()}: {exc}")
-    return VerifyReport(
+
+    return _Step(max_n, visit, lambda: VerifyReport(
         name=f"classify-total p={prime.p} n<={max_n}",
         passed=not bad,
         details={"monomials_checked": checked, "failures": bad[:10]},
-    )
+    ))
+
+
+def verify_classify_total(p, max_n: int) -> VerifyReport:
+    """The trichotomy classifies every basis monomial without violations."""
+    prime = as_prime(p)
+    return _sweep(prime, [_classify_total(prime, max_n)])[0]
 
 
 def verify_fixed_points(p, max_n: int) -> VerifyReport:
@@ -189,47 +256,60 @@ def verify_fixed_points(p, max_n: int) -> VerifyReport:
     )
 
 
-def verify_p2_routes(max_n: int, q_list=(1, 2)) -> VerifyReport:
-    """At p = 2 the labelled-configuration route equals the equivariant one."""
+def _p2_routes(prime, max_n: int, q_list) -> _Step:
     bad: list[str] = []
-    for n in range(max_n + 1):
-        expected = equivariant_s1(n, 2).dims
+
+    def visit(n, mons, by_deg):
+        expected = _equivariant_s1(n, prime, mons, None).dims
         for q in q_list:
             if trivial_rep_homology_p2(n, q) != expected:
                 bad.append(f"n={n} q={q}")
-    return VerifyReport(
+
+    return _Step(max_n, visit, lambda: VerifyReport(
         name=f"p2-cross-route n<={max_n}",
         passed=not bad,
         details={"failures": bad},
-    )
+    ))
+
+
+def verify_p2_routes(max_n: int, q_list=(1, 2)) -> VerifyReport:
+    """At p = 2 the labelled-configuration route equals the equivariant one."""
+    prime = as_prime(2)
+    return _sweep(prime, [_p2_routes(prime, max_n, q_list)])[0]
 
 
 def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[VerifyReport]:
-    """Run one named verification target (or `all`) and collect its reports."""
+    """Run one named verification target (or `all`) and collect its reports.
+
+    The checks that read the plane basis share one sweep over n = 0..max_n;
+    the spectral-sequence and mod-2 checks stop at min(max_n, 16)."""
     prime = as_prime(p)
     if target not in VERIFY_TARGETS:
         raise ValueError(f"unknown verify target {target!r}")
     if max_n < 0 or max_q < 0:
         raise ValueError(f"max_n and max_q must be >= 0, got {max_n} and {max_q}")
-    reports: list[VerifyReport] = []
+    # Reports in their final order, with each swept check's step standing in
+    # for its report until the sweep has run.
+    plan: list = []
     want = lambda name: target in (name, "all")
     if want("delta2"):
-        reports.append(verify_delta_squared(prime, max_n))
+        plan.append(_delta_squared(prime, max_n))
     if want("dimension-identity"):
-        reports.append(verify_dimension_identity(prime, max_q))
-        reports.append(verify_fixed_points(prime, max_n))
+        plan.append(verify_dimension_identity(prime, max_q))
+        plan.append(verify_fixed_points(prime, max_n))
     if want("bijection"):
         for q in range(max_q + 1):
-            reports.append(verify_bijection(prime, q))
+            plan.append(verify_bijection(prime, q))
     if want("classify"):
-        reports.append(verify_classify_total(prime, max_n))
+        plan.append(_classify_total(prime, max_n))
     if want("stability"):
         for n in range(min(max_n, 12) + 1):
-            reports.append(verify_q_stability(n, prime, list(range(max_q + 1))))
+            plan.append(verify_q_stability(n, prime, list(range(max_q + 1))))
     if want("cross-route"):
-        reports.append(verify_regime_dichotomy(prime, max_n))
-        reports.append(verify_serre_agreement(prime, min(max_n, 16)))
-        reports.append(verify_series_agreement(prime, max_n))
+        plan.append(_regime_dichotomy(prime, max_n))
+        plan.append(_serre_agreement(prime, min(max_n, 16)))
+        plan.append(_series_agreement(prime, max_n))
         if prime.p == 2:
-            reports.append(verify_p2_routes(min(max_n, 16)))
-    return reports
+            plan.append(_p2_routes(prime, min(max_n, 16), (1, 2)))
+    swept = iter(_sweep(prime, [s for s in plan if isinstance(s, _Step)]))
+    return [next(swept) if isinstance(s, _Step) else s for s in plan]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confhom import FpMatrix, bv, cli
+from confhom import FpMatrix, bv, cli, identities
 from confhom.catalog import MAX_BASIS
 from confhom.cli import _render_json, build_parser, main
 from confhom.enumeration import GradedDims, _plane_totals
@@ -193,6 +193,42 @@ def test_delta_rank_matches_printed_matrix(capsys, p):
         for mp in json.loads(capsys.readouterr().out)["result"]["maps"]:
             matrix = FpMatrix(mp["matrix"], p, shape=(len(mp["target"]), len(mp["source"])))
             assert mp["rank"] == matrix.rank()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_delta_command_applies_delta_once_per_source(monkeypatch, p):
+    calls = []
+    real = bv.delta
+
+    def counted(m, prime):
+        calls.append(m)
+        return real(m, prime)
+
+    monkeypatch.setattr(cli, "delta", counted)
+    monkeypatch.setattr(bv, "delta", counted)
+    for n in range(0, 25, 4):
+        calls.clear()
+        code, out, _ = _capture(["delta", "--p", str(p), "--n", str(n)])
+        assert code == 0
+        maps = json.loads(out)["result"]["maps"]
+        assert [m.text() for m in calls] == [s for mp in maps for s in mp["source"]]
+        for mp in maps:
+            assert mp["matrix"] == bv.delta_matrix(n, p, mp["degree"]).a.tolist()
+
+
+def test_verify_bijection_reports_an_invariant_violation(monkeypatch):
+    def broken(m, source, prime, q):
+        raise identities.InvariantViolation(f"substitution image of {m.text()} is wrong")
+
+    monkeypatch.setattr(identities, "bijection_image", broken)
+    code, out, err = _capture(["verify", "bijection", "--p", "3", "--max-q", "1"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "failed"
+    for check in payload["result"]["checks"]:
+        assert check["passed"] is False
+        assert check["details"]["failures"]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("target", ["bijection", "dimension-identity"])

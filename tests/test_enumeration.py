@@ -16,7 +16,7 @@ from confhom import (
     series_table,
     total_dim,
 )
-from confhom.algebra import Generator, iota, u_class
+from confhom.algebra import Generator, Monomial, iota, u_class
 from confhom.catalog import sphere_labelled_generators
 from confhom.enumeration import _MAX_TOTAL_WEIGHT, MAX_SERIES_CELLS
 
@@ -251,3 +251,40 @@ def test_convolve_geometric_matches_loop(dims, step, dmax):
 def test_convolve_geometric_rejects_nonpositive_step():
     with pytest.raises(ValueError):
         GradedDims({0: 1}).convolve_geometric(0, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_walk_writes_each_text_and_sorts_by_degree_and_text(p):
+    # the text the walk writes is the one `text()` derives from the factors,
+    # and the order is (degree, text) as `Monomial.sort_key` gives it
+    for n in range(41):
+        for gens in (
+            plane_config_generators(p, max(n, 1)),
+            sphere_labelled_generators(p, 1, max(n, 1)),
+        ):
+            mons = monomial_basis(gens, n, p)
+            derived = [Monomial(m.factors).text() for m in mons]
+            assert [m.text() for m in mons] == derived
+            assert mons == sorted(mons, key=lambda m: (m.degree, Monomial(m.factors).text()))
+    assert [m.text() for m in monomial_basis(plane_config_generators(p, 1), 0, p)] == ["1"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dims=st.dictionaries(
+        st.integers(-12, 70),
+        st.one_of(st.integers(0, 10**6), st.integers(0, 2**80)),
+        max_size=12,
+    ),
+    step=st.integers(1, 7),
+    dmax=st.integers(-16, 90),
+    offset=st.integers(-20, 20),
+)
+def test_unchecked_method_outputs_equal_validated_construction(dims, step, dmax, offset):
+    # truncate, shift and convolve_geometric skip the constructor's check;
+    # their dicts must already hold no zero and no negative
+    g = GradedDims(dims)
+    for out in (g.truncate(dmax), g.shift(offset), g.convolve_geometric(step, dmax)):
+        assert out.dims == GradedDims(dict(out.dims)).dims
+    with pytest.raises(ValueError, match="negative dimension"):
+        GradedDims({1: -1})

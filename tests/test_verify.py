@@ -1,11 +1,16 @@
 """The verification aggregator behind the `verify` CLI subcommand."""
 
 import json
+import sys
 
 import pytest
 
-from confhom import bv, fixed_point_total_dim, run_verifications, total_dim, verify
+from confhom import bv, catalog, fixed_point_total_dim, plane_config_generators
+from confhom import run_verifications, total_dim, verify
+from confhom.algebra import ONE, Element
 from confhom.cli import main
+from confhom.identities import verify_bijection, verify_dimension_identity
+from confhom.signhom import verify_q_stability
 from confhom.verify import verify_p2_routes, verify_regime_dichotomy, verify_serre_agreement
 
 
@@ -88,3 +93,86 @@ def test_fixed_points_read_one_list_of_plane_totals(p, monkeypatch):
     cases = [n for n in range(61) if n % p in (0, 1)]
     assert report.passed and report.details == {"cases": len(cases), "failures": []}
     assert all(fixed_point_total_dim(n, p) == total_dim(n, p) for n in cases)
+
+
+def _alone(p, max_n, max_q):
+    """Each report of `all`, made by its public function on its own."""
+    reports = [
+        verify.verify_delta_squared(p, max_n),
+        verify_dimension_identity(p, max_q),
+        verify.verify_fixed_points(p, max_n),
+        *(verify_bijection(p, q) for q in range(max_q + 1)),
+        verify.verify_classify_total(p, max_n),
+        *(verify_q_stability(n, p, list(range(max_q + 1))) for n in range(min(max_n, 12) + 1)),
+        verify_regime_dichotomy(p, max_n),
+        verify_serre_agreement(p, min(max_n, 16)),
+        verify.verify_series_agreement(p, max_n),
+    ]
+    if p == 2:
+        reports.append(verify_p2_routes(min(max_n, 16)))
+    return [r.to_payload() for r in reports]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_each_check_alone_equals_its_report_in_the_sweep(p):
+    # 18 is past the bound of 16 of the serre and mod-2 steps
+    swept = [r.to_payload() for r in run_verifications("all", p, 18, 2)]
+    assert swept == _alone(p, 18, 2)
+
+
+def _nonzero_square(el):
+    return Element.term(1, ONE, el.p)
+
+
+def _unclassifiable(m, prime, n):
+    raise RuntimeError("planted fault")
+
+
+def _shifted(real):
+    return lambda *args: real(*args).shift(1)
+
+
+# (module attribute to replace, its replacement given the real one, the report that must fail)
+_PLANTED = [
+    ("delta_element", lambda real: _nonzero_square, "delta2"),
+    ("classify_monomial", lambda real: _unclassifiable, "classify-total"),
+    ("_coker_dims_by_rank", _shifted, "regime-dichotomy"),
+    ("collapse_total_degree", _shifted, "serre-vs-dispatcher"),
+    ("series_coefficient", _shifted, "enumeration-vs-series"),
+    ("trivial_rep_homology_p2", _shifted, "p2-cross-route"),
+]
+
+
+@pytest.mark.parametrize("attr, fault, failing", _PLANTED, ids=[f for _, _, f in _PLANTED])
+def test_a_fault_in_one_step_fails_only_its_report(monkeypatch, attr, fault, failing):
+    p = 2 if failing == "p2-cross-route" else 3
+    clean = [r.to_payload() for r in run_verifications("all", p, 10, 1)]
+    monkeypatch.setattr(verify, attr, fault(getattr(verify, attr)))
+    faulty = [r.to_payload() for r in run_verifications("all", p, 10, 1)]
+    changed = [f["name"] for c, f in zip(clean, faulty) if c != f]
+    assert [name.split(" ")[0] for name in changed] == [failing]
+    assert [f["passed"] for f in faulty if f["name"] in changed] == [False]
+    assert all(c["passed"] for c in clean)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_sweep_enumerates_each_plane_weight_once(monkeypatch, p):
+    max_n, max_q = 20, 3
+    real = catalog.monomial_basis
+    weights = []
+
+    def counted(gens, n, prime):
+        if list(gens) == plane_config_generators(prime, max(n, 1)):
+            weights.append(n)
+        return real(gens, n, prime)
+
+    # every module that holds the name, as `poincare` reads the enumeration's own
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("confhom") and getattr(module, "monomial_basis", None) is real:
+            monkeypatch.setattr(module, "monomial_basis", counted)
+    run_verifications("bijection", p, max_n, max_q)
+    bijection = sorted(w for q in range(max_q + 1) for w in (p * q, q + 1))
+    assert sorted(weights) == bijection
+    weights.clear()
+    run_verifications("all", p, max_n, max_q)
+    assert sorted(weights) == sorted(list(range(max_n + 1)) + bijection)
