@@ -47,6 +47,7 @@ print(f"  dims {ans.dims.to_pairs()}, basis {[m.text() for m in ans.basis]}")
 # plane homology tensored with the circle classifying space.
 ans6 = equivariant_s1(6, P, dmax=8)
 print(f"\nWeight 6: regime {ans6.regime}, dims through degree 8: {ans6.dims.to_pairs()}")
+print(f"  basis {[m.text() for m in ans6.basis]}, each with every even circle degree c, deg + c <= 8")
 
 # The spectral sequence of the circle fibration is an independent route:
 # its third page, collapsed along total degree, must match the dispatcher.

@@ -12,13 +12,14 @@ Delta(iota^2) = u by the invertible scalar 2, so every rank, kernel and
 cokernel computed here is normalization-independent.
 
 The operator's rank in each degree is the count of nonzero images
-(`_delta_rank`, used by `serre_e3` and the `delta` command); the rank of its
-matrix (`delta_matrix`) is the oracle in `verify`.
+(`_delta_rank`, used by `serre_e3` and the `delta` command); its matrix is
+int rows (`_image_rows`), and `delta_matrix` wraps them in the `FpMatrix`
+whose rank is the oracle in `verify`.
 
 The equivariant dispatcher returns the tensor answer with the circle
 classifying space when n is 0 or 1 mod p, and the cokernel of the operator
-otherwise.  An independently computed spectral-sequence page
-(`serre_e3`) serves as the oracle for both regimes.
+otherwise; its basis is plane monomials in both.  An independently computed
+spectral-sequence page (`serre_e3`) serves as the oracle for both regimes.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def _degree_bound(n: int, dmax: int | None) -> int:
 class EquivariantAnswer:
     """Circle-equivariant homology of weight-n plane configurations.
 
-    In the tensor regime `basis` holds (monomial, even circle degree)
-    pairs up to the truncation; in the cokernel regime it holds the
-    u-free monomial coset representatives (a finite, exact answer).
+    `basis` holds plane monomials: in the tensor regime those of degree up
+    to the truncation, unpaired with the circle degrees; in the cokernel
+    regime the u-free coset representatives (a finite, exact answer).
     """
 
     regime: str
@@ -101,29 +102,31 @@ def delta_matrix(n: int, p, degree: int, by_deg=None) -> FpMatrix:
     if by_deg is None:
         by_deg = _by_degree(_plane_basis(n, prime))
     source = by_deg.get(degree, [])
-    images = [delta(m, prime) for m in source]
-    return _images_matrix(images, by_deg.get(degree + 1, []), prime)
+    target = by_deg.get(degree + 1, [])
+    rows = _image_rows([delta(m, prime) for m in source], target)
+    return FpMatrix(rows, prime, (len(target), len(source)))
 
 
-def _images_matrix(images, target, prime) -> FpMatrix:
-    """The matrix whose column j holds the image of the j-th source monomial
-    in the `target` basis."""
+def _image_rows(images, target) -> list[list[int]]:
+    """The operator's matrix as one int row per `target` monomial: column j
+    holds the image of the j-th source monomial."""
     index = {m: i for i, m in enumerate(target)}
-    mat = FpMatrix.zeros(len(target), len(images), prime)
+    rows = [[0] * len(images) for _ in target]
     for j, image in enumerate(images):
         for m, c in image.terms.items():
-            mat.a[index[m], j] = c
-    return mat
+            rows[index[m]][j] = c
+    return rows
 
 
 def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
     """Circle-equivariant homology of weight-n plane configurations.
 
     n = 0, 1 mod p: the plane homology tensored with the homology of the
-    circle classifying space, truncated at dmax.  Otherwise: the cokernel
-    of the BV operator, whose basis is the u-free monomials, and dmax is
-    not read.  In the tensor regime a dmax, or a count of (monomial, circle
-    degree) pairs, above MAX_BASIS raises ValueError before either is built.
+    circle classifying space, truncated at dmax, with the plane monomials of
+    degree <= dmax as basis; a dmax, or a count of (monomial, circle degree)
+    pairs (`dims.total()`), above MAX_BASIS raises ValueError before the
+    series is built.  Otherwise: the cokernel of the BV operator, whose
+    basis is the u-free monomials, and dmax is not read.
     """
     prime = as_prime(p)
     if n < 0:
@@ -135,17 +138,11 @@ def _equivariant_s1(n: int, prime, mons: list, dmax: int | None) -> EquivariantA
     """`equivariant_s1` from the weight-n plane basis `mons`."""
     if n % prime.p in (0, 1):
         dmax = _degree_bound(n, dmax)
-        pairs = sum((dmax - m.degree) // 2 + 1 for m in mons if m.degree <= dmax)
+        basis = [m for m in mons if m.degree <= dmax]
+        pairs = sum((dmax - m.degree) // 2 + 1 for m in basis)
         if pairs > MAX_BASIS:
             raise ValueError(f"tensor basis of {pairs} pairs exceeds the limit of {MAX_BASIS}")
-        dims = GradedDims.of_degrees(m.degree for m in mons).convolve_geometric(2, dmax)
-        basis = [
-            (m, 2 * j)
-            for m in mons
-            for j in range((dmax - m.degree) // 2 + 1)
-            if m.degree <= dmax
-        ]
-        basis.sort(key=lambda pair: (pair[0].degree + pair[1], pair[0].text()))
+        dims = GradedDims.of_degrees(m.degree for m in basis).convolve_geometric(2, dmax)
         return EquivariantAnswer(REGIME_TENSOR_BS1, dims, basis)
     u_free = [m for m in mons if not m.contains_kind(KIND_U)]
     dims = GradedDims.of_degrees(m.degree for m in u_free)
@@ -181,6 +178,7 @@ def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:
     against the matrix rank.  Cells are kept while i + 2j <= degree_bound,
     in an int64 count table indexed [i, j] whose cells the basis size
     bounds; a negative cell is kept, for `collapse_total_degree` to refuse.
+    A degree_bound above MAX_BASIS raises ValueError.
     """
     prime = as_prime(p)
     return _serre_e3(n, prime, _by_degree(_plane_basis(n, prime)), degree_bound)
@@ -188,8 +186,7 @@ def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:
 
 def _serre_e3(n: int, prime, by_deg: dict, degree_bound: int | None) -> BigradedDims:
     """`serre_e3` from the weight-n plane basis grouped by degree."""
-    if degree_bound is None:
-        degree_bound = default_degree_bound(n)
+    degree_bound = _degree_bound(n, degree_bound)
     ranks = {d: _delta_rank(delta(m, prime) for m in mons) for d, mons in by_deg.items()}
     top = min(max(by_deg, default=0), degree_bound)
     page = np.zeros((max(top + 1, 0), max(degree_bound // 2 + 1, 0)), dtype=np.int64)

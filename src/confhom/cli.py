@@ -32,7 +32,7 @@ from .algebra import as_prime
 from .bv import (
     REGIME_TENSOR_BS1,
     _delta_rank,
-    _images_matrix,
+    _image_rows,
     default_degree_bound,
     delta,
     equivariant_s1,
@@ -135,7 +135,7 @@ def _cmd_delta(args) -> tuple[dict, list[list], list[str]]:
                 "degree": d,
                 "source": [m.text() for m in source],
                 "target": [m.text() for m in target],
-                "matrix": _images_matrix(images, target, prime).a.tolist(),
+                "matrix": _image_rows(images, target),
                 "rank": _delta_rank(images),
                 "images": [
                     {"monomial": m.text(), "image": im.text()} for m, im in zip(source, images)
@@ -154,10 +154,10 @@ def _cmd_equivariant(args) -> tuple[dict, list[list], list[str]]:
         result = {"group": "Zp", "dims": dims.to_pairs(), "degree_bound": dmax}
         return result, dims.to_pairs(), ["degree", "dim"]
     answer = equivariant_s1(args.n, prime, dmax)
-    if answer.regime == REGIME_TENSOR_BS1:
-        basis = [
-            {"monomial": m.text(), "circle_degree": c} for m, c in answer.basis
-        ]
+    if answer.regime == REGIME_TENSOR_BS1:  # each monomial times the even circle degrees
+        pairs = sorted((m.degree + c, m.text(), c) for m in answer.basis
+                       for c in range(0, dmax - m.degree + 1, 2))
+        basis = [{"monomial": text, "circle_degree": c} for _, text, c in pairs]
     else:
         basis = [{"monomial": m.text()} for m in answer.basis]
     result = {

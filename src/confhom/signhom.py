@@ -95,7 +95,7 @@ def _closed_forms_match_tower(n: int, p, sphere_dim: int) -> bool:
     )
 
 
-def verify_q_stability(n: int, p, q_list, degree_bound: int | None = None) -> VerifyReport:
+def verify_q_stability(n: int, p, q_list) -> VerifyReport:
     """Check the sign-coefficient answer is the same for every q in q_list,
     and that the closed-form generators behind each q match the bracket tower.
 
@@ -106,7 +106,7 @@ def verify_q_stability(n: int, p, q_list, degree_bound: int | None = None) -> Ve
     if not qs:
         raise ValueError("q_list must be nonempty")
     prime = as_prime(p)
-    answers = {q: sign_rep_homology(n, prime, q, degree_bound) for q in qs}
+    answers = {q: sign_rep_homology(n, prime, q) for q in qs}
     first = answers[qs[0]]
     mismatching = [
         q

@@ -256,12 +256,12 @@ def verify_fixed_points(p, max_n: int) -> VerifyReport:
     )
 
 
-def _p2_routes(prime, max_n: int, q_list) -> _Step:
+def _p2_routes(prime, max_n: int) -> _Step:
     bad: list[str] = []
 
     def visit(n, mons, by_deg):
         expected = _equivariant_s1(n, prime, mons, None).dims
-        for q in q_list:
+        for q in (1, 2):  # sphere labels of dimension 2q
             if trivial_rep_homology_p2(n, q) != expected:
                 bad.append(f"n={n} q={q}")
 
@@ -272,10 +272,10 @@ def _p2_routes(prime, max_n: int, q_list) -> _Step:
     ))
 
 
-def verify_p2_routes(max_n: int, q_list=(1, 2)) -> VerifyReport:
-    """At p = 2 the labelled-configuration route equals the equivariant one."""
+def verify_p2_routes(max_n: int) -> VerifyReport:
+    """At p = 2 the labelled-configuration route (2- and 4-spheres) equals the equivariant one."""
     prime = as_prime(2)
-    return _sweep(prime, [_p2_routes(prime, max_n, q_list)])[0]
+    return _sweep(prime, [_p2_routes(prime, max_n)])[0]
 
 
 def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[VerifyReport]:
@@ -310,6 +310,6 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
         plan.append(_serre_agreement(prime, min(max_n, 16)))
         plan.append(_series_agreement(prime, max_n))
         if prime.p == 2:
-            plan.append(_p2_routes(prime, min(max_n, 16), (1, 2)))
+            plan.append(_p2_routes(prime, min(max_n, 16)))
     swept = iter(_sweep(prime, [s for s in plan if isinstance(s, _Step)]))
     return [next(swept) if isinstance(s, _Step) else s for s in plan]

@@ -34,7 +34,9 @@ from confhom import (
 )
 from confhom.cli import main as cli_main
 from confhom.identities import classify_monomial
-from oracles import cyclic_homology_dims, dims_to_pairs, free_product_homology_dims, multiset
+from confhom.signhom import shifted_weight_slice
+from oracles import braid_homology_dims, cyclic_homology_dims, dims_to_pairs
+from oracles import free_product_homology_dims, multiset
 
 PRIMES = (2, 3, 5)
 
@@ -189,6 +191,19 @@ def test_criterion_11_bracket_oracles():
             assert multiset((g.weight, g.degree) for g in gens) == multiset(
                 (g.weight, g.degree) for g in plane_config_generators(p, 2 * p**2)
             )
+
+
+def test_criterion_12_cellular_oracle():
+    with criterion(12, "plane series and sign slices equal the Salvetti complex, n <= 10 and 12"):
+        for p in (2, 3, 5, 7):
+            for n in [*range(11), 12]:
+                trivial = dims_to_pairs(braid_homology_dims(n, p, -1))
+                series = series_coefficient(plane_config_generators(p, max(n, 1)), n, None, p)
+                assert series.to_pairs() == trivial, (p, n)
+                sign = dims_to_pairs(braid_homology_dims(n, p, 1))
+                assert shifted_weight_slice(n, p, 1).to_pairs() == sign, (p, n)
+                if p == 2:
+                    assert shifted_weight_slice(n, 2, 2).to_pairs() == trivial, n
 
 
 if __name__ == "__main__":

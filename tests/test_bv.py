@@ -121,6 +121,19 @@ def test_equivariant_s1_tensor_regime():
     assert ans9.dims == GradedDims(expected)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tensor_basis_is_the_plane_monomials_through_the_bound(p):
+    for n in range(25):
+        if n % p not in (0, 1):
+            continue
+        mons = _plane_basis(n, p)
+        for dmax in (0, 3, 7, default_degree_bound(n)):
+            ans = equivariant_s1(n, p, dmax)
+            assert ans.regime == REGIME_TENSOR_BS1
+            assert ans.basis == [m for m in mons if m.degree <= dmax]
+            assert ans.dims.total() == sum((dmax - m.degree) // 2 + 1 for m in ans.basis)
+
+
 def test_equivariant_s1_coker_regime():
     ans = equivariant_s1(2, 3)
     assert ans.regime == REGIME_COKER_DELTA
@@ -161,6 +174,12 @@ def test_serre_e3_examples():
     # n = 1: a point's homology, nothing to differentiate
     page1 = serre_e3(1, 3, 6)
     assert page1.dims == {(0, j): 1 for j in range(4)}
+
+
+def test_serre_e3_refuses_an_oversized_degree_bound():
+    # the same rule as every truncated answer: refused before the page is allocated
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        serre_e3(2, 3, 2**40)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

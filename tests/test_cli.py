@@ -86,6 +86,23 @@ def test_equivariant_s1_json(capsys):
     assert result["basis"] == [{"monomial": "i^2"}]
 
 
+@pytest.mark.parametrize(("p", "n", "dmax", "listing"), [
+    (2, 4, 5, [("i^4", 0), ("i^2 Qi1", 0), ("Qi1^2", 0), ("i^4", 2), ("Qi2", 0),
+               ("i^2 Qi1", 2), ("Qi1^2", 2), ("i^4", 4), ("Qi2", 2), ("i^2 Qi1", 4)]),
+    (3, 6, 6, [("i^6", 0), ("i^4 u", 0), ("i^6", 2), ("i^4 u", 2), ("b1", 0),
+               ("i^6", 4), ("a1", 0), ("i^4 u", 4), ("b1", 2), ("i^6", 6)]),
+])
+def test_equivariant_s1_tensor_listing_order(capsys, p, n, dmax, listing):
+    # (monomial, circle degree) pairs by total degree, then by monomial text
+    code, out = run_cli(capsys, "equivariant", "--group", "S1", "--p", str(p), "--n", str(n),
+                        "--dmax", str(dmax))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["regime"] == "tensor_bs1"
+    assert [(b["monomial"], b["circle_degree"]) for b in result["basis"]] == listing
+    assert len(listing) == sum(dim for _, dim in result["dims"])
+
+
 def test_equivariant_zp_unsupported_exits_2(capsys):
     code, out = run_cli(capsys, "equivariant", "--group", "Zp", "--p", "3", "--n", "5")
     assert code == 2
@@ -214,6 +231,20 @@ def test_delta_command_applies_delta_once_per_source(monkeypatch, p):
         assert [m.text() for m in calls] == [s for mp in maps for s in mp["source"]]
         for mp in maps:
             assert mp["matrix"] == bv.delta_matrix(n, p, mp["degree"]).a.tolist()
+
+
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_delta_command_builds_no_dense_matrix(monkeypatch, fmt):
+    def refused(self, *args, **kwargs):
+        raise AssertionError("the delta command prints int rows, not an FpMatrix")
+
+    monkeypatch.setattr(FpMatrix, "__init__", refused)
+    for p in (2, 3, 5):
+        for n in (0, 2, 5, 9):
+            for degree in ([], ["--degree", "1"]):
+                code, out, _ = _capture(["delta", "--p", str(p), "--n", str(n),
+                                         "--format", fmt, *degree])
+                assert code == 0 and out
 
 
 def test_verify_bijection_reports_an_invariant_violation(monkeypatch):

@@ -36,7 +36,7 @@ def test_unknown_target_rejected():
 def test_individual_checks():
     assert verify_regime_dichotomy(3, 12).passed
     assert verify_serre_agreement(5, 8).passed
-    assert verify_p2_routes(8, (1, 2)).passed
+    assert verify_p2_routes(8).passed
 
 
 def test_report_payload_shape():
