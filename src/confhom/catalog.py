@@ -100,12 +100,19 @@ def _plane_basis(n: int, p) -> list[Monomial]:
     size is read from the series first, and a basis of more than MAX_BASIS
     monomials raises ValueError instead of being built."""
     if n >= 0:
-        size = _plane_totals(n, p)[n]
-        if size > MAX_BASIS:
-            raise ValueError(
-                f"weight-{n} basis of {size} monomials exceeds the limit of {MAX_BASIS}"
-            )
+        _refuse_large_bases([n], p)
     return monomial_basis(plane_config_generators(p, max(n, 1)), n, p)
+
+
+def _refuse_large_bases(weights: list[int], p) -> None:
+    """Raise ValueError at the first of `weights` whose plane basis has more
+    than MAX_BASIS monomials, reading every size from one list of totals."""
+    totals = _plane_totals(max(weights, default=0), p)
+    for n in weights:
+        if totals[n] > MAX_BASIS:
+            raise ValueError(
+                f"weight-{n} basis of {totals[n]} monomials exceeds the limit of {MAX_BASIS}"
+            )
 
 
 def _split_plane_monomial(m: Monomial, prime: Prime) -> tuple[int, int, list]:

@@ -31,7 +31,8 @@ from .bv import (
     delta_element,
     delta_matrix,
 )
-from .catalog import _plane_basis, plane_config_generators, sphere_labelled_generators
+from .catalog import _plane_basis, _refuse_large_bases, plane_config_generators
+from .catalog import sphere_labelled_generators
 from .enumeration import GradedDims, _by_degree, _plane_totals, monomial_basis
 from .enumeration import series_coefficient
 from .identities import classify_monomial, verify_bijection, verify_dimension_identity
@@ -282,16 +283,26 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
     """Run one named verification target (or `all`) and collect its reports.
 
     The checks that read the plane basis share one sweep over n = 0..max_n;
-    the spectral-sequence and mod-2 checks stop at min(max_n, 16)."""
+    the spectral-sequence and mod-2 checks stop at min(max_n, 16).  A plane
+    basis above MAX_BASIS that the target would enumerate raises ValueError
+    before any check runs, naming the weight where the run would stop."""
     prime = as_prime(p)
     if target not in VERIFY_TARGETS:
         raise ValueError(f"unknown verify target {target!r}")
     if max_n < 0 or max_q < 0:
         raise ValueError(f"max_n and max_q must be >= 0, got {max_n} and {max_q}")
+    want = lambda name: target in (name, "all")
+    # The bijection's weight-pq sources (its q + 1 sources are never heavier)
+    # come first, then the sweep's weights.
+    weights: list[int] = []
+    if want("bijection"):
+        weights += range(0, prime.p * max_q + 1, prime.p)
+    if any(map(want, ("delta2", "classify", "cross-route"))):
+        weights += range(max_n + 1)
+    _refuse_large_bases(weights, prime)
     # Reports in their final order, with each swept check's step standing in
     # for its report until the sweep has run.
     plan: list = []
-    want = lambda name: target in (name, "all")
     if want("delta2"):
         plan.append(_delta_squared(prime, max_n))
     if want("dimension-identity"):

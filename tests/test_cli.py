@@ -282,6 +282,25 @@ def test_verify_totals_beyond_weight_limit_exit_2(capsys, p, target, max_q):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "classify", "--p", "2", "--max-n", "300"],
+    ["verify", "bijection", "--p", "2", "--max-q", "200"],
+])
+def test_verify_refuses_an_oversized_basis_before_the_work(argv):
+    proc = subprocess.run([sys.executable, "-m", "confhom", *argv],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: weight-278 basis of 1053030 monomials exceeds the limit of 1048576\n"
+
+
+def test_verify_reading_only_totals_answers_beyond_the_basis_limit(capsys):
+    assert main(["verify", "dimension-identity", "--p", "2", "--max-n", "300"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "ok"
+    assert payload["result"]["checks"][1]["name"] == "fixed-points p=2 n<=300"
+
+
+@pytest.mark.parametrize("argv", [
     ["basis", "--p", "2", "--n", "400"],
     ["delta", "--p", "2", "--n", "400"],
     ["equivariant", "--group", "S1", "--p", "2", "--n", "400"],

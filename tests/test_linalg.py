@@ -91,7 +91,7 @@ def test_rank_exact_when_residue_products_overflow_int64():
     assert FpMatrix([[1, x], [x, x * x % p]], p).rank() == 1
 
 
-@pytest.mark.parametrize("p", [4294967311, 18446744073709551629])
+@pytest.mark.parametrize("p", [4294967311, 18446744073709551629, 3037000493, 3037000507])
 def test_rank_at_large_primes_matches_sympy(p):
     domain = pytest.importorskip("sympy.polys.matrices")
     field = pytest.importorskip("sympy").GF(p)
@@ -111,3 +111,19 @@ def test_rank_at_large_primes_matches_sympy(p):
         assert m.rank() == expected
         for v in m.kernel_basis():
             assert not m.apply(v).any()
+
+
+@pytest.mark.parametrize("p", [2, 3, 4294967311])
+@pytest.mark.parametrize("wrap", [
+    lambda rows: rows,
+    lambda rows: np.array(rows, dtype=np.int64),
+    lambda rows: [[np.int64(v) for v in row] for row in rows],
+], ids=["int-lists", "int64-array", "int64-scalars-in-lists"])
+def test_entries_and_results_are_python_ints(p, wrap):
+    x = p - 2
+    rows = [[1, x, 0], [x, x * x % p, 0], [3, 1, p - 1]]
+    m = FpMatrix(wrap(rows), p)
+    results = [m.a, m.rref()[0], m.kernel_basis(), m.image_basis(), m.apply(wrap([[1, 2, 3]])[0])]
+    for result in results:
+        assert all(type(v) is int for v in np.ravel(result))
+    assert m.rank() == FpMatrix(rows, p).rank()

@@ -7,6 +7,8 @@ weight-3 quotient is the free product of cyclic groups of orders 2 and 3,
 where only the order-2 factor sees the sign.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from confhom import (
@@ -20,6 +22,7 @@ from confhom import (
     trivial_rep_homology_p2,
     verify_q_stability,
 )
+from confhom import signhom
 
 from oracles import cyclic_homology_dims, dims_to_pairs, free_product_homology_dims
 
@@ -65,6 +68,19 @@ def test_shifted_weight_slice_record():
     from confhom import shifted_weight_slice
 
     assert shifted_weight_slice(3, 3, 3) == GradedDims({1: 1, 2: 1})
+
+
+def test_negative_shifted_degree_is_refused(monkeypatch):
+    real = signhom.sphere_labelled_generators
+
+    def lowered(p, m, weight_bound):
+        gens = real(p, m, weight_bound)
+        # one degree below the shift, so the shifted generator has degree -1
+        return [replace(gens[0], degree=m * gens[0].weight - 1)] + gens[1:]
+
+    monkeypatch.setattr(signhom, "sphere_labelled_generators", lowered)
+    with pytest.raises(ValueError, match="degree >= 0"):
+        signhom.shifted_weight_slice(3, 3, 3)
 
 
 @pytest.mark.parametrize("n,p,qs", [(3, 3, (0, 1, 2)), (1, 3, (0, 4)), (6, 5, (0, 3)), (8, 2, (0, 1, 2))])
