@@ -37,7 +37,7 @@ for m in monomial_basis(gens, n, P):
     print(f"  {m.text():<8} degree {m.degree} -> {delta(m, P).text()}")
 for d in (0, 1):
     mat = delta_matrix(n, P, d)
-    print(f"  degree {d} -> {d + 1}: matrix {mat.a.tolist()}, rank {mat.rank()}")
+    print(f"  degree {d} -> {d + 1}: matrix {mat.a}, rank {mat.rank()}")
 
 ans = equivariant_s1(n, P)
 print(f"\nCircle-equivariant answer at weight {n}: regime {ans.regime}")

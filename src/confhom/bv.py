@@ -19,14 +19,13 @@ whose rank is the oracle in `verify`.
 The equivariant dispatcher returns the tensor answer with the circle
 classifying space when n is 0 or 1 mod p, and the cokernel of the operator
 otherwise; its basis is plane monomials in both.  An independently computed
-spectral-sequence page (`serre_e3`) serves as the oracle for both regimes.
+spectral-sequence page (`serre_e3`), a table of Python-int counts, serves
+as the oracle for both regimes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import KIND_U, Element, Monomial, as_prime, iota, u_class
 from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _split_plane_monomial
@@ -176,8 +175,8 @@ def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:
     j - 1 raising i by one, and is the BV operator on the fiber, whose rank
     in each degree is the count of nonzero images; `verify` checks ranks
     against the matrix rank.  Cells are kept while i + 2j <= degree_bound,
-    in an int64 count table indexed [i, j] whose cells the basis size
-    bounds; a negative cell is kept, for `collapse_total_degree` to refuse.
+    in a table of Python ints indexed [i][j], one row per fiber degree; a
+    negative cell is kept, for `collapse_total_degree` to refuse.
     A degree_bound above MAX_BASIS raises ValueError.
     """
     prime = as_prime(p)
@@ -189,14 +188,11 @@ def _serre_e3(n: int, prime, by_deg: dict, degree_bound: int | None) -> Bigraded
     degree_bound = _degree_bound(n, degree_bound)
     ranks = {d: _delta_rank(delta(m, prime) for m in mons) for d, mons in by_deg.items()}
     top = min(max(by_deg, default=0), degree_bound)
-    page = np.zeros((max(top + 1, 0), max(degree_bound // 2 + 1, 0)), dtype=np.int64)
+    page = []
     for i in range(top + 1):
         h_i = len(by_deg.get(i, []))
-        if not h_i:
-            continue
-        rank_in = ranks.get(i - 1, 0)
-        page[i, : (degree_bound - i) // 2 + 1] = h_i - rank_in - ranks.get(i, 0)
-        page[i, 0] = h_i - rank_in
+        kept = h_i - ranks.get(i - 1, 0)
+        page.append([kept] + [kept - ranks.get(i, 0)] * ((degree_bound - i) // 2) if h_i else [])
     return BigradedDims(page)
 
 

@@ -106,12 +106,19 @@ def _plane_basis(n: int, p) -> list[Monomial]:
 
 def _refuse_large_bases(weights: list[int], p) -> None:
     """Raise ValueError at the first of `weights` whose plane basis has more
-    than MAX_BASIS monomials, reading every size from one list of totals."""
-    totals = _plane_totals(max(weights, default=0), p)
+    than MAX_BASIS monomials.  Plane totals never decrease with weight, so
+    the list of totals grows, at least doubling, only while its last total
+    is within MAX_BASIS: a weight past its end is then refused, and only
+    that weight's own total is still to be read."""
+    top = max(weights, default=0)
+    totals = [1]
     for n in weights:
-        if totals[n] > MAX_BASIS:
+        while n >= len(totals) and totals[-1] <= MAX_BASIS:
+            totals = _plane_totals(min(max(n, 2 * len(totals)), top), p)
+        total = totals[n] if n < len(totals) else _plane_totals(n, p)[n]
+        if total > MAX_BASIS:
             raise ValueError(
-                f"weight-{n} basis of {totals[n]} monomials exceeds the limit of {MAX_BASIS}"
+                f"weight-{n} basis of {total} monomials exceeds the limit of {MAX_BASIS}"
             )
 
 

@@ -3,37 +3,40 @@
 Counts come from the Hilbert series: `series_coefficient` expands the
 two-variable series of the free graded-commutative algebra (a geometric
 factor per polynomial generator, `1 + t^d s^w` per exterior one) in place
-on an int64 weight x degree table, and every dimension-only command reads
-its answer from it; `total_dim` reads the one-variable series in weight
-alone.  `monomial_basis` enumerates the canonical monomials of a fixed
-weight, for callers that need the monomials themselves: it walks the
-generators down by rank, closes the lowest-rank one in one step, writes
-each monomial's text in the walk, and builds through the trusted
-`Monomial._canonical`, so the final sort calls no `text()`.  `poincare`
-counts the monomials by degree, the enumeration side of the series in the
-demos and tests; the verification suite counts the plane basis it has
-already swept.
+on a weight x degree table whose rows are Python ints, one per weight,
+holding that weight's counts at a fixed number of bits per degree, and
+every dimension-only command reads its answer from one decoded row;
+`total_dim` reads the one-variable series in weight alone.
+`monomial_basis` enumerates the canonical monomials of a fixed weight, for
+callers that need the monomials themselves: it walks the generators down by
+rank, closes the lowest-rank one in one step, writes each monomial's text
+in the walk, and builds through the trusted `Monomial._canonical`, so the
+final sort calls no `text()`.  `poincare` counts the monomials by degree,
+the enumeration side of the series in the demos and tests; the
+verification suite counts the plane basis it has already swept.
 
-The series is exact or refused: every cell is bounded by the weight's total
-dimension, computed first with Python ints, and a table whose totals reach
-2^63 or whose size exceeds `MAX_SERIES_CELLS` raises ValueError instead of
-wrapping or exhausting memory; `total_dim` refuses weights past 2^20.
+Every count is a Python int, so the series is exact at any size or it is
+refused: its size in bits is worked out from the weight totals and the
+highest degree of each weight before anything is built, and a table larger
+than `MAX_SERIES_BITS` raises ValueError instead of exhausting memory;
+`total_dim` refuses weights past 2^20.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate
 from operator import attrgetter
 
-import numpy as np
-
 from .algebra import Generator, Monomial, as_prime
 
-# Largest series table built before refusing: 2^24 int64 cells, 128 MiB.
-MAX_SERIES_CELLS = 1 << 24
+# Largest series table built before refusing: 2^30 bits, 128 MiB.
+MAX_SERIES_BITS = 1 << 30
+# The least a series row is counted at, even with no cells: one 64-bit word.
+# A table of at most 2^24 cells of 64 bits each therefore always fits.
+_WORD_BITS = 64
 # Largest weight of `total_dim`: 2^20 Python ints, 50 MiB at p = 2 (the widest).
 _MAX_TOTAL_WEIGHT = 1 << 20
-_INT64_LIMIT = 1 << 63
 # `Monomial.sort_key` read from the slots, for monomials built with their text.
 _DEGREE_TEXT = attrgetter("degree", "_text")
 
@@ -106,30 +109,29 @@ class GradedDims:
 
 
 class BigradedDims:
-    """A finite map (weight, degree) -> dimension over a dense int64 count
-    table indexed [weight, degree] (the spectral-sequence page indexes it
-    [fiber degree, base column]); `dims` is the dict of its nonzero cells,
-    made when first read, and `weight_slice` reads one row."""
+    """A finite map (weight, degree) -> dimension over a table of Python
+    ints indexed [weight][degree] (the spectral-sequence page indexes it
+    [fiber degree][base column]): any sequence of int rows, ragged or lazy;
+    `dims` is the dict of its nonzero cells, made when first read, and
+    `weight_slice` reads one row."""
 
-    __slots__ = ("_dims", "_table")
+    __slots__ = ("_dims", "_rows")
 
-    def __init__(self, table: np.ndarray):
+    def __init__(self, rows):
         self._dims = None
-        self._table = table
+        self._rows = rows
 
     @property
     def dims(self) -> dict[tuple[int, int], int]:
         if self._dims is None:
-            ws, ds = np.nonzero(self._table)
-            self._dims = {
-                (int(w), int(d)): int(n) for w, d, n in zip(ws, ds, self._table[ws, ds])
-            }
+            rows = enumerate(self._rows)
+            self._dims = {(w, d): n for w, row in rows for d, n in enumerate(row) if n}
         return self._dims
 
     def weight_slice(self, w: int) -> GradedDims:
-        if not 0 <= w < len(self._table):
+        if not 0 <= w < len(self._rows):
             return GradedDims()
-        return GradedDims({d: n for d, n in enumerate(self._table[w].tolist()) if n})
+        return GradedDims({d: n for d, n in enumerate(self._rows[w]) if n})
 
     def total(self) -> int:
         return sum(self.dims.values())
@@ -145,6 +147,32 @@ class BigradedDims:
 
     def __repr__(self) -> str:
         return f"BigradedDims({self.dims!r})"
+
+
+class _PackedRows:
+    """The rows of a series table, each one Python int holding its counts
+    at `width` bits per degree (degree d at bit d * width), decoded to a
+    list when indexed."""
+
+    __slots__ = ("_ints", "_width")
+
+    def __init__(self, ints: list[int], width: int):
+        self._ints = ints
+        self._width = width
+
+    def __len__(self) -> int:
+        return len(self._ints)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._ints)))
+
+    def __getitem__(self, w: int) -> list[int]:
+        row, b = self._ints[w], self._width
+        if not row:
+            return []
+        bits = format(row, "b")
+        bits = bits.zfill(-(-len(bits) // b) * b)
+        return [int(bits[i - b : i], 2) for i in range(len(bits), 0, -b)]
 
 
 def monomial_basis(gens, n: int, p) -> list[Monomial]:
@@ -238,6 +266,15 @@ def _plane_totals(max_weight: int, p) -> list[int]:
     return _weight_totals(plane_config_generators(p, max(max_weight, 1)), max_weight)
 
 
+def _sweep(g: Generator, max_weight: int) -> range:
+    """The weights that multiplying by `g`'s factor updates in place, in
+    order: descending for an exterior factor 1 + x, which reads each weight
+    below before it changes, and ascending for a geometric 1/(1 - x), which
+    reads weights that already hold every power."""
+    w0 = g.weight
+    return range(max_weight, w0 - 1, -1) if g.exterior else range(w0, max_weight + 1)
+
+
 def _weight_totals(gens, max_weight: int) -> list[int]:
     """Exact total dimension of each weight <= max_weight over all degrees:
     the one-variable series, in Python ints.  It bounds every cell of the
@@ -245,49 +282,64 @@ def _weight_totals(gens, max_weight: int) -> list[int]:
     totals = [1] + [0] * max_weight
     for g in gens:
         w0 = g.weight
-        sweep = range(max_weight, w0 - 1, -1) if g.exterior else range(w0, max_weight + 1)
-        for w in sweep:
+        for w in _sweep(g, max_weight):
             totals[w] += totals[w - w0]
     return totals
+
+
+def _top_degrees(gens, max_weight: int) -> list[int]:
+    """Highest degree of a monomial of each weight <= max_weight, -1 where
+    there is none: the sweep of `_weight_totals` with (max, +) in place of
+    (+, x).  It bounds the degrees of every row of the two-variable table
+    at every stage of its expansion."""
+    tops = [0] + [-1] * max_weight
+    for g in gens:
+        w0, d0 = g.weight, g.degree
+        for w in _sweep(g, max_weight):
+            below = tops[w - w0]
+            if below >= 0 and below + d0 > tops[w]:
+                tops[w] = below + d0
+    return tops
 
 
 def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     """The two-variable Hilbert series of the free algebra on `gens`,
     truncated to weight <= max_weight and degree <= dmax.
 
-    Raises ValueError rather than build more than MAX_SERIES_CELLS cells or
-    let a coefficient reach 2^63.
+    Each weight's row is one Python int holding its degrees at B bits each,
+    B the bit length of the largest weight total: that total bounds every
+    cell at every stage, so the shifted adds that expand the factors never
+    carry from one cell into the next.  The rows' size is known before any
+    is built, from the totals and the highest degree of each weight; a
+    table of more than MAX_SERIES_BITS bits, counting each row as at least
+    _WORD_BITS, raises ValueError.
     """
     as_prime(p)
     if max_weight < 0 or dmax < 0:
         raise ValueError("bounds must be >= 0")
     if any(g.weight < 1 or g.degree < 0 for g in gens):
         raise ValueError("series generators need weight >= 1 and degree >= 0")
-    cells = (max_weight + 1) * (dmax + 1)
-    if cells > MAX_SERIES_CELLS:
+    gens = [g for g in gens if g.weight <= max_weight and g.degree <= dmax]
+    bits = _WORD_BITS * (max_weight + 1)
+    if bits <= MAX_SERIES_BITS:
+        width = max(_weight_totals(gens, max_weight)).bit_length()
+        rows_by_top = Counter(_top_degrees(gens, max_weight)).items()
+        bits = sum(k * max(width * (min(t, dmax) + 1), _WORD_BITS) for t, k in rows_by_top)
+    if bits > MAX_SERIES_BITS:
         raise ValueError(
-            f"series table of {cells} cells exceeds the limit of {MAX_SERIES_CELLS}"
+            f"series table of at least {bits} bits exceeds the limit of {MAX_SERIES_BITS}"
         )
-    gens = [g for g in gens if g.weight <= max_weight]
-    largest = max(_weight_totals(gens, max_weight))
-    if largest >= _INT64_LIMIT:
-        raise ValueError(f"series coefficients reach {largest}, beyond exact int64 range")
-    table = np.zeros((max_weight + 1, dmax + 1), dtype=np.int64)
-    table[0, 0] = 1
+    cap = (dmax + 1) * width
+    keep = (1 << cap) - 1
+    rows = [1] + [0] * max_weight
     for g in gens:
-        w0, d0 = g.weight, g.degree
-        if d0 > dmax:
-            continue
-        if g.exterior:
-            # Overlapping in-place add reads the old values: the factor 1 + t^d0 s^w0.
-            table[w0:, d0:] += table[: max_weight + 1 - w0, : dmax + 1 - d0]
-        else:
-            # In-place forward sweep realizes the geometric factor 1/(1 - t^d0 s^w0),
-            # w0 rows at a time: each block reads only the finished block below it.
-            for start in range(w0, max_weight + 1, w0):
-                stop = min(start + w0, max_weight + 1)
-                table[start:stop, d0:] += table[start - w0 : stop - w0, : dmax + 1 - d0]
-    return BigradedDims(table)
+        w0, shift = g.weight, g.degree * width
+        for w in _sweep(g, max_weight):
+            below = rows[w - w0]
+            if below:
+                row = rows[w] + (below << shift)
+                rows[w] = row & keep if row.bit_length() > cap else row
+    return BigradedDims(_PackedRows(rows, width))
 
 
 def series_coefficient(gens, n: int, dmax: int | None, p) -> GradedDims:

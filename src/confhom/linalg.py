@@ -1,80 +1,66 @@
 """Dense exact linear algebra over F_p.
 
-Gauss-Jordan elimination on numpy object arrays of Python ints with all
-arithmetic reduced mod p; no floating point anywhere.  Python ints do not
-overflow, so one representation is exact at every prime `Prime` accepts and
-no integer width is chosen.  The matrices are the rank oracle of `verify`
-and the tests and stay small, so dense object arithmetic is fine.
+Gauss-Jordan elimination on lists of Python-int rows with all arithmetic
+reduced mod p; no floating point anywhere.  Python ints do not overflow, so
+one representation is exact at every prime `Prime` accepts and no integer
+width is chosen.  The matrices are the rank oracle of `verify` and the
+tests and stay small, so dense list arithmetic is fine.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import as_prime
-
-# Python ints from any integer entries: numpy integer scalars held in a list
-# survive `np.array(..., dtype=object)` and would wrap in the elimination.
-_to_int = np.frompyfunc(int, 1, 1)
 
 
 class FpMatrix:
     """A dense matrix over F_p with rank / kernel / image queries.
 
-    Entries are Python ints in [0, p), stored in a numpy object array.
-    Zero-row and zero-column matrices are allowed; they come up constantly
-    as boundary cases of graded maps.
+    `a` is the list of rows, each a list of Python ints in [0, p); entries
+    may be anything `int` reads exactly, such as another library's integer
+    scalars.  Zero-row and zero-column matrices are allowed, `shape` giving
+    the column count of a matrix with no rows; they come up constantly as
+    boundary cases of graded maps.
     """
 
     def __init__(self, entries, p, shape: tuple[int, int] | None = None):
         self.p = as_prime(p)
-        a = np.array(entries, dtype=object)
-        if a.size == 0:
-            if shape is None:
-                a = a.reshape(a.shape if a.ndim == 2 else (0, 0))
-            else:
-                a = a.reshape(shape)
-        if a.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-        _to_int(a, out=a)
-        self.a = np.mod(a, self.p.p, out=a)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p) -> "FpMatrix":
-        return cls(np.zeros((rows, cols), dtype=object), p)
+        q = self.p.p
+        self.a = [[int(v) % q for v in row] for row in entries]
+        if self.a:
+            self.cols = len(self.a[0])
+        else:
+            self.cols = shape[1] if shape is not None else 0
+        if any(len(row) != self.cols for row in self.a):
+            raise ValueError("rows of unequal length")
+        if shape is not None and tuple(shape) != (self.rows, self.cols):
+            raise ValueError(f"expected shape {tuple(shape)}, got {(self.rows, self.cols)}")
 
     @property
     def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
+        return len(self.a)
 
     def is_zero(self) -> bool:
-        return not self.a.any()
+        return not any(map(any, self.a))
 
-    def rref(self) -> tuple[np.ndarray, list[int]]:
+    def rref(self) -> tuple[list[list[int]], list[int]]:
         """Reduced row echelon form and the list of pivot columns."""
         p = self.p.p
-        r = self.a.copy()
+        r = [row[:] for row in self.a]
         pivots: list[int] = []
         row = 0
         for col in range(self.cols):
             if row == self.rows:
                 break
-            nz = np.nonzero(r[row:, col])[0]
-            if nz.size == 0:
+            lead = next((i for i in range(row, self.rows) if r[i][col]), None)
+            if lead is None:
                 continue
-            lead = row + int(nz[0])
-            if lead != row:
-                r[[row, lead]] = r[[lead, row]]
-            inv = pow(r[row, col], p - 2, p)
-            r[row] = (r[row] * inv) % p
-            others = np.nonzero(r[:, col])[0]
-            others = others[others != row]
-            if others.size:
-                r[others] = (r[others] - np.outer(r[others, col], r[row])) % p
+            r[row], r[lead] = r[lead], r[row]
+            inv = pow(r[row][col], p - 2, p)
+            top = r[row] = [v * inv % p for v in r[row]]
+            for i, other in enumerate(r):
+                f = other[col]
+                if f and i != row:
+                    r[i] = [(v - f * t) % p for v, t in zip(other, top)]
             pivots.append(col)
             row += 1
         return r, pivots
@@ -82,32 +68,29 @@ class FpMatrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def kernel_basis(self) -> np.ndarray:
-        """Basis of the null space, one vector per row; shape (nullity, cols)."""
+    def kernel_basis(self) -> list[list[int]]:
+        """Basis of the null space, one vector of length `cols` per row."""
         p = self.p.p
         r, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = np.zeros((len(free), self.cols), dtype=object)
-        for k, f in enumerate(free):
-            basis[k, f] = 1
+        basis = []
+        for f in sorted(set(range(self.cols)) - set(pivots)):
+            v = [0] * self.cols
+            v[f] = 1
             for i, c in enumerate(pivots):
-                basis[k, c] = -r[i, f] % p
+                v[c] = -r[i][f] % p
+            basis.append(v)
         return basis
 
-    def image_basis(self) -> np.ndarray:
+    def image_basis(self) -> list[list[int]]:
         """Basis of the column space: the pivot columns, one vector per row."""
         _, pivots = self.rref()
-        return self.a[:, pivots].T.copy()
-
-    def apply(self, vec) -> np.ndarray:
-        v = _to_int(np.array(vec, dtype=object))
-        return np.mod(self.a @ v, self.p.p)
+        return [[row[c] for row in self.a] for c in pivots]
 
     def __repr__(self) -> str:
         return f"FpMatrix({self.rows}x{self.cols} mod {self.p})"
 
 
-def rank_kernel_image(m: FpMatrix) -> tuple[int, np.ndarray, np.ndarray]:
+def rank_kernel_image(m: FpMatrix) -> tuple[int, list[list[int]], list[list[int]]]:
     """Rank, kernel basis and image basis of a matrix over F_p.
 
     rank + len(kernel) == cols and the image rows span the column space.

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confhom import FpMatrix, bv, cli, identities
-from confhom.catalog import MAX_BASIS
+from confhom import FpMatrix, bv, catalog, cli, identities
+from confhom.catalog import MAX_BASIS, plane_config_generators
 from confhom.cli import _render_json, build_parser, main
-from confhom.enumeration import GradedDims, _plane_totals
+from confhom.enumeration import GradedDims, _plane_totals, poincare
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +193,25 @@ def test_primes_beyond_int64_products_answer(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--p", "1000000007", "--n", "100000"],
+    # Zp is defined only for n = 0, 1 mod p, so its large case takes n = p
+    ["equivariant", "--group", "Zp", "--p", "100003", "--n", "100003"],
+])
+def test_large_prime_counts_match_enumeration(capsys, argv):
+    # the series rows are as wide as the answer, not n x dmax cells
+    assert main(argv) == 0
+    dims = json.loads(capsys.readouterr().out)["result"]["dims"]
+    p, n = int(argv[-3]), int(argv[-1])
+    enumerated = poincare(plane_config_generators(p, n), n, p)
+    if argv[0] == "poincare":
+        assert dims == enumerated.to_pairs() == [[0, 1], [1, 1]]
+    else:
+        dmax = bv.default_degree_bound(n)
+        assert dims == enumerated.convolve_geometric(1, dmax).to_pairs()
+        assert dims[:3] == [[0, 1], [1, 2], [2, 2]] and dims[-1] == [dmax, 2]
+
+
 @pytest.mark.parametrize("target", ["delta2", "dimension-identity", "bijection", "classify",
                                     "stability", "cross-route", "all"])
 @pytest.mark.parametrize("bound", [["--max-n", "-3"], ["--max-q", "-1"]])
@@ -230,7 +249,7 @@ def test_delta_command_applies_delta_once_per_source(monkeypatch, p):
         maps = json.loads(out)["result"]["maps"]
         assert [m.text() for m in calls] == [s for mp in maps for s in mp["source"]]
         for mp in maps:
-            assert mp["matrix"] == bv.delta_matrix(n, p, mp["degree"]).a.tolist()
+            assert mp["matrix"] == bv.delta_matrix(n, p, mp["degree"]).a
 
 
 @pytest.mark.parametrize("fmt", ["json", "table", "csv"])
@@ -291,6 +310,22 @@ def test_verify_refuses_an_oversized_basis_before_the_work(argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: weight-278 basis of 1053030 monomials exceeds the limit of 1048576\n"
+
+
+def test_verify_size_check_stops_at_the_first_refused_weight(monkeypatch):
+    # 2^20 weights are asked for; plane totals never decrease with weight, so
+    # the totals are built only until one passes MAX_BASIS (weight 278 at p = 2)
+    argv = ["verify", "classify", "--p", "2", "--max-n", str(MAX_BASIS)]
+    proc = subprocess.run([sys.executable, "-m", "confhom", *argv],
+                          capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: weight-278 basis of 1053030 monomials exceeds the limit of 1048576\n"
+    built = []
+    real = catalog._plane_totals
+    monkeypatch.setattr(catalog, "_plane_totals", lambda n, p: built.append(n) or real(n, p))
+    with pytest.raises(ValueError, match="weight-278 basis"):
+        catalog._refuse_large_bases(range(MAX_BASIS + 1), 2)
+    assert max(built) < 2 * 278
 
 
 def test_verify_reading_only_totals_answers_beyond_the_basis_limit(capsys):
@@ -547,7 +582,7 @@ _FUZZ_COMMANDS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(_FUZZ_COMMANDS, _FUZZ_FORMAT)
 @example(["basis", "--p", "2", "--n", "278"], [])  # first weight above MAX_BASIS at p = 2
-@example(["poincare", "--p", "3", "--n", "5000"], [])  # series table above MAX_SERIES_CELLS
+@example(["poincare", "--p", "2", "--n", "20000"], [])  # series table above MAX_SERIES_BITS
 @example(["equivariant", "--group", "S1", "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS)], [])
 @example(["equivariant", "--group", "S1", "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS + 1)], [])
 @example(["equivariant", "--group", "Zp", "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS + 1)], [])

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +17,7 @@ from confhom import (
 )
 from confhom.algebra import Generator, Monomial, iota, u_class
 from confhom.catalog import sphere_labelled_generators
-from confhom.enumeration import _MAX_TOTAL_WEIGHT, MAX_SERIES_CELLS
+from confhom.enumeration import _MAX_TOTAL_WEIGHT, MAX_SERIES_BITS
 
 from oracles import monomial_basis_bruteforce
 
@@ -163,11 +162,11 @@ def test_monomial_basis_deterministic_order():
 def test_series_table_cells_match_enumeration():
     gens = plane_config_generators(3, 12)
     tab = series_table(gens, 12, 24, 3)
-    counts = np.zeros((13, 25), dtype=np.int64)
+    counts = [[0] * 25 for _ in range(13)]
     for n in range(13):
         for d, c in poincare(gens, n, 3).dims.items():
             if d <= 24:
-                counts[n, d] = c
+                counts[n][d] = c
     expected = BigradedDims(counts)
     assert tab == expected
     assert tab.to_pairs() == expected.to_pairs() and tab.total() == expected.total()
@@ -185,19 +184,28 @@ def _weight_one_exterior(count):
     return [Generator("tower", k, f"e{k}", 1, 1, True, (9, k)) for k in range(count)]
 
 
-def test_series_exact_below_int64_and_refused_at_it():
-    # C(66, 33) ~ 7.2e18 still fits; C(70, 35) ~ 1.1e20 would wrap in a tiny table
-    assert series_coefficient(_weight_one_exterior(66), 33, None, 3) == GradedDims(
-        {33: math.comb(66, 33)}
-    )
-    with pytest.raises(ValueError, match="int64"):
-        series_coefficient(_weight_one_exterior(70), 35, None, 3)
+def test_series_exact_beyond_int64():
+    # C(66, 33) ~ 7.2e18 fits in 63 bits and C(70, 35) ~ 1.1e20 does not;
+    # both come back exact, and so does a weight of both degrees
+    for k in (66, 70):
+        gens = _weight_one_exterior(k)
+        assert series_coefficient(gens, k // 2, None, 3) == GradedDims(
+            {k // 2: math.comb(k, k // 2)}
+        )
+    assert series_table(_weight_one_exterior(70), 36, 35, 3)[(36, 35)] == 0
+    assert series_table(_weight_one_exterior(70), 36, 36, 3)[(36, 36)] == math.comb(70, 36)
 
 
 def test_series_refuses_oversized_tables():
-    side = math.isqrt(MAX_SERIES_CELLS) + 1
-    with pytest.raises(ValueError, match="cells"):
-        series_table([iota()], side, side, 2)
+    # p = 2 up to weight and degree 20000: about 1.4e10 bits, refused before
+    # any row is built; the message names the size
+    gens = plane_config_generators(2, 20000)
+    with pytest.raises(ValueError, match="series table of at least") as err:
+        series_table(gens, 20000, 20000, 2)
+    assert 10**10 < int(str(err.value).split()[5]) and MAX_SERIES_BITS < 10**10
+    # a weight bound alone past the budget is refused before the pre-pass
+    with pytest.raises(ValueError, match="bits exceeds the limit"):
+        series_table([iota()], MAX_SERIES_BITS, 0, 2)
     # the total reads the one-variable series, which has no table to refuse
     assert total_dim(20000, 2) == _binary_partitions(20000)
 
