@@ -12,6 +12,7 @@ plane monomial may hold at p.  Sphere catalogs come from closed forms, which
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .algebra import KIND_ALPHA, KIND_BETA, KIND_IOTA, KIND_Q_IOTA, KIND_U, Prime
@@ -100,19 +101,20 @@ def _plane_basis(n: int, p) -> list[Monomial]:
     size is read from the series first, and a basis of more than MAX_BASIS
     monomials raises ValueError instead of being built."""
     if n >= 0:
-        _refuse_large_bases([n], p)
+        _refuse_large_bases([range(n, n + 1)], p)
     return monomial_basis(plane_config_generators(p, max(n, 1)), n, p)
 
 
-def _refuse_large_bases(weights: list[int], p) -> None:
-    """Raise ValueError at the first of `weights` whose plane basis has more
-    than MAX_BASIS monomials.  Plane totals never decrease with weight, so
-    the list of totals grows, at least doubling, only while its last total
-    is within MAX_BASIS: a weight past its end is then refused, and only
-    that weight's own total is still to be read."""
-    top = max(weights, default=0)
+def _refuse_large_bases(spans: list[range], p) -> None:
+    """Raise ValueError at the first weight, reading the ascending ranges
+    `spans` in turn, whose plane basis has more than MAX_BASIS monomials.
+    Plane totals never decrease with weight, so the list of totals grows,
+    at least doubling, only while its last total is within MAX_BASIS: a
+    weight past its end is then refused, and only that weight's own total
+    is still to be read."""
+    top = max((s[-1] for s in spans if s), default=0)
     totals = [1]
-    for n in weights:
+    for n in chain.from_iterable(spans):
         while n >= len(totals) and totals[-1] <= MAX_BASIS:
             totals = _plane_totals(min(max(n, 2 * len(totals)), top), p)
         total = totals[n] if n < len(totals) else _plane_totals(n, p)[n]

@@ -312,7 +312,9 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     carry from one cell into the next.  The rows' size is known before any
     is built, from the totals and the highest degree of each weight; a
     table of more than MAX_SERIES_BITS bits, counting each row as at least
-    _WORD_BITS, raises ValueError.
+    _WORD_BITS, raises ValueError.  When every generator is exterior, the
+    table stops at the sum of their weights, the heaviest weight a monomial
+    reaches; the empty weights above it are not built.
     """
     as_prime(p)
     if max_weight < 0 or dmax < 0:
@@ -320,6 +322,9 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     if any(g.weight < 1 or g.degree < 0 for g in gens):
         raise ValueError("series generators need weight >= 1 and degree >= 0")
     gens = [g for g in gens if g.weight <= max_weight and g.degree <= dmax]
+    if all(g.exterior for g in gens):
+        # each exponent is at most one: no monomial is heavier than all of them
+        max_weight = min(max_weight, sum(g.weight for g in gens))
     bits = _WORD_BITS * (max_weight + 1)
     if bits <= MAX_SERIES_BITS:
         width = max(_weight_totals(gens, max_weight)).bit_length()
@@ -352,5 +357,16 @@ def series_coefficient(gens, n: int, dmax: int | None, p) -> GradedDims:
     if n < 0:
         raise ValueError(f"weight must be >= 0, got {n}")
     if dmax is None:
-        dmax = max((g.degree * n // g.weight for g in gens), default=0)
+        return _complete_table(gens, n, p).weight_slice(n)
     return series_table(gens, n, dmax, p).weight_slice(n)
+
+
+def _complete_table(gens, max_weight: int, p) -> BigradedDims:
+    """The series to weight max_weight, truncated at max_weight times the
+    largest degree-to-weight ratio of the generators: no monomial of weight
+    n <= max_weight passes n times that ratio, and generators heavier than
+    n never reach row n, so row n is `series_coefficient(gens, n, None, p)`."""
+    if max_weight < 0:
+        raise ValueError(f"weight must be >= 0, got {max_weight}")
+    dmax = max((g.degree * max_weight // g.weight for g in gens), default=0)
+    return series_table(gens, max_weight, dmax, p)

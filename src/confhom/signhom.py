@@ -17,30 +17,56 @@ the basis; `verify_series_agreement` compares it with the enumerated basis.
 Squaring rules in the shifted slice follow the unshifted degrees (the
 generators keep their exterior flags): the shift is bookkeeping, not an
 algebra map.
+
+One series table built to weight N holds every slice of weight n <= N as
+its row n, complete (`_shifted_table`).  So the verification suite builds
+one table per sphere dimension and run, and the q-stability check builds
+one table, one closed-form catalog and one bracket tower per q for all its
+weights (`_q_stability`).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import attrgetter
 
 from .algebra import as_prime
 from .brackets import LabelClass, cohen_generators, enumerate_basic_brackets
 from .bv import _degree_bound
 from .catalog import sphere_labelled_generators
-from .enumeration import GradedDims, series_coefficient
+from .enumeration import BigradedDims, GradedDims, _complete_table
 from .reports import VerifyReport
+
+# What the closed forms and the bracket tower must agree on, generator by generator.
+_CATALOG_KEY = attrgetter("weight", "degree", "exterior")
+
+
+def _shifted_table(prime, sphere_dim: int, max_n: int) -> BigradedDims:
+    """The complete series of the shifted generators over labels in a sphere
+    of dimension sphere_dim, to weight max_n: row n is
+    `shifted_weight_slice(n, prime, sphere_dim)`."""
+    shifted = [
+        replace(g, degree=g.degree - sphere_dim * g.weight)
+        for g in sphere_labelled_generators(prime, sphere_dim, max(max_n, 1))
+    ]
+    return _complete_table(shifted, max_n, prime)
 
 
 def shifted_weight_slice(n: int, p, sphere_dim: int) -> GradedDims:
     """Weight-n slice of the algebra over labels in a sphere of dimension
     sphere_dim (2q+1 for sign coefficients, 2q for the mod-2 trivial route),
     degrees shifted down by n * sphere_dim."""
-    prime = as_prime(p)
-    shifted = [
-        replace(g, degree=g.degree - sphere_dim * g.weight)
-        for g in sphere_labelled_generators(prime, sphere_dim, max(n, 1))
-    ]
-    return series_coefficient(shifted, n, None, prime)
+    return _shifted_table(as_prime(p), sphere_dim, n).weight_slice(n)
+
+
+def _answers_by_weight(prime, sphere_dim: int, ns: range) -> dict[int, GradedDims]:
+    """The answer of each weight n in ns at the default degree bound, over
+    labels in a sphere of dimension sphere_dim (`sign_rep_homology` for odd
+    sphere_dim, `trivial_rep_homology_p2` for even): row n of one shifted
+    table, tensored with the circle-classifying-space series."""
+    bounds = {n: _degree_bound(n, None) for n in ns}
+    table = _shifted_table(prime, sphere_dim, ns[-1])
+    return {n: table.weight_slice(n).convolve_geometric(2, bounds[n]) for n in ns}
 
 
 def sign_rep_homology(n: int, p, q: int, degree_bound: int | None = None) -> GradedDims:
@@ -75,16 +101,41 @@ def trivial_rep_homology_p2(n: int, q: int, degree_bound: int | None = None) -> 
     return shifted_weight_slice(n, 2, 2 * q).convolve_geometric(2, degree_bound)
 
 
-def _closed_forms_match_tower(n: int, p, sphere_dim: int) -> bool:
-    """Closed-form sphere generators up to weight max(n, 1) against the tower
-    built from basic brackets, compared as (weight, degree, exterior)
-    multisets."""
-    labels = enumerate_basic_brackets([LabelClass("s", sphere_dim)], 1, p)
-    tower = cohen_generators(labels, p, max(n, 1))
-    closed = sphere_labelled_generators(p, sphere_dim, max(n, 1))
-    return sorted((g.weight, g.degree, g.exterior) for g in closed) == sorted(
-        (g.weight, g.degree, g.exterior) for g in tower
-    )
+def _q_stability(ns: range, p, qs: list) -> list[VerifyReport]:
+    """`verify_q_stability(n, p, qs)` for each n in the nonempty range ns.
+    Each q's shifted table, closed-form generators and bracket tower are
+    built once, at the weight max(ns[-1], 1), and weight n reads their
+    weight <= max(n, 1) parts, compared as (weight, degree, exterior)
+    multisets: the same answer and multisets as at bound max(n, 1)."""
+    if not qs:
+        raise ValueError("q_list must be nonempty")
+    prime = as_prime(p)
+    if ns[0] < 0 or min(qs) < 0:
+        raise ValueError("n and q must be >= 0")
+    top = max(ns[-1], 1)
+    answers: dict[int, dict[int, GradedDims]] = {}
+    agree: dict[int, dict[int, bool]] = {}
+    for q in dict.fromkeys(qs):
+        m = 2 * q + 1
+        answers[q] = _answers_by_weight(prime, m, ns)
+        labels = enumerate_basic_brackets([LabelClass("s", m)], 1, prime)
+        tower = sorted(map(_CATALOG_KEY, cohen_generators(labels, prime, top)))
+        closed = sorted(map(_CATALOG_KEY, sphere_labelled_generators(prime, m, top)))
+        # Both catalogs are prefixes in weight: their weight <= w parts are the catalogs at bound w.
+        agree[q] = {
+            n: [k for k in closed if k[0] <= max(n, 1)] == [k for k in tower if k[0] <= max(n, 1)]
+            for n in ns
+        }
+    reports = []
+    for n in ns:
+        first = answers[qs[0]][n]
+        mismatching = [q for q in answers if answers[q][n] != first or not agree[q][n]]
+        reports.append(VerifyReport(
+            name=f"q-stability n={n} p={prime.p} q={qs}",
+            passed=not mismatching,
+            details={"dims": first.to_pairs(), "mismatching_q": mismatching},
+        ))
+    return reports
 
 
 def verify_q_stability(n: int, p, q_list) -> VerifyReport:
@@ -94,19 +145,4 @@ def verify_q_stability(n: int, p, q_list) -> VerifyReport:
     A q is mismatching when its answer differs from the first q's, or when
     its closed forms disagree with the tower.
     """
-    qs = list(q_list)
-    if not qs:
-        raise ValueError("q_list must be nonempty")
-    prime = as_prime(p)
-    answers = {q: sign_rep_homology(n, prime, q) for q in qs}
-    first = answers[qs[0]]
-    mismatching = [
-        q
-        for q, a in answers.items()
-        if a != first or not _closed_forms_match_tower(n, prime, 2 * q + 1)
-    ]
-    return VerifyReport(
-        name=f"q-stability n={n} p={prime.p} q={qs}",
-        passed=not mismatching,
-        details={"dims": first.to_pairs(), "mismatching_q": mismatching},
-    )
+    return _q_stability(range(n, n + 1), p, list(q_list))[0]

@@ -14,7 +14,16 @@ list merges no oracle: every route already started from that basis, and
 each step still compares its own two routes (the matrix rank against the
 u-free count, the page against the dispatcher, the enumerated degrees
 against the series) and keeps its own failure list and report.  Each public
-`verify_*` function of a swept check is a sweep with that one step.
+`verify_*` function of a swept check is a sweep with that one step.  The
+sizes of every basis a run will enumerate are checked once, before any
+check runs.
+
+The count side is built once per run too: each Hilbert-series table (the
+plane, each sphere dimension of the sign and mod-2 routes, each q of the
+q-stability check) is expanded once up to the run's largest weight, and
+weight n reads row n, which is the complete weight-n slice.  Every table
+belongs to one step and lives as long as the run; each oracle still builds
+its own, so no route reads another's numbers.
 """
 
 from __future__ import annotations
@@ -31,13 +40,11 @@ from .bv import (
     delta_element,
     delta_matrix,
 )
-from .catalog import _plane_basis, _refuse_large_bases, plane_config_generators
-from .catalog import sphere_labelled_generators
-from .enumeration import GradedDims, _by_degree, _plane_totals, monomial_basis
-from .enumeration import series_coefficient
+from .catalog import _refuse_large_bases, plane_config_generators, sphere_labelled_generators
+from .enumeration import GradedDims, _by_degree, _complete_table, _plane_totals, monomial_basis
 from .identities import classify_monomial, verify_bijection, verify_dimension_identity
 from .reports import VerifyReport
-from .signhom import shifted_weight_slice, trivial_rep_homology_p2, verify_q_stability
+from .signhom import _answers_by_weight, _q_stability, _shifted_table
 
 VERIFY_TARGETS = (
     "delta2",
@@ -62,10 +69,20 @@ class _Step(NamedTuple):
 
 def _sweep(prime, steps: list[_Step]) -> list[VerifyReport]:
     """Feed each weight's plane basis, enumerated once, to every step
-    bounded at or above it; the reports come in the order of `steps`."""
+    bounded at or above it; the reports come in the order of `steps`.  The
+    caller has already sized every swept basis (`_refuse_large_bases`)."""
     for n in range(max((s.bound for s in steps), default=-1) + 1):
-        _visit(n, _plane_basis(n, prime), [s for s in steps if n <= s.bound])
+        gens = plane_config_generators(prime, max(n, 1))
+        _visit(n, monomial_basis(gens, n, prime), [s for s in steps if n <= s.bound])
     return [s.report() for s in steps]
+
+
+def _sweep_one(p, check: Callable[..., _Step], max_n: int) -> VerifyReport:
+    """One swept check on its own: the bases of weights 0..max_n are sized
+    before its step is made, then swept."""
+    prime = as_prime(p)
+    _refuse_large_bases([range(max_n + 1)], prime)
+    return _sweep(prime, [check(prime, max_n)])[0]
 
 
 def _visit(n: int, mons: list, steps: list[_Step]) -> None:
@@ -100,8 +117,7 @@ def _delta_squared(prime, max_n: int) -> _Step:
 def verify_delta_squared(p, max_n: int) -> VerifyReport:
     """Delta o Delta = 0 on every monomial of weight <= max_n, and Delta
     preserves weight while raising degree by exactly one."""
-    prime = as_prime(p)
-    return _sweep(prime, [_delta_squared(prime, max_n)])[0]
+    return _sweep_one(p, _delta_squared, max_n)
 
 
 def _coker_dims_by_rank(by_deg: dict[int, list], mats: dict) -> GradedDims:
@@ -144,8 +160,7 @@ def verify_regime_dichotomy(p, max_n: int) -> VerifyReport:
     """The operator's matrix vanishes exactly when n is 0 or 1 mod p, and in
     the other regime the rank-computed cokernel equals the count of u-free
     monomials per degree (with u-free and u-carrying monomials equinumerous)."""
-    prime = as_prime(p)
-    return _sweep(prime, [_regime_dichotomy(prime, max_n)])[0]
+    return _sweep_one(p, _regime_dichotomy, max_n)
 
 
 def _serre_agreement(prime, max_n: int) -> _Step:
@@ -172,23 +187,24 @@ def verify_serre_agreement(p, max_n: int) -> VerifyReport:
     """The spectral-sequence page, collapsed by total degree, matches the
     equivariant dispatcher in both regimes.  A page with a negative cell
     (a rank above its degree's dimension) is a failure of that n."""
-    prime = as_prime(p)
-    return _sweep(prime, [_serre_agreement(prime, max_n)])[0]
+    return _sweep_one(p, _serre_agreement, max_n)
 
 
 def _series_agreement(prime, max_n: int) -> _Step:
     bad: list[str] = []
+    top = max(max_n, 0)
+    plane = _complete_table(plane_config_generators(prime, max(top, 1)), top, prime)
+    sign = _shifted_table(prime, 1, top)
 
     def visit(n, mons, by_deg):
-        gens = plane_config_generators(prime, max(n, 1))
         counted = GradedDims({d: len(ms) for d, ms in by_deg.items()})
-        if counted != series_coefficient(gens, n, None, prime):
+        if counted != plane.weight_slice(n):
             bad.append(f"n={n}")
         labelled = sphere_labelled_generators(prime, 1, max(n, 1))
         enumerated = GradedDims.of_degrees(
             m.degree - n for m in monomial_basis(labelled, n, prime)
         )
-        if shifted_weight_slice(n, prime, 1) != enumerated:
+        if sign.weight_slice(n) != enumerated:
             bad.append(f"n={n} sign slice")
 
     return _Step(max_n, visit, lambda: VerifyReport(
@@ -204,8 +220,7 @@ def verify_series_agreement(p, max_n: int) -> VerifyReport:
     shifted weight slice over labels in the 1-sphere behind the sign answers
     (other sphere dimensions are compared with it by the q-stability and
     mod-2 cross-route checks)."""
-    prime = as_prime(p)
-    return _sweep(prime, [_series_agreement(prime, max_n)])[0]
+    return _sweep_one(p, _series_agreement, max_n)
 
 
 def _classify_total(prime, max_n: int) -> _Step:
@@ -230,8 +245,7 @@ def _classify_total(prime, max_n: int) -> _Step:
 
 def verify_classify_total(p, max_n: int) -> VerifyReport:
     """The trichotomy classifies every basis monomial without violations."""
-    prime = as_prime(p)
-    return _sweep(prime, [_classify_total(prime, max_n)])[0]
+    return _sweep_one(p, _classify_total, max_n)
 
 
 def verify_fixed_points(p, max_n: int) -> VerifyReport:
@@ -259,11 +273,13 @@ def verify_fixed_points(p, max_n: int) -> VerifyReport:
 
 def _p2_routes(prime, max_n: int) -> _Step:
     bad: list[str] = []
+    # `trivial_rep_homology_p2(n, q)` for every n, over sphere labels of dimension 2q
+    routes = {q: _answers_by_weight(prime, 2 * q, range(max(max_n, 0) + 1)) for q in (1, 2)}
 
     def visit(n, mons, by_deg):
         expected = _equivariant_s1(n, prime, mons, None).dims
-        for q in (1, 2):  # sphere labels of dimension 2q
-            if trivial_rep_homology_p2(n, q) != expected:
+        for q, answers in routes.items():
+            if answers[n] != expected:
                 bad.append(f"n={n} q={q}")
 
     return _Step(max_n, visit, lambda: VerifyReport(
@@ -275,8 +291,7 @@ def _p2_routes(prime, max_n: int) -> _Step:
 
 def verify_p2_routes(max_n: int) -> VerifyReport:
     """At p = 2 the labelled-configuration route (2- and 4-spheres) equals the equivariant one."""
-    prime = as_prime(2)
-    return _sweep(prime, [_p2_routes(prime, max_n)])[0]
+    return _sweep_one(2, _p2_routes, max_n)
 
 
 def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[VerifyReport]:
@@ -294,12 +309,11 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
     want = lambda name: target in (name, "all")
     # The bijection's weight-pq sources (its q + 1 sources are never heavier)
     # come first, then the sweep's weights.
-    weights: list[int] = []
-    if want("bijection"):
-        weights += range(0, prime.p * max_q + 1, prime.p)
-    if any(map(want, ("delta2", "classify", "cross-route"))):
-        weights += range(max_n + 1)
-    _refuse_large_bases(weights, prime)
+    sweeps = any(map(want, ("delta2", "classify", "cross-route")))
+    _refuse_large_bases([
+        range(0, prime.p * max_q + 1, prime.p) if want("bijection") else range(0),
+        range(max_n + 1) if sweeps else range(0),
+    ], prime)
     # Reports in their final order, with each swept check's step standing in
     # for its report until the sweep has run.
     plan: list = []
@@ -314,8 +328,7 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
     if want("classify"):
         plan.append(_classify_total(prime, max_n))
     if want("stability"):
-        for n in range(min(max_n, 12) + 1):
-            plan.append(verify_q_stability(n, prime, list(range(max_q + 1))))
+        plan += _q_stability(range(min(max_n, 12) + 1), prime, list(range(max_q + 1)))
     if want("cross-route"):
         plan.append(_regime_dichotomy(prime, max_n))
         plan.append(_serre_agreement(prime, min(max_n, 16)))

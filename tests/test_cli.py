@@ -324,8 +324,19 @@ def test_verify_size_check_stops_at_the_first_refused_weight(monkeypatch):
     real = catalog._plane_totals
     monkeypatch.setattr(catalog, "_plane_totals", lambda n, p: built.append(n) or real(n, p))
     with pytest.raises(ValueError, match="weight-278 basis"):
-        catalog._refuse_large_bases(range(MAX_BASIS + 1), 2)
+        catalog._refuse_large_bases([range(MAX_BASIS + 1)], 2)
     assert max(built) < 2 * 278
+
+
+@pytest.mark.parametrize("n", ["16777215", "100000000"])
+def test_sign_over_exterior_generators_answers_at_any_weight(n):
+    # below p the one shifted generator is exterior of weight 1, so the series
+    # stops at weight 1 and the weight-n answer is empty
+    argv = ["sign", "--p", "1000000007", "--n", n, "--q", "0", "--dmax", "10"]
+    proc = subprocess.run([sys.executable, "-m", "confhom", *argv],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["dims"] == []
 
 
 def test_verify_reading_only_totals_answers_beyond_the_basis_limit(capsys):

@@ -196,6 +196,21 @@ def test_series_exact_beyond_int64():
     assert series_table(_weight_one_exterior(70), 36, 36, 3)[(36, 36)] == math.comb(70, 36)
 
 
+def test_exterior_series_stops_at_the_sum_of_the_weights():
+    # five weight-1 exterior generators reach weight 5 at most: a weight bound
+    # whose rows alone would pass the bit budget still answers, and every
+    # weight above 5 is empty
+    gens = _weight_one_exterior(5)
+    table = series_table(gens, MAX_SERIES_BITS, 5, 3)
+    assert table.dims == series_table(gens, 5, 5, 3).dims
+    assert table.dims == {(k, k): math.comb(5, k) for k in range(6)}
+    assert table.weight_slice(6) == GradedDims() == table.weight_slice(MAX_SERIES_BITS)
+    assert series_coefficient(gens, 10**9, 5, 3) == GradedDims()
+    # one polynomial generator lifts the cap
+    with pytest.raises(ValueError, match="bits exceeds the limit"):
+        series_table(gens + [iota()], MAX_SERIES_BITS, 5, 3)
+
+
 def test_series_refuses_oversized_tables():
     # p = 2 up to weight and degree 20000: about 1.4e10 bits, refused before
     # any row is built; the message names the size

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from confhom import bv, catalog, fixed_point_total_dim, plane_config_generators
+from confhom import bv, catalog, enumeration, fixed_point_total_dim, plane_config_generators
+from confhom import signhom
 from confhom import run_verifications, total_dim, verify
 from confhom.algebra import ONE, Element
 from confhom.cli import main
@@ -46,15 +47,22 @@ def test_report_payload_shape():
     assert payload["details"]["monomials_checked"] > 0
 
 
+class _ShiftedTable:
+    """A series table whose every weight slice sits one degree too high."""
+
+    def __init__(self, table):
+        self.weight_slice = lambda n: table.weight_slice(n).shift(1)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_series_agreement_checks_the_shifted_sign_slice(p, monkeypatch):
     assert verify.verify_series_agreement(p, 12).passed
-    real = verify.shifted_weight_slice
+    real = verify._shifted_table
 
-    def off_by_one(n, prime, sphere_dim):
-        return real(n, prime, sphere_dim).shift(1)
+    def off_by_one(prime, sphere_dim, max_n):
+        return _ShiftedTable(real(prime, sphere_dim, max_n))
 
-    monkeypatch.setattr(verify, "shifted_weight_slice", off_by_one)
+    monkeypatch.setattr(verify, "_shifted_table", off_by_one)
     report = verify.verify_series_agreement(p, 12)
     assert not report.passed
     assert report.name == f"enumeration-vs-series p={p} n<=12"
@@ -132,14 +140,22 @@ def _shifted(real):
     return lambda *args: real(*args).shift(1)
 
 
+def _shifted_slices(real):
+    return lambda *args: _ShiftedTable(real(*args))
+
+
+def _shifted_answers(real):
+    return lambda *args: {n: a.shift(1) for n, a in real(*args).items()}
+
+
 # (module attribute to replace, its replacement given the real one, the report that must fail)
 _PLANTED = [
     ("delta_element", lambda real: _nonzero_square, "delta2"),
     ("classify_monomial", lambda real: _unclassifiable, "classify-total"),
     ("_coker_dims_by_rank", _shifted, "regime-dichotomy"),
     ("collapse_total_degree", _shifted, "serre-vs-dispatcher"),
-    ("series_coefficient", _shifted, "enumeration-vs-series"),
-    ("trivial_rep_homology_p2", _shifted, "p2-cross-route"),
+    ("_complete_table", _shifted_slices, "enumeration-vs-series"),
+    ("_answers_by_weight", _shifted_answers, "p2-cross-route"),
 ]
 
 
@@ -176,3 +192,38 @@ def test_the_sweep_enumerates_each_plane_weight_once(monkeypatch, p):
     weights.clear()
     run_verifications("all", p, max_n, max_q)
     assert sorted(weights) == sorted(list(range(max_n + 1)) + bijection)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_each_count_table_is_built_once_per_run(monkeypatch, p):
+    real = enumeration.series_table
+    calls = []
+
+    def counted(gens, max_weight, dmax, prime):
+        calls.append(max_weight)
+        return real(gens, max_weight, dmax, prime)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("confhom") and getattr(module, "series_table", None) is real:
+            monkeypatch.setattr(module, "series_table", counted)
+    run_verifications("all", p, 12, 3)
+    at_12 = len(calls)
+    calls.clear()
+    run_verifications("all", p, 24, 3)
+    # the plane and sign tables, one per q <= 3, and at p = 2 one per mod-2 sphere
+    assert len(calls) == at_12 == 2 + 4 + (2 if p == 2 else 0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_q_stability_reads_the_tower_up_to_each_weight(monkeypatch, p):
+    real = signhom.cohen_generators
+
+    def without_p_squared(brackets, prime, weight_bound):
+        return [g for g in real(brackets, prime, weight_bound) if g.weight != p * p]
+
+    monkeypatch.setattr(signhom, "cohen_generators", without_p_squared)
+    reports = run_verifications("stability", p, 12, 2)
+    assert [r.name for r in reports] == [f"q-stability n={n} p={p} q=[0, 1, 2]" for n in range(13)]
+    for n, report in enumerate(reports):
+        assert report.passed == (n < p * p), n
+        assert report.details["mismatching_q"] == ([] if n < p * p else [0, 1, 2])
