@@ -100,9 +100,15 @@ def verify_bijection(p, q: int) -> VerifyReport:
     invariant of the substitution is a failure of this q, listed under
     `failures` (a key only a failed report has)."""
     prime = as_prime(p)
-    target_weight = prime.p * (q + 1)
     src_pq = _plane_basis(prime.p * q, prime)
     src_q1 = _plane_basis(q + 1, prime)
+    return _bijection(prime, q, src_pq, src_q1, total_dim(prime.p * (q + 1), prime))
+
+
+def _bijection(prime, q: int, src_pq: list, src_q1: list, expected: int) -> VerifyReport:
+    """`verify_bijection` from the two source bases and the dimension
+    `expected` of the target weight p(q+1)."""
+    target_weight = prime.p * (q + 1)
     images: list[Monomial] = []
     bad: list[str] = []
     for source, basis in ((SOURCE_WEIGHT_PQ, src_pq), (SOURCE_WEIGHT_Q_PLUS_1, src_q1)):
@@ -113,7 +119,6 @@ def verify_bijection(p, q: int) -> VerifyReport:
                 bad.append(f"{m.text()}: {exc}")
     weights_ok = all(im.weight == target_weight for im in images)
     injective = len(set(images)) == len(images)
-    expected = total_dim(target_weight, prime)
     surjective = injective and weights_ok and len(images) == expected
     details = {
         "injective": injective,

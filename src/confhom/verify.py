@@ -13,10 +13,11 @@ weight n, then drops them, so no basis outlives its weight.  Sharing the
 list merges no oracle: every route already started from that basis, and
 each step still compares its own two routes (the matrix rank against the
 u-free count, the page against the dispatcher, the enumerated degrees
-against the series) and keeps its own failure list and report.  Each public
-`verify_*` function of a swept check is a sweep with that one step.  The
-sizes of every basis a run will enumerate are checked once, before any
-check runs.
+against the series).  Each step carries its own report (name, work counters
+and failure list), and one method, `_Step.report`, writes every swept
+report.  Each public `verify_*` function of a swept check is a sweep with
+that one step.  The sizes of every basis a run will enumerate are checked
+once, before any check runs.
 
 The count side is built once per run too: each Hilbert-series table (the
 plane, each sphere dimension of the sign and mod-2 routes, each q of the
@@ -28,8 +29,9 @@ its own, so no route reads another's numbers.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .algebra import KIND_U, as_prime
 from .bv import (
@@ -40,9 +42,10 @@ from .bv import (
     delta_element,
     delta_matrix,
 )
-from .catalog import _refuse_large_bases, plane_config_generators, sphere_labelled_generators
+from .catalog import _plane_monomials, _refuse_large_bases
+from .catalog import plane_config_generators, sphere_labelled_generators
 from .enumeration import GradedDims, _by_degree, _complete_table, _plane_totals, monomial_basis
-from .identities import classify_monomial, verify_bijection, verify_dimension_identity
+from .identities import _bijection, classify_monomial, verify_dimension_identity
 from .reports import VerifyReport
 from .signhom import _answers_by_weight, _q_stability, _shifted_table
 
@@ -57,24 +60,30 @@ VERIFY_TARGETS = (
 )
 
 
-class _Step(NamedTuple):
-    """One check's per-weight body: `visit(n, mons, by_deg)` is fed the
-    weight-n plane basis and its degree grouping for each n <= bound, and
-    `report()` then makes the check's report."""
+@dataclass
+class _Step:
+    """One swept check and its report.  `visit(step, n, mons, by_deg)` is fed
+    the weight-n plane basis and its degree grouping for each n <= bound; it
+    appends to `failures` and adds to the work `counters`.  The report lists
+    the counters, then the first `listed` failures (all of them when None)."""
 
+    name: str
     bound: int
-    visit: Callable[[int, list, dict], None]
-    report: Callable[[], VerifyReport]
+    visit: Callable[["_Step", int, list, dict], None]
+    listed: int | None = None
+    counters: dict[str, int] = field(default_factory=dict)
+    failures: list[str] = field(default_factory=list)
+
+    def report(self) -> VerifyReport:
+        details = {**self.counters, "failures": self.failures[: self.listed]}
+        return VerifyReport(self.name, not self.failures, details)
 
 
-def _sweep(prime, steps: list[_Step]) -> list[VerifyReport]:
+def _sweep(prime, steps: list[_Step]) -> None:
     """Feed each weight's plane basis, enumerated once, to every step
-    bounded at or above it; the reports come in the order of `steps`.  The
-    caller has already sized every swept basis (`_refuse_large_bases`)."""
+    bounded at or above it; the caller has sized every swept basis."""
     for n in range(max((s.bound for s in steps), default=-1) + 1):
-        gens = plane_config_generators(prime, max(n, 1))
-        _visit(n, monomial_basis(gens, n, prime), [s for s in steps if n <= s.bound])
-    return [s.report() for s in steps]
+        _visit(n, _plane_monomials(n, prime), [s for s in steps if n <= s.bound])
 
 
 def _sweep_one(p, check: Callable[..., _Step], max_n: int) -> VerifyReport:
@@ -82,36 +91,30 @@ def _sweep_one(p, check: Callable[..., _Step], max_n: int) -> VerifyReport:
     before its step is made, then swept."""
     prime = as_prime(p)
     _refuse_large_bases([range(max_n + 1)], prime)
-    return _sweep(prime, [check(prime, max_n)])[0]
+    step = check(prime, max_n)
+    _sweep(prime, [step])
+    return step.report()
 
 
 def _visit(n: int, mons: list, steps: list[_Step]) -> None:
     # The basis lives in this frame only: it is freed before weight n + 1 is built.
     by_deg = _by_degree(mons)
     for s in steps:
-        s.visit(n, mons, by_deg)
+        s.visit(s, n, mons, by_deg)
 
 
 def _delta_squared(prime, max_n: int) -> _Step:
-    checked = 0
-    bad: list[str] = []
-
-    def visit(n, mons, by_deg):
-        nonlocal checked
+    def visit(step, n, mons, by_deg):
         for m in mons:
             image = delta(m, prime)
-            checked += 1
+            step.counters["monomials_checked"] += 1
             for mm in image.terms:
                 if mm.weight != m.weight or mm.degree != m.degree + 1:
-                    bad.append(f"grading broken at {m.text()}")
+                    step.failures.append(f"grading broken at {m.text()}")
             if not delta_element(image).is_zero():
-                bad.append(f"square nonzero at {m.text()}")
+                step.failures.append(f"square nonzero at {m.text()}")
 
-    return _Step(max_n, visit, lambda: VerifyReport(
-        name=f"delta2 p={prime.p} n<={max_n}",
-        passed=not bad,
-        details={"monomials_checked": checked, "failures": bad[:10]},
-    ))
+    return _Step(f"delta2 p={prime.p} n<={max_n}", max_n, visit, 10, {"monomials_checked": 0})
 
 
 def verify_delta_squared(p, max_n: int) -> VerifyReport:
@@ -131,29 +134,23 @@ def _coker_dims_by_rank(by_deg: dict[int, list], mats: dict) -> GradedDims:
 
 
 def _regime_dichotomy(prime, max_n: int) -> _Step:
-    bad: list[str] = []
-
-    def visit(n, mons, by_deg):
+    def visit(step, n, mons, by_deg):
         mats = {d: delta_matrix(n, prime, d, by_deg) for d in by_deg}
         all_zero = all(mat.is_zero() for mat in mats.values())
         expect_zero = n % prime.p in (0, 1)
         if all_zero != expect_zero:
-            bad.append(f"n={n}: matrix zero={all_zero}, expected {expect_zero}")
+            step.failures.append(f"n={n}: matrix zero={all_zero}, expected {expect_zero}")
             return
         if expect_zero:
             return
         u_free = [m for m in mons if not m.contains_kind(KIND_U)]
         u_carrying = [m for m in mons if m.contains_kind(KIND_U)]
         if len(u_free) != len(u_carrying):
-            bad.append(f"n={n}: u-free {len(u_free)} != u-carrying {len(u_carrying)}")
+            step.failures.append(f"n={n}: u-free {len(u_free)} != u-carrying {len(u_carrying)}")
         if _coker_dims_by_rank(by_deg, mats) != GradedDims.of_degrees(m.degree for m in u_free):
-            bad.append(f"n={n}: rank cokernel != u-free counts")
+            step.failures.append(f"n={n}: rank cokernel != u-free counts")
 
-    return _Step(max_n, visit, lambda: VerifyReport(
-        name=f"regime-dichotomy p={prime.p} n<={max_n}",
-        passed=not bad,
-        details={"failures": bad[:10]},
-    ))
+    return _Step(f"regime-dichotomy p={prime.p} n<={max_n}", max_n, visit, 10)
 
 
 def verify_regime_dichotomy(p, max_n: int) -> VerifyReport:
@@ -164,23 +161,17 @@ def verify_regime_dichotomy(p, max_n: int) -> VerifyReport:
 
 
 def _serre_agreement(prime, max_n: int) -> _Step:
-    bad: list[str] = []
-
-    def visit(n, mons, by_deg):
+    def visit(step, n, mons, by_deg):
         e3 = _serre_e3(n, prime, by_deg, None)
         try:
             page = collapse_total_degree(e3)
         except ValueError as exc:
-            bad.append(f"n={n}: {exc}")
+            step.failures.append(f"n={n}: {exc}")
             return
         if page != _equivariant_s1(n, prime, mons, None).dims:
-            bad.append(f"n={n}")
+            step.failures.append(f"n={n}")
 
-    return _Step(max_n, visit, lambda: VerifyReport(
-        name=f"serre-vs-dispatcher p={prime.p} n<={max_n}",
-        passed=not bad,
-        details={"failures": bad},
-    ))
+    return _Step(f"serre-vs-dispatcher p={prime.p} n<={max_n}", max_n, visit)
 
 
 def verify_serre_agreement(p, max_n: int) -> VerifyReport:
@@ -191,27 +182,22 @@ def verify_serre_agreement(p, max_n: int) -> VerifyReport:
 
 
 def _series_agreement(prime, max_n: int) -> _Step:
-    bad: list[str] = []
     top = max(max_n, 0)
     plane = _complete_table(plane_config_generators(prime, max(top, 1)), top, prime)
     sign = _shifted_table(prime, 1, top)
 
-    def visit(n, mons, by_deg):
+    def visit(step, n, mons, by_deg):
         counted = GradedDims({d: len(ms) for d, ms in by_deg.items()})
         if counted != plane.weight_slice(n):
-            bad.append(f"n={n}")
+            step.failures.append(f"n={n}")
         labelled = sphere_labelled_generators(prime, 1, max(n, 1))
         enumerated = GradedDims.of_degrees(
             m.degree - n for m in monomial_basis(labelled, n, prime)
         )
         if sign.weight_slice(n) != enumerated:
-            bad.append(f"n={n} sign slice")
+            step.failures.append(f"n={n} sign slice")
 
-    return _Step(max_n, visit, lambda: VerifyReport(
-        name=f"enumeration-vs-series p={prime.p} n<={max_n}",
-        passed=not bad,
-        details={"failures": bad},
-    ))
+    return _Step(f"enumeration-vs-series p={prime.p} n<={max_n}", max_n, visit)
 
 
 def verify_series_agreement(p, max_n: int) -> VerifyReport:
@@ -224,23 +210,16 @@ def verify_series_agreement(p, max_n: int) -> VerifyReport:
 
 
 def _classify_total(prime, max_n: int) -> _Step:
-    checked = 0
-    bad: list[str] = []
-
-    def visit(n, mons, by_deg):
-        nonlocal checked
+    def visit(step, n, mons, by_deg):
         for m in mons:
             try:
                 classify_monomial(m, prime, n)
-                checked += 1
+                step.counters["monomials_checked"] += 1
             except Exception as exc:  # noqa: BLE001 - report, don't raise
-                bad.append(f"n={n} {m.text()}: {exc}")
+                step.failures.append(f"n={n} {m.text()}: {exc}")
 
-    return _Step(max_n, visit, lambda: VerifyReport(
-        name=f"classify-total p={prime.p} n<={max_n}",
-        passed=not bad,
-        details={"monomials_checked": checked, "failures": bad[:10]},
-    ))
+    name = f"classify-total p={prime.p} n<={max_n}"
+    return _Step(name, max_n, visit, 10, {"monomials_checked": 0})
 
 
 def verify_classify_total(p, max_n: int) -> VerifyReport:
@@ -256,37 +235,26 @@ def verify_fixed_points(p, max_n: int) -> VerifyReport:
     prime = as_prime(p)
     totals = _plane_totals(max(max_n, 0), prime)
     prefix = list(accumulate(totals[: len(totals) // prime.p + 1]))
-    bad: list[str] = []
-    count = 0
-    for n in range(max_n + 1):
-        if n % prime.p not in (0, 1):
-            continue
-        count += 1
-        if prefix[n // prime.p] != totals[n]:
-            bad.append(f"n={n}")
+    cases = [n for n in range(max_n + 1) if n % prime.p in (0, 1)]
+    bad = [f"n={n}" for n in cases if prefix[n // prime.p] != totals[n]]
     return VerifyReport(
         name=f"fixed-points p={prime.p} n<={max_n}",
         passed=not bad,
-        details={"cases": count, "failures": bad},
+        details={"cases": len(cases), "failures": bad},
     )
 
 
 def _p2_routes(prime, max_n: int) -> _Step:
-    bad: list[str] = []
     # `trivial_rep_homology_p2(n, q)` for every n, over sphere labels of dimension 2q
     routes = {q: _answers_by_weight(prime, 2 * q, range(max(max_n, 0) + 1)) for q in (1, 2)}
 
-    def visit(n, mons, by_deg):
+    def visit(step, n, mons, by_deg):
         expected = _equivariant_s1(n, prime, mons, None).dims
         for q, answers in routes.items():
             if answers[n] != expected:
-                bad.append(f"n={n} q={q}")
+                step.failures.append(f"n={n} q={q}")
 
-    return _Step(max_n, visit, lambda: VerifyReport(
-        name=f"p2-cross-route n<={max_n}",
-        passed=not bad,
-        details={"failures": bad},
-    ))
+    return _Step(f"p2-cross-route n<={max_n}", max_n, visit)
 
 
 def verify_p2_routes(max_n: int) -> VerifyReport:
@@ -315,7 +283,7 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
         range(max_n + 1) if sweeps else range(0),
     ], prime)
     # Reports in their final order, with each swept check's step standing in
-    # for its report until the sweep has run.
+    # for its report until the sweep has filled it.
     plan: list = []
     if want("delta2"):
         plan.append(_delta_squared(prime, max_n))
@@ -323,8 +291,11 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
         plan.append(verify_dimension_identity(prime, max_q))
         plan.append(verify_fixed_points(prime, max_n))
     if want("bijection"):
+        # every target dimension is read from one list of totals
+        totals = _plane_totals(prime.p * (max_q + 1), prime)
         for q in range(max_q + 1):
-            plan.append(verify_bijection(prime, q))
+            sources = [_plane_monomials(w, prime) for w in (prime.p * q, q + 1)]
+            plan.append(_bijection(prime, q, *sources, totals[prime.p * (q + 1)]))
     if want("classify"):
         plan.append(_classify_total(prime, max_n))
     if want("stability"):
@@ -335,5 +306,5 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
         plan.append(_series_agreement(prime, max_n))
         if prime.p == 2:
             plan.append(_p2_routes(prime, min(max_n, 16)))
-    swept = iter(_sweep(prime, [s for s in plan if isinstance(s, _Step)]))
-    return [next(swept) if isinstance(s, _Step) else s for s in plan]
+    _sweep(prime, [s for s in plan if isinstance(s, _Step)])
+    return [s.report() if isinstance(s, _Step) else s for s in plan]

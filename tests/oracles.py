@@ -5,8 +5,9 @@ without calling into the package internals it is checking: Koszul signs by
 explicit bubble sort, bracket admissibility by brute force over all binary
 trees, tower degrees by naive iteration, monomial bases by filtering every
 exponent vector, group homology of cyclic groups and their free
-products from the 2-periodic resolution, and braid-group homology from the
-Salvetti complex, with its own sparse elimination mod p.
+products from the 2-periodic resolution, braid-group homology from the
+Salvetti complex, with its own sparse elimination mod p, and the homology of
+the braid group modulo its center from that by the split Gysin sequence.
 """
 
 from __future__ import annotations
@@ -272,6 +273,26 @@ def braid_homology_dims(n, p, q):
         ]
         ranks[k] = rank_mod_p(rows, p)
     return [len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(len(cells))]
+
+
+# ---------------------------------------------------------------------------
+# The braid group modulo its center, Q = B_n/Z(B_n), with trivial coefficients.
+# The center is generated by the full twist, which the abelianization B_n -> Z
+# sends to n(n - 1), so n(n - 1) kills the class of the central extension
+# Z -> B_n -> Q.  When p divides neither n nor n - 1 the class vanishes mod p,
+# and the Gysin sequence of the extension splits (Brown, Cohomology of Groups):
+#
+#     0 -> H_{k-1}(Q; F_p) -> H_k(B_n; F_p) -> H_k(Q; F_p) -> 0.
+
+def braid_quotient_homology_dims(n, p):
+    """dim H_k(B_n/Z(B_n); F_p) for k = 0..n-1, the alternating partial sums
+    of the Salvetti Betti numbers; only for n not 0 or 1 mod p."""
+    if n % p in (0, 1):
+        raise ValueError(f"the extension class need not vanish mod p at n={n}, p={p}")
+    dims = []
+    for h in braid_homology_dims(n, p, -1):
+        dims.append(h - (dims[-1] if dims else 0))
+    return dims
 
 
 # ---------------------------------------------------------------------------

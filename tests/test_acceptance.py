@@ -35,7 +35,8 @@ from confhom import (
 from confhom.cli import main as cli_main
 from confhom.identities import classify_monomial
 from confhom.signhom import shifted_weight_slice
-from oracles import braid_homology_dims, cyclic_homology_dims, dims_to_pairs
+from oracles import braid_homology_dims, braid_quotient_homology_dims
+from oracles import cyclic_homology_dims, dims_to_pairs
 from oracles import free_product_homology_dims, multiset
 
 PRIMES = (2, 3, 5)
@@ -204,6 +205,23 @@ def test_criterion_12_cellular_oracle():
                 assert shifted_weight_slice(n, p, 1).to_pairs() == sign, (p, n)
                 if p == 2:
                     assert shifted_weight_slice(n, 2, 2).to_pairs() == trivial, n
+
+
+def test_criterion_13_braid_quotient_oracles():
+    with criterion(13, "trivial-coefficient answer equals H_*(B_n/Z): Gysin sums, n = 2, 3"):
+        # the cokernel regime, n not 0 or 1 mod p
+        cases = [(p, n) for p in (3, 5, 7, 11, 13) for n in range(2, 15) if n % p not in (0, 1)]
+        assert len(cases) == 46
+        for p, n in cases:
+            oracle = braid_quotient_homology_dims(n, p)
+            assert min(oracle) >= 0 and oracle[-1] == 0, (p, n)
+            assert equivariant_s1(n, p).dims.to_pairs() == dims_to_pairs(oracle), (p, n)
+        # both regimes: B_2/Z = Z/2 and B_3/Z = PSL(2, Z) = Z/2 * Z/3, acting trivially
+        for p in (2, 3, 5, 7):
+            z2 = cyclic_homology_dims(2, 1, p, 20)
+            psl2z = free_product_homology_dims([(2, 1), (3, 1)], p, 20)
+            for n, oracle in ((2, z2), (3, psl2z)):
+                assert equivariant_s1(n, p, 20).dims.to_pairs() == dims_to_pairs(oracle), (p, n)
 
 
 if __name__ == "__main__":

@@ -227,3 +227,37 @@ def test_q_stability_reads_the_tower_up_to_each_weight(monkeypatch, p):
     for n, report in enumerate(reports):
         assert report.passed == (n < p * p), n
         assert report.details["mismatching_q"] == ([] if n < p * p else [0, 1, 2])
+
+
+_FIRST_TEN = [(0, "1"), (1, "i"), (2, "i^2"), (2, "u"), (3, "i^3"), (3, "i u"),
+              (4, "i^4"), (4, "i^2 u"), (5, "i^5"), (5, "i^3 u")]
+
+# Each planted fault's failing report at p = 3 (p = 2 for the mod-2 routes) and
+# --max-n 33: its work counters, then the first ten failures or every one.
+_FAILING_DETAILS = {
+    "delta2": {
+        "monomials_checked": 522,
+        "failures": [f"square nonzero at {m}" for _, m in _FIRST_TEN],
+    },
+    "classify-total": {
+        "monomials_checked": 0,
+        "failures": [f"n={n} {m}: planted fault" for n, m in _FIRST_TEN],
+    },
+    # 10 of the 11 cokernel-regime weights 2, 5, ..., 32
+    "regime-dichotomy": {
+        "failures": [f"n={n}: rank cokernel != u-free counts" for n in range(2, 30, 3)],
+    },
+    "serre-vs-dispatcher": {"failures": [f"n={n}" for n in range(17)]},
+    "enumeration-vs-series": {"failures": [f"n={n}" for n in range(34)]},
+    "p2-cross-route": {"failures": [f"n={n} q={q}" for n in range(17) for q in (1, 2)]},
+}
+
+
+@pytest.mark.parametrize("attr, fault, failing", _PLANTED, ids=[f for _, _, f in _PLANTED])
+def test_a_failing_report_lists_its_counters_and_failures(monkeypatch, attr, fault, failing):
+    p = 2 if failing == "p2-cross-route" else 3
+    monkeypatch.setattr(verify, attr, fault(getattr(verify, attr)))
+    [report] = [r for r in run_verifications("all", p, 33, 0) if r.name.split(" ")[0] == failing]
+    assert not report.passed
+    # the key order too, as the payload prints it
+    assert list(report.details.items()) == list(_FAILING_DETAILS[failing].items())
