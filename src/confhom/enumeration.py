@@ -261,9 +261,14 @@ def _plane_totals(max_weight: int, p) -> list[int]:
     one-variable series, which resolves no degree and builds no table."""
     from .catalog import plane_config_generators
 
+    _check_total_weight(max_weight)
+    return _weight_totals(plane_config_generators(p, max(max_weight, 1)), max_weight)
+
+
+def _check_total_weight(max_weight: int) -> None:
+    """Refuse a weight `_plane_totals` cannot reach, before anything is built."""
     if not 0 <= max_weight <= _MAX_TOTAL_WEIGHT:
         raise ValueError(f"weight must be in 0..{_MAX_TOTAL_WEIGHT}, got {max_weight}")
-    return _weight_totals(plane_config_generators(p, max(max_weight, 1)), max_weight)
 
 
 def _sweep(g: Generator, max_weight: int) -> range:

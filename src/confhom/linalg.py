@@ -1,10 +1,11 @@
-"""Dense exact linear algebra over F_p.
+"""Dense exact linear algebra over F_p: the rank oracle.
 
 Gauss-Jordan elimination on lists of Python-int rows with all arithmetic
 reduced mod p; no floating point anywhere.  Python ints do not overflow, so
 one representation is exact at every prime `Prime` accepts and no integer
-width is chosen.  The matrices are the rank oracle of `verify` and the
-tests and stay small, so dense list arithmetic is fine.
+width is chosen.  `FpMatrix.rank` is the rank oracle of `verify` and the
+tests; `rank_kernel_image` reads kernel and image off the same elimination
+for the tests.  The matrices stay small, so dense list arithmetic is fine.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from .algebra import as_prime
 
 
 class FpMatrix:
-    """A dense matrix over F_p with rank / kernel / image queries.
+    """A dense matrix over F_p with a rank query.
 
     `a` is the list of rows, each a list of Python ints in [0, p); entries
     may be anything `int` reads exactly, such as another library's integer
@@ -68,32 +69,23 @@ class FpMatrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def kernel_basis(self) -> list[list[int]]:
-        """Basis of the null space, one vector of length `cols` per row."""
-        p = self.p.p
-        r, pivots = self.rref()
-        basis = []
-        for f in sorted(set(range(self.cols)) - set(pivots)):
-            v = [0] * self.cols
-            v[f] = 1
-            for i, c in enumerate(pivots):
-                v[c] = -r[i][f] % p
-            basis.append(v)
-        return basis
-
-    def image_basis(self) -> list[list[int]]:
-        """Basis of the column space: the pivot columns, one vector per row."""
-        _, pivots = self.rref()
-        return [[row[c] for row in self.a] for c in pivots]
-
     def __repr__(self) -> str:
         return f"FpMatrix({self.rows}x{self.cols} mod {self.p})"
 
 
 def rank_kernel_image(m: FpMatrix) -> tuple[int, list[list[int]], list[list[int]]]:
-    """Rank, kernel basis and image basis of a matrix over F_p.
+    """Rank, kernel basis and image basis of a matrix over F_p, from one `rref`.
 
-    rank + len(kernel) == cols and the image rows span the column space.
+    The kernel has one vector of length `cols` per free column; the image is
+    the pivot columns of `m`, one vector of length `rows` each.
     """
-    image = m.image_basis()
-    return len(image), m.kernel_basis(), image
+    p = m.p.p
+    r, pivots = m.rref()
+    kernel = []
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        v = [0] * m.cols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -r[i][f] % p
+        kernel.append(v)
+    return len(pivots), kernel, [[row[c] for row in m.a] for c in pivots]

@@ -102,10 +102,11 @@ def trivial_rep_homology_p2(n: int, q: int, degree_bound: int | None = None) -> 
 
 
 def _q_stability(ns: range, p, qs: list) -> list[VerifyReport]:
-    """`verify_q_stability(n, p, qs)` for each n in the nonempty range ns.
-    Each q's shifted table, closed-form generators and bracket tower are
-    built once, at the weight max(ns[-1], 1), and weight n reads their
-    weight <= max(n, 1) parts, compared as (weight, degree, exterior)
+    """`verify_q_stability(n, p, qs)` for each n in the nonempty range ns,
+    in one pass over q: each q's shifted table, closed-form generators and
+    bracket tower are built once, at the weight max(ns[-1], 1), compared at
+    every weight with the first q's answers, and dropped.  Weight n reads
+    their weight <= max(n, 1) parts, compared as (weight, degree, exterior)
     multisets: the same answer and multisets as at bound max(n, 1)."""
     if not qs:
         raise ValueError("q_list must be nonempty")
@@ -113,29 +114,30 @@ def _q_stability(ns: range, p, qs: list) -> list[VerifyReport]:
     if ns[0] < 0 or min(qs) < 0:
         raise ValueError("n and q must be >= 0")
     top = max(ns[-1], 1)
-    answers: dict[int, dict[int, GradedDims]] = {}
-    agree: dict[int, dict[int, bool]] = {}
+    first: dict[int, GradedDims] = {}
+    mismatching: dict[int, list] = {n: [] for n in ns}
     for q in dict.fromkeys(qs):
         m = 2 * q + 1
-        answers[q] = _answers_by_weight(prime, m, ns)
+        answers = _answers_by_weight(prime, m, ns)
+        first = first or answers
         labels = enumerate_basic_brackets([LabelClass("s", m)], 1, prime)
         tower = sorted(map(_CATALOG_KEY, cohen_generators(labels, prime, top)))
         closed = sorted(map(_CATALOG_KEY, sphere_labelled_generators(prime, m, top)))
-        # Both catalogs are prefixes in weight: their weight <= w parts are the catalogs at bound w.
-        agree[q] = {
-            n: [k for k in closed if k[0] <= max(n, 1)] == [k for k in tower if k[0] <= max(n, 1)]
-            for n in ns
-        }
-    reports = []
-    for n in ns:
-        first = answers[qs[0]][n]
-        mismatching = [q for q in answers if answers[q][n] != first or not agree[q][n]]
-        reports.append(VerifyReport(
+        for n in ns:
+            # Both catalogs are prefixes in weight: their weight <= w parts
+            # are the catalogs at bound w.
+            w = max(n, 1)
+            agree = [k for k in closed if k[0] <= w] == [k for k in tower if k[0] <= w]
+            if answers[n] != first[n] or not agree:
+                mismatching[n].append(q)
+    return [
+        VerifyReport(
             name=f"q-stability n={n} p={prime.p} q={qs}",
-            passed=not mismatching,
-            details={"dims": first.to_pairs(), "mismatching_q": mismatching},
-        ))
-    return reports
+            passed=not mismatching[n],
+            details={"dims": first[n].to_pairs(), "mismatching_q": mismatching[n]},
+        )
+        for n in ns
+    ]
 
 
 def verify_q_stability(n: int, p, q_list) -> VerifyReport:

@@ -42,9 +42,10 @@ from .bv import (
     delta_element,
     delta_matrix,
 )
-from .catalog import _plane_monomials, _refuse_large_bases
+from .catalog import MAX_BASIS, _plane_monomials, _refuse_large_bases
 from .catalog import plane_config_generators, sphere_labelled_generators
-from .enumeration import GradedDims, _by_degree, _complete_table, _plane_totals, monomial_basis
+from .enumeration import GradedDims, _by_degree, _check_total_weight, _complete_table
+from .enumeration import _plane_totals, monomial_basis
 from .identities import _bijection, classify_monomial, verify_dimension_identity
 from .reports import VerifyReport
 from .signhom import _answers_by_weight, _q_stability, _shifted_table
@@ -266,15 +267,20 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
     """Run one named verification target (or `all`) and collect its reports.
 
     The checks that read the plane basis share one sweep over n = 0..max_n;
-    the spectral-sequence and mod-2 checks stop at min(max_n, 16).  A plane
-    basis above MAX_BASIS that the target would enumerate raises ValueError
-    before any check runs, naming the weight where the run would stop."""
+    the spectral-sequence and mod-2 checks stop at min(max_n, 16), the
+    q-stability reports at min(max_n, 12).  Each of these raises ValueError
+    before any check runs, in this order: a bijection target weight
+    p * (max_q + 1) past the plane totals' limit; a plane basis above
+    MAX_BASIS that the target would enumerate, naming the weight where the
+    run would stop; more than MAX_BASIS (weight, q) pairs of q-stability."""
     prime = as_prime(p)
     if target not in VERIFY_TARGETS:
         raise ValueError(f"unknown verify target {target!r}")
     if max_n < 0 or max_q < 0:
         raise ValueError(f"max_n and max_q must be >= 0, got {max_n} and {max_q}")
     want = lambda name: target in (name, "all")
+    if want("bijection"):
+        _check_total_weight(prime.p * (max_q + 1))
     # The bijection's weight-pq sources (its q + 1 sources are never heavier)
     # come first, then the sweep's weights.
     sweeps = any(map(want, ("delta2", "classify", "cross-route")))
@@ -282,6 +288,12 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
         range(0, prime.p * max_q + 1, prime.p) if want("bijection") else range(0),
         range(max_n + 1) if sweeps else range(0),
     ], prime)
+    stable_ns = range(min(max_n, 12) + 1)
+    pairs = len(stable_ns) * (max_q + 1)
+    if want("stability") and pairs > MAX_BASIS:
+        raise ValueError(
+            f"q-stability of {pairs} (weight, q) pairs exceeds the limit of {MAX_BASIS}"
+        )
     # Reports in their final order, with each swept check's step standing in
     # for its report until the sweep has filled it.
     plan: list = []
@@ -299,7 +311,7 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
     if want("classify"):
         plan.append(_classify_total(prime, max_n))
     if want("stability"):
-        plan += _q_stability(range(min(max_n, 12) + 1), prime, list(range(max_q + 1)))
+        plan += _q_stability(stable_ns, prime, list(range(max_q + 1)))
     if want("cross-route"):
         plan.append(_regime_dichotomy(prime, max_n))
         plan.append(_serre_agreement(prime, min(max_n, 16)))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confhom import FpMatrix, bv, catalog, cli, identities
+from confhom import FpMatrix, bv, catalog, cli, enumeration, identities, verify
 from confhom.catalog import MAX_BASIS, plane_config_generators
 from confhom.cli import _render_json, build_parser, main
 from confhom.enumeration import GradedDims, _plane_totals, poincare
@@ -326,6 +326,35 @@ def test_verify_size_check_stops_at_the_first_refused_weight(monkeypatch):
     with pytest.raises(ValueError, match="weight-278 basis"):
         catalog._refuse_large_bases([range(MAX_BASIS + 1)], 2)
     assert max(built) < 2 * 278
+
+
+@pytest.mark.parametrize("argv, weight", [
+    (["bijection", "--p", "1009", "--max-q", "1039", "--max-n", "0"], 1049360),
+    # the sources include bases over MAX_BASIS, and the target weight is named first
+    (["bijection", "--p", "2", "--max-q", "600000"], 1200002),
+    (["all", "--p", "2", "--max-n", "300", "--max-q", "10000000"], 20000002),
+])
+def test_verify_refuses_a_bijection_target_before_any_totals(capsys, monkeypatch, argv, weight):
+    built = []
+    for module in (catalog, verify, enumeration):
+        real = module._plane_totals
+        monkeypatch.setattr(module, "_plane_totals",
+                            lambda n, p, real=real: built.append(n) or real(n, p))
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and built == []
+    assert captured.err == f"error: weight must be in 0..1048576, got {weight}\n"
+
+
+def test_verify_stability_refuses_more_weight_q_pairs_than_the_limit():
+    # 13 weights times 100001 values of q; the bound lets max_q reach 80658
+    argv = ["verify", "stability", "--p", "3", "--max-q", "100000"]
+    proc = subprocess.run([sys.executable, "-m", "confhom", *argv],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: q-stability of 1300013 (weight, q) pairs exceeds the limit of 1048576\n"
+    )
 
 
 @pytest.mark.parametrize("n", ["16777215", "100000000"])

@@ -37,7 +37,7 @@ def test_rank_one_by_hand():
     # second row is twice the first, so row reduction leaves a single pivot
     m = FpMatrix([[1, 2], [2, 4]], 5)
     assert m.rank() == 1
-    kernel = m.kernel_basis()
+    kernel = rank_kernel_image(m)[1]
     assert kernel == [[3, 1]]
     assert not any(_apply(m, kernel[0]))
 
@@ -45,10 +45,10 @@ def test_rank_one_by_hand():
 def test_empty_shapes():
     no_rows = FpMatrix([], 3, (0, 4))
     assert (no_rows.rows, no_rows.cols, no_rows.rank()) == (0, 4, 0)
-    assert no_rows.kernel_basis() == [[int(i == j) for j in range(4)] for i in range(4)]
+    assert rank_kernel_image(no_rows)[1] == [[int(i == j) for j in range(4)] for i in range(4)]
     no_cols = FpMatrix([[] for _ in range(4)], 3)
     assert (no_cols.rows, no_cols.cols, no_cols.rank()) == (4, 0, 0)
-    assert no_cols.kernel_basis() == [] and no_cols.image_basis() == []
+    assert rank_kernel_image(no_cols)[1] == [] and rank_kernel_image(no_cols)[2] == []
     assert FpMatrix([], 3).cols == 0
     with pytest.raises(ValueError, match="shape"):
         FpMatrix([[1, 2]], 3, (1, 3))
@@ -83,11 +83,21 @@ def test_image_spans_column_space(p, rows, cols, seed):
     rng = np.random.default_rng(seed)
     m = FpMatrix(rng.integers(0, p, size=(rows, cols)), p)
     rank = m.rank()
-    image = m.image_basis()
+    image = rank_kernel_image(m)[2]
     # the image rows are independent and adjoining all columns adds nothing
     assert FpMatrix(image, p).rank() == rank
     stacked = image + [list(column) for column in zip(*m.a)]
     assert FpMatrix(stacked, p).rank() == rank
+
+
+def test_rank_kernel_image_reduces_once(monkeypatch):
+    calls = []
+    rref = FpMatrix.rref
+    monkeypatch.setattr(FpMatrix, "rref", lambda self: calls.append(self) or rref(self))
+    m = FpMatrix([[1, 2, 0], [2, 4, 1]], 5)
+    assert rank_kernel_image(m) == (2, [[3, 1, 0]], [[1, 2], [0, 1]])
+    assert calls == [m]
+    assert not hasattr(FpMatrix, "kernel_basis") and not hasattr(FpMatrix, "image_basis")
 
 
 def test_rref_is_reduced():
@@ -124,7 +134,7 @@ def test_rank_at_large_primes_matches_sympy(p):
         ).rank()
         m = FpMatrix(entries, p)
         assert m.rank() == expected
-        for v in m.kernel_basis():
+        for v in rank_kernel_image(m)[1]:
             assert not any(_apply(m, v))
 
 
@@ -138,10 +148,10 @@ def test_entries_and_results_are_python_ints(p, wrap):
     x = p - 2
     rows = [[1, x, 0], [x, x * x % p, 0], [3, 1, p - 1]]
     m = FpMatrix(wrap(rows), p)
-    results = [m.a, m.rref()[0], m.kernel_basis(), m.image_basis()]
+    results = [m.a, m.rref()[0], rank_kernel_image(m)[1], rank_kernel_image(m)[2]]
     for result in results:
         assert all(type(v) is int for row in result for v in row)
     assert m.a == [[v % p for v in row] for row in rows]
     assert m.rank() == FpMatrix(rows, p).rank()
-    for v in m.kernel_basis():
+    for v in rank_kernel_image(m)[1]:
         assert not any(_apply(m, v))

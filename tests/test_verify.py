@@ -5,10 +5,12 @@ import sys
 
 import pytest
 
-from confhom import bv, catalog, enumeration, fixed_point_total_dim, plane_config_generators
+from confhom import FpMatrix, bv, catalog, enumeration, fixed_point_total_dim
+from confhom import plane_config_generators
 from confhom import signhom
 from confhom import run_verifications, total_dim, verify
 from confhom.algebra import ONE, Element
+from confhom.catalog import MAX_BASIS
 from confhom.cli import main
 from confhom.identities import verify_bijection, verify_dimension_identity
 from confhom.signhom import verify_q_stability
@@ -227,6 +229,66 @@ def test_q_stability_reads_the_tower_up_to_each_weight(monkeypatch, p):
     for n, report in enumerate(reports):
         assert report.passed == (n < p * p), n
         assert report.details["mismatching_q"] == ([] if n < p * p else [0, 1, 2])
+
+
+def _graded_as_itself(real):
+    # each monomial's image is the monomial itself, in its own degree
+    return lambda m, prime: Element.term(1, m, prime)
+
+
+def _zeroed(real):
+    def zero(*args):
+        m = real(*args)
+        return FpMatrix([[0] * m.cols for _ in range(m.rows)], m.p, (m.rows, m.cols))
+
+    return zero
+
+
+# (module attribute to replace, its replacement given the real one, the report
+# that must fail, a failure it must list): the failure branches no other fault reaches
+_PLANTED_BRANCHES = [
+    ("delta", _graded_as_itself, "delta2", "grading broken at 1"),
+    ("delta_matrix", _zeroed, "regime-dichotomy", "n=2: matrix zero=True, expected False"),
+    ("KIND_U", lambda real: "no such kind", "regime-dichotomy", "n=2: u-free 2 != u-carrying 0"),
+]
+
+
+@pytest.mark.parametrize("attr, fault, failing, failure", _PLANTED_BRANCHES,
+                         ids=["grading", "matrix-zero", "u-free-count"])
+def test_a_planted_fault_fires_its_failure_branch(monkeypatch, attr, fault, failing, failure):
+    monkeypatch.setattr(verify, attr, fault(getattr(verify, attr)))
+    reports = run_verifications("all", 3, 10, 1)
+    [report] = [r for r in reports if not r.passed]
+    assert report.name.split(" ")[0] == failing
+    assert failure in report.details["failures"]
+
+
+def test_q_stability_lists_the_q_whose_answer_differs(monkeypatch):
+    real = signhom._answers_by_weight
+
+    def shifted_at_q1(prime, sphere_dim, ns):
+        answers = real(prime, sphere_dim, ns)
+        return {n: a.shift(1) for n, a in answers.items()} if sphere_dim == 3 else answers
+
+    clean = run_verifications("stability", 3, 12, 2)
+    monkeypatch.setattr(signhom, "_answers_by_weight", shifted_at_q1)
+    reports = run_verifications("stability", 3, 12, 2)
+    # the answers of q = 0 stay the reference; an empty answer shifts to itself
+    for c, r in zip(clean, reports):
+        assert r.details["dims"] == c.details["dims"]
+        assert r.details["mismatching_q"] == ([1] if c.details["dims"] else [])
+    assert not all(r.passed for r in reports)
+
+
+def test_the_stability_bound_counts_the_listed_weight_q_pairs(monkeypatch):
+    monkeypatch.setattr(verify, "_q_stability", lambda ns, prime, qs: [])
+    # 13 weights at max_n >= 12: 13 * 80659 <= 2^20 < 13 * 80660
+    assert run_verifications("stability", 3, 40, 80658) == []
+    with pytest.raises(ValueError, match=r"^q-stability of 1048580 \(weight, q\) pairs exceeds"):
+        run_verifications("stability", 3, 12, 80659)
+    assert run_verifications("stability", 3, 0, MAX_BASIS - 1) == []
+    with pytest.raises(ValueError, match="q-stability of 1048577 "):
+        run_verifications("stability", 3, 0, MAX_BASIS)
 
 
 _FIRST_TEN = [(0, "1"), (1, "i"), (2, "i^2"), (2, "u"), (3, "i^3"), (3, "i u"),
