@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .algebra import KIND_U, Element, Monomial, as_prime, iota, u_class
 from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _split_plane_monomial
 from .catalog import plane_config_generators
-from .enumeration import BigradedDims, GradedDims, _by_degree, series_coefficient
+from .enumeration import BigradedDims, GradedDims, _by_degree, _complete_table
 from .linalg import FpMatrix
 
 REGIME_TENSOR_BS1 = "tensor_bs1"
@@ -163,7 +163,8 @@ def equivariant_zp(n: int, p, dmax: int | None = None) -> GradedDims:
         )
     dmax = _degree_bound(n, dmax)
     gens = plane_config_generators(prime, max(n, 1))
-    return series_coefficient(gens, n, None, prime).convolve_geometric(1, dmax)
+    table = _complete_table(gens, n, prime, max(dmax, 0))
+    return table.weight_slice(n).convolve_geometric(1, dmax)
 
 
 def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:

@@ -262,7 +262,7 @@ def _plane_totals(max_weight: int, p) -> list[int]:
     from .catalog import plane_config_generators
 
     _check_total_weight(max_weight)
-    return _weight_totals(plane_config_generators(p, max(max_weight, 1)), max_weight)
+    return _weight_sizes(plane_config_generators(p, max(max_weight, 1)), max_weight)[0]
 
 
 def _check_total_weight(max_weight: int) -> None:
@@ -280,31 +280,25 @@ def _sweep(g: Generator, max_weight: int) -> range:
     return range(max_weight, w0 - 1, -1) if g.exterior else range(w0, max_weight + 1)
 
 
-def _weight_totals(gens, max_weight: int) -> list[int]:
-    """Exact total dimension of each weight <= max_weight over all degrees:
-    the one-variable series, in Python ints.  It bounds every cell of the
+def _weight_sizes(gens, max_weight: int) -> tuple[list[int], list[int]]:
+    """Each weight's exact total dimension over all degrees (the
+    one-variable series, in Python ints) and highest degree of a monomial
+    (-1 where there is none; the same sweep in (max, +)), for the weights
+    <= max_weight.  They bound every cell and every row's degrees of the
     two-variable table at every stage of its expansion."""
-    totals = [1] + [0] * max_weight
-    for g in gens:
-        w0 = g.weight
-        for w in _sweep(g, max_weight):
-            totals[w] += totals[w - w0]
-    return totals
-
-
-def _top_degrees(gens, max_weight: int) -> list[int]:
-    """Highest degree of a monomial of each weight <= max_weight, -1 where
-    there is none: the sweep of `_weight_totals` with (max, +) in place of
-    (+, x).  It bounds the degrees of every row of the two-variable table
-    at every stage of its expansion."""
-    tops = [0] + [-1] * max_weight
+    # made in place, not as a sum of two lists: at 2^24 weights each is 128 MiB
+    totals, tops = [0] * (max_weight + 1), [-1] * (max_weight + 1)
+    totals[0], tops[0] = 1, 0
     for g in gens:
         w0, d0 = g.weight, g.degree
         for w in _sweep(g, max_weight):
-            below = tops[w - w0]
-            if below >= 0 and below + d0 > tops[w]:
-                tops[w] = below + d0
-    return tops
+            below = totals[w - w0]
+            if below:
+                totals[w] += below
+                top = tops[w - w0] + d0
+                if top > tops[w]:
+                    tops[w] = top
+    return totals, tops
 
 
 def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
@@ -315,7 +309,7 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     B the bit length of the largest weight total: that total bounds every
     cell at every stage, so the shifted adds that expand the factors never
     carry from one cell into the next.  The rows' size is known before any
-    is built, from the totals and the highest degree of each weight; a
+    is built, from one sweep giving each weight's total and highest degree; a
     table of more than MAX_SERIES_BITS bits, counting each row as at least
     _WORD_BITS, raises ValueError.  When every generator is exterior, the
     table stops at the sum of their weights, the heaviest weight a monomial
@@ -332,8 +326,10 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
         max_weight = min(max_weight, sum(g.weight for g in gens))
     bits = _WORD_BITS * (max_weight + 1)
     if bits <= MAX_SERIES_BITS:
-        width = max(_weight_totals(gens, max_weight)).bit_length()
-        rows_by_top = Counter(_top_degrees(gens, max_weight)).items()
+        totals, tops = _weight_sizes(gens, max_weight)
+        width = max(totals).bit_length()
+        rows_by_top = Counter(tops).items()
+        del totals, tops
         bits = sum(k * max(width * (min(t, dmax) + 1), _WORD_BITS) for t, k in rows_by_top)
     if bits > MAX_SERIES_BITS:
         raise ValueError(
@@ -341,7 +337,8 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
         )
     cap = (dmax + 1) * width
     keep = (1 << cap) - 1
-    rows = [1] + [0] * max_weight
+    rows = [0] * (max_weight + 1)
+    rows[0] = 1
     for g in gens:
         w0, shift = g.weight, g.degree * width
         for w in _sweep(g, max_weight):
@@ -359,19 +356,16 @@ def series_coefficient(gens, n: int, dmax: int | None, p) -> GradedDims:
     of the generators, which no weight-n monomial exceeds, so the slice is
     complete: the dimensions `poincare` counts by enumeration.
     """
-    if n < 0:
-        raise ValueError(f"weight must be >= 0, got {n}")
-    if dmax is None:
-        return _complete_table(gens, n, p).weight_slice(n)
-    return series_table(gens, n, dmax, p).weight_slice(n)
+    return _complete_table(gens, n, p, dmax).weight_slice(n)
 
 
-def _complete_table(gens, max_weight: int, p) -> BigradedDims:
-    """The series to weight max_weight, truncated at max_weight times the
-    largest degree-to-weight ratio of the generators: no monomial of weight
-    n <= max_weight passes n times that ratio, and generators heavier than
-    n never reach row n, so row n is `series_coefficient(gens, n, None, p)`."""
+def _complete_table(gens, max_weight: int, p, dmax: int | None = None) -> BigradedDims:
+    """The series to weight max_weight, truncated at dmax or, if lower, at
+    max_weight times the largest degree-to-weight ratio of the generators:
+    no monomial of weight n <= max_weight passes n times that ratio, and
+    generators heavier than n never reach row n, so row n is
+    `series_coefficient(gens, n, dmax, p)`."""
     if max_weight < 0:
         raise ValueError(f"weight must be >= 0, got {max_weight}")
-    dmax = max((g.degree * max_weight // g.weight for g in gens), default=0)
-    return series_table(gens, max_weight, dmax, p)
+    bound = max((g.degree * max_weight // g.weight for g in gens), default=0)
+    return series_table(gens, max_weight, bound if dmax is None else min(dmax, bound), p)

@@ -19,10 +19,11 @@ generators keep their exterior flags): the shift is bookkeeping, not an
 algebra map.
 
 One series table built to weight N holds every slice of weight n <= N as
-its row n, complete (`_shifted_table`).  So the verification suite builds
-one table per sphere dimension and run, and the q-stability check builds
-one table, one closed-form catalog and one bracket tower per q for all its
-weights (`_q_stability`).
+its row n (`_shifted_table`), expanded only through the highest degree a
+caller reads: an answer with degree bound D reads no degree above D.  So
+the verification suite builds one table per sphere dimension and run, and
+the q-stability check builds one table, one closed-form catalog and one
+bracket tower per q for all its weights (`_q_stability`).
 """
 
 from __future__ import annotations
@@ -41,15 +42,15 @@ from .reports import VerifyReport
 _CATALOG_KEY = attrgetter("weight", "degree", "exterior")
 
 
-def _shifted_table(prime, sphere_dim: int, max_n: int) -> BigradedDims:
-    """The complete series of the shifted generators over labels in a sphere
-    of dimension sphere_dim, to weight max_n: row n is
-    `shifted_weight_slice(n, prime, sphere_dim)`."""
+def _shifted_table(prime, sphere_dim: int, max_n: int, dmax: int | None = None) -> BigradedDims:
+    """The series of the shifted generators over labels in a sphere of
+    dimension sphere_dim, to weight max_n, truncated as `_complete_table`:
+    row n is `shifted_weight_slice(n, prime, sphere_dim)` to degree dmax."""
     shifted = [
         replace(g, degree=g.degree - sphere_dim * g.weight)
         for g in sphere_labelled_generators(prime, sphere_dim, max(max_n, 1))
     ]
-    return _complete_table(shifted, max_n, prime)
+    return _complete_table(shifted, max_n, prime, dmax)
 
 
 def shifted_weight_slice(n: int, p, sphere_dim: int) -> GradedDims:
@@ -59,13 +60,16 @@ def shifted_weight_slice(n: int, p, sphere_dim: int) -> GradedDims:
     return _shifted_table(as_prime(p), sphere_dim, n).weight_slice(n)
 
 
-def _answers_by_weight(prime, sphere_dim: int, ns: range) -> dict[int, GradedDims]:
-    """The answer of each weight n in ns at the default degree bound, over
-    labels in a sphere of dimension sphere_dim (`sign_rep_homology` for odd
-    sphere_dim, `trivial_rep_homology_p2` for even): row n of one shifted
-    table, tensored with the circle-classifying-space series."""
-    bounds = {n: _degree_bound(n, None) for n in ns}
-    table = _shifted_table(prime, sphere_dim, ns[-1])
+def _answers_by_weight(
+    prime, sphere_dim: int, ns: range, degree_bound: int | None = None
+) -> dict[int, GradedDims]:
+    """The answer of each weight n in ns at degree_bound (the default for
+    None) over labels in a sphere of dimension sphere_dim (odd: sign, even:
+    mod-2 trivial): row n of one shifted table, expanded through the largest
+    bound, tensored with the circle-classifying-space series."""
+    bounds = {n: _degree_bound(n, degree_bound) for n in ns}
+    # a negative bound reads no degree, and the table's least bound is 0
+    table = _shifted_table(prime, sphere_dim, ns[-1], max(0, *bounds.values()))
     return {n: table.weight_slice(n).convolve_geometric(2, bounds[n]) for n in ns}
 
 
@@ -81,8 +85,7 @@ def sign_rep_homology(n: int, p, q: int, degree_bound: int | None = None) -> Gra
     prime = as_prime(p)
     if n < 0 or q < 0:
         raise ValueError("n and q must be >= 0")
-    degree_bound = _degree_bound(n, degree_bound)
-    return shifted_weight_slice(n, prime, 2 * q + 1).convolve_geometric(2, degree_bound)
+    return _answers_by_weight(prime, 2 * q + 1, range(n, n + 1), degree_bound)[n]
 
 
 def trivial_rep_homology_p2(n: int, q: int, degree_bound: int | None = None) -> GradedDims:
@@ -97,8 +100,7 @@ def trivial_rep_homology_p2(n: int, q: int, degree_bound: int | None = None) -> 
         raise ValueError(f"n must be >= 0, got {n}")
     if q < 1:
         raise ValueError(f"q must be >= 1 for even sphere labels, got {q}")
-    degree_bound = _degree_bound(n, degree_bound)
-    return shifted_weight_slice(n, 2, 2 * q).convolve_geometric(2, degree_bound)
+    return _answers_by_weight(as_prime(2), 2 * q, range(n, n + 1), degree_bound)[n]
 
 
 def _q_stability(ns: range, p, qs: list) -> list[VerifyReport]:

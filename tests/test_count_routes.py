@@ -6,6 +6,7 @@ weights, and check that the commands no longer enumerate at all.
 """
 
 import json
+import subprocess
 import sys
 import time
 
@@ -34,19 +35,25 @@ def test_poincare_series_matches_enumeration(p):
         assert series_coefficient(gens, n, None, p) == poincare(gens, n, p)
 
 
-def _enumerated_sign(n, p, q, bound):
+def _enumerated_shifted_slice(n, p, q):
     m = 2 * q + 1
     gens = sphere_labelled_generators(p, m, max(n, 1))
-    shifted = GradedDims.of_degrees(mono.degree - n * m for mono in monomial_basis(gens, n, p))
-    return shifted.convolve_geometric(2, bound)
+    return GradedDims.of_degrees(mono.degree - n * m for mono in monomial_basis(gens, n, p))
+
+
+def _bounds(n):
+    """Degree bounds below and at the default: a bounded answer expands its
+    series only through its bound."""
+    return (0, 3, default_degree_bound(n))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("q", [0, 1, 2])
 def test_sign_series_matches_enumeration(p, q):
     for n in WEIGHTS:
-        bound = default_degree_bound(n)
-        assert sign_rep_homology(n, p, q, bound) == _enumerated_sign(n, p, q, bound)
+        shifted = _enumerated_shifted_slice(n, p, q)
+        for bound in _bounds(n):
+            assert sign_rep_homology(n, p, q, bound) == shifted.convolve_geometric(2, bound)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -54,9 +61,50 @@ def test_zp_series_matches_enumeration(p):
     for n in WEIGHTS:
         if n % p not in (0, 1):
             continue
-        bound = default_degree_bound(n)
-        gens = plane_config_generators(p, max(n, 1))
-        assert equivariant_zp(n, p, bound) == poincare(gens, n, p).convolve_geometric(1, bound)
+        plane = poincare(plane_config_generators(p, max(n, 1)), n, p)
+        for bound in _bounds(n):
+            assert equivariant_zp(n, p, bound) == plane.convolve_geometric(1, bound)
+
+
+def _stable_plane_slice(p, bound):
+    """The degree <= bound part of the weight-n plane slice for every
+    n >= 2 * bound, enumerated at the least multiple of p past 2 * bound.
+    Every plane generator but the point class has weight at most twice its
+    degree, so past that weight each monomial of degree <= bound is one of
+    weight <= 2 * bound times a power of the point class: homological
+    stability, a route that never reads the series at weight n."""
+    m = -(-2 * bound // p) * p
+    return poincare(plane_config_generators(p, m), m, p).truncate(bound)
+
+
+@pytest.mark.parametrize("p, n, bound", [(2, 100000, 10), (3, 30000, 9), (5, 50001, 12)])
+def test_zp_at_large_weight_matches_the_stable_slice(p, n, bound):
+    stable = _stable_plane_slice(p, bound).convolve_geometric(1, bound)
+    assert equivariant_zp(n, p, bound) == stable
+
+
+# Each answers only because its series is expanded no further than --dmax:
+# expanded to the complete degree first, each table passes the 2^30-bit limit
+# and the command exits 2.  At p = 10^9 + 7 every shifted generator of degree
+# <= 10 is the exterior point class, so no weight above 1 has a monomial; at
+# p = 3 each non-point one of degree <= 8 has weight at most three times its
+# degree, and the point class is exterior, so a weight-300001 monomial has
+# degree > 8.
+LARGE_WEIGHT_SMALL_BOUND = [
+    (["sign", "--p", "1000000007", "--n", "1000000007", "--q", "0", "--dmax", "10"], []),
+    (["sign", "--p", "3", "--n", "300001", "--q", "0", "--dmax", "8"], []),
+    (["equivariant", "--group", "Zp", "--p", "2", "--n", "100000", "--dmax", "10"],
+     _stable_plane_slice(2, 10).convolve_geometric(1, 10).to_pairs()),
+]
+
+
+@pytest.mark.parametrize("argv, dims", LARGE_WEIGHT_SMALL_BOUND,
+                         ids=["sign-p1000000007", "sign-p3", "zp-p2"])
+def test_large_weight_with_small_degree_bound_answers(argv, dims):
+    proc = subprocess.run([sys.executable, "-m", "confhom", *argv],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["dims"] == dims
 
 
 COUNT_COMMANDS = [

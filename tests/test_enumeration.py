@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from confhom import (
     BigradedDims,
     GradedDims,
+    enumeration,
     monomial_basis,
     plane_config_generators,
     poincare,
@@ -177,7 +178,22 @@ def test_series_without_degree_bound_is_complete():
     for p in (2, 3, 5):
         gens = plane_config_generators(p, 40)
         for n in (0, 1, 17, 40):
-            assert series_coefficient(gens, n, None, p) == series_coefficient(gens, n, 4 * n, p)
+            complete = series_coefficient(gens, n, None, p)
+            assert complete == series_coefficient(gens, n, 4 * n, p)
+            # below the complete bound, the slice is the complete one truncated
+            for d in (0, 3, n // 2):
+                assert series_coefficient(gens, n, d, p) == complete.truncate(d)
+
+
+def test_series_table_sizes_its_rows_in_one_sweep(monkeypatch):
+    # one sweep per generator gives the totals and the highest degrees that
+    # size the rows, and one more builds them
+    calls = []
+    real = enumeration._sweep
+    monkeypatch.setattr(enumeration, "_sweep", lambda g, w: calls.append(g) or real(g, w))
+    gens = plane_config_generators(3, 50)
+    series_table(gens, 50, 60, 3)
+    assert len(calls) == 2 * len(gens)
 
 
 def _weight_one_exterior(count):

@@ -12,8 +12,10 @@ from confhom import (
     beta_gen,
     bijection_image,
     cohen_generators,
+    equivariant_s1,
     equivariant_zp,
     fixed_point_total_dim,
+    gravity_op_degree,
     iota,
     monomial_basis,
     punctured_plane_basis,
@@ -22,6 +24,7 @@ from confhom import (
     series_table,
     shifted_weight_slice,
     sphere_bq,
+    sphere_labelled_generators,
     sphere_q,
     trivial_rep_homology_p2,
     u_class,
@@ -60,6 +63,11 @@ _REFUSALS = [
     ("q-stability-no-q", lambda: verify_q_stability(0, 3, []), "q_list must be nonempty"),
     ("q-stability-negative-q", lambda: verify_q_stability(0, 3, [-1]), "n and q must be >= 0"),
     ("mod-2-route-negative-n", lambda: trivial_rep_homology_p2(-1, 1), "n must be >= 0, got -1"),
+    ("equivariant_s1-negative-n", lambda: equivariant_s1(-1, 3), "n must be >= 0, got -1"),
+    ("gravity-bogus-parity", lambda: gravity_op_degree(0, 1, 0, "bogus"),
+     "parity must be 'even' or 'odd'"),
+    ("sphere-generators-bound-0", lambda: sphere_labelled_generators(3, 1, 0),
+     "weight_bound must be >= 1, got 0"),
 ]
 
 
