@@ -5,6 +5,10 @@ JSON schema is {"command", "params", "result", "status"} with stable key
 order, and timing goes to stderr only.  Exit codes: 0 on success, 1 when a
 verification fails, 2 on usage errors or mathematically unsupported cases.
 
+A listing's handler builds only what the chosen format prints: a `delta`
+table computes each degree's images and rank but no matrix or text, and an
+`equivariant --group S1` table builds no (monomial, circle degree) pairs.
+
 `main` is cheap to call repeatedly in one process: it parses with one
 parser, built on the first call and reused (`parse_args` makes a fresh
 namespace each time, and a usage error only raises SystemExit), while
@@ -95,22 +99,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON result, table rows and header; a listing leaves None what its format omits.
+_Answer = tuple[dict | None, list | None, list[str]]
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser `main` uses: built on the first call, not at import."""
     return build_parser()
 
 
-def _cmd_basis(args) -> tuple[dict, list[list], list[str]]:
-    rows = [
-        {"monomial": m.text(), "degree": m.degree, "weight": m.weight}
-        for m in _plane_basis(args.n, args.p)
-    ]
-    table = [[r["monomial"], r["degree"], r["weight"]] for r in rows]
-    return {"rows": rows}, table, ["monomial", "degree", "weight"]
+def _cmd_basis(args) -> _Answer:
+    mons = _plane_basis(args.n, args.p)
+    header = ["monomial", "degree", "weight"]
+    if args.format == "json":
+        rows = [{"monomial": m.text(), "degree": m.degree, "weight": m.weight} for m in mons]
+        return {"rows": rows}, None, header
+    return None, [(m.text(), m.degree, m.weight) for m in mons], header
 
 
-def _cmd_poincare(args) -> tuple[dict, list[list], list[str]]:
+def _cmd_poincare(args) -> _Answer:
     prime = as_prime(args.p)
     gens = plane_config_generators(prime, max(args.n, 1))
     dims = series_coefficient(gens, args.n, None, prime)
@@ -121,15 +129,18 @@ def _cmd_poincare(args) -> tuple[dict, list[list], list[str]]:
     )
 
 
-def _cmd_delta(args) -> tuple[dict, list[list], list[str]]:
+def _cmd_delta(args) -> _Answer:
     prime = as_prime(args.p)
     by_deg = _by_degree(_plane_basis(args.n, prime))
     degrees = [args.degree] if args.degree is not None else sorted(by_deg)
-    maps = []
+    maps, table = [], []
     for d in degrees:
         source = by_deg.get(d, [])
         target = by_deg.get(d + 1, [])
         images = [delta(m, prime) for m in source]
+        if args.format != "json":
+            table.append((d, len(source), len(target), _delta_rank(images)))
+            continue
         maps.append(
             {
                 "degree": d,
@@ -142,11 +153,11 @@ def _cmd_delta(args) -> tuple[dict, list[list], list[str]]:
                 ],
             }
         )
-    table = [[mp["degree"], len(mp["source"]), len(mp["target"]), mp["rank"]] for mp in maps]
-    return {"maps": maps}, table, ["degree", "source_dim", "target_dim", "rank"]
+    header = ["degree", "source_dim", "target_dim", "rank"]
+    return ({"maps": maps}, None, header) if args.format == "json" else (None, table, header)
 
 
-def _cmd_equivariant(args) -> tuple[dict, list[list], list[str]]:
+def _cmd_equivariant(args) -> _Answer:
     prime = as_prime(args.p)
     dmax = args.dmax if args.dmax is not None else default_degree_bound(args.n)
     if args.group == "Zp":
@@ -154,10 +165,10 @@ def _cmd_equivariant(args) -> tuple[dict, list[list], list[str]]:
         result = {"group": "Zp", "dims": dims.to_pairs(), "degree_bound": dmax}
         return result, dims.to_pairs(), ["degree", "dim"]
     answer = equivariant_s1(args.n, prime, dmax)
-    if answer.regime == REGIME_TENSOR_BS1:  # each monomial times the even circle degrees
-        pairs = sorted((m.degree + c, m.text(), c) for m in answer.basis
-                       for c in range(0, dmax - m.degree + 1, 2))
-        basis = [{"monomial": text, "circle_degree": c} for _, text, c in pairs]
+    if args.format != "json":
+        return None, answer.dims.to_pairs(), ["degree", "dim"]
+    if answer.regime == REGIME_TENSOR_BS1:
+        basis = _tensor_pairs(answer.basis, dmax)
     else:
         basis = [{"monomial": m.text()} for m in answer.basis]
     result = {
@@ -167,10 +178,26 @@ def _cmd_equivariant(args) -> tuple[dict, list[list], list[str]]:
         "basis": basis,
         "degree_bound": dmax,
     }
-    return result, answer.dims.to_pairs(), ["degree", "dim"]
+    return result, None, ["degree", "dim"]
 
 
-def _cmd_sign(args) -> tuple[dict, list[list], list[str]]:
+def _tensor_pairs(mons: list, dmax: int) -> list[dict]:
+    """Each monomial of `mons`, sorted by (degree, text), times the even circle
+    degrees through dmax, by total degree D and then text: the monomials of
+    degree <= D and D's parity, each degree merged in as a sorted run."""
+    by_deg = _by_degree(mons)
+    runs: tuple[list, list] = ([], [])
+    pairs = []
+    for total in range(dmax + 1):
+        run = runs[total % 2]
+        if total in by_deg:
+            run += [(m.text(), m.degree) for m in by_deg[total]]
+            run.sort()
+        pairs += [{"monomial": text, "circle_degree": total - d} for text, d in run]
+    return pairs
+
+
+def _cmd_sign(args) -> _Answer:
     prime = as_prime(args.p)
     dmax = args.dmax if args.dmax is not None else default_degree_bound(args.n)
     dims = sign_rep_homology(args.n, prime, args.q, dmax)
@@ -182,12 +209,12 @@ def _cmd_sign(args) -> tuple[dict, list[list], list[str]]:
     return result, dims.to_pairs(), ["degree", "dim"]
 
 
-def _cmd_gravity(args) -> tuple[dict, list[list], list[str]]:
+def _cmd_gravity(args) -> _Answer:
     out = gravity_op_degree(args.op_degree, args.arity, args.input, args.parity)
     return {"degree": out}, [[out]], ["degree"]
 
 
-def _cmd_verify(args) -> tuple[dict, list[list], list[str]]:
+def _cmd_verify(args) -> _Answer:
     reports = run_verifications(args.target, args.p, args.max_n, args.max_q)
     result = {
         "checks": [r.to_payload() for r in reports],
@@ -288,11 +315,12 @@ def _flat_rows(rows: list, nl: str):
     return list(map(("{" + cell + fields + nl + "}").__mod__, zip(*columns)))
 
 
-def _render_table(table: list[list], header: list[str]) -> str:
-    rows = [header] + [[str(c) for c in row] for row in table]
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
+def _render_table(table: list, header: list[str]) -> str:
+    columns = [list(map(str, col)) for col in zip(*table)] or [[] for _ in header]
+    widths = [max(map(len, [h, *col])) for h, col in zip(header, columns)]
+    template = "  ".join(f"%-{w}s" for w in widths)
+    lines = [(template % tuple(header)).rstrip(), "  ".join("-" * w for w in widths)]
+    lines += [line.rstrip() for line in map(template.__mod__, zip(*columns))]
     return "\n".join(lines)
 
 

@@ -9,11 +9,12 @@ every dimension-only command reads its answer from one decoded row;
 `total_dim` reads the one-variable series in weight alone.
 `monomial_basis` enumerates the canonical monomials of a fixed weight, for
 callers that need the monomials themselves: it walks the generators down by
-rank, closes the lowest-rank one in one step, writes each monomial's text
-in the walk, and builds through the trusted `Monomial._canonical`, so the
-final sort calls no `text()`.  `poincare` counts the monomials by degree,
-the enumeration side of the series in the demos and tests; the
-verification suite counts the plane basis it has already swept.
+rank, closes the lowest-rank one from a table and the level above it in a
+loop, writes each monomial's text in the walk, and builds through the
+trusted `Monomial._canonical`, so the final sort calls no `text()`.
+`poincare` counts the monomials by degree, the enumeration side of the
+series in the demos and tests; the verification suite counts the plane
+basis it has already swept.
 
 Every count is a Python int, so the series is exact at any size or it is
 refused: its size in bits is worked out from the weight totals and the
@@ -184,13 +185,16 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
     The recursion chooses exponents from the highest rank down, carrying
     the weight still to fill and the degree so far, and emits a monomial as
     soon as nothing remains.  The lowest-rank generator (the point class on
-    the plane) is closed in one step: its exponent is the remaining weight
-    over its own, and the branch is dropped only when that leaves a
-    remainder or gives an exterior generator exponent above one.  Factors
-    are prepended as the rank falls, so they arrive in canonical order, and
-    each node carries its canonical text: the new factor's text, a space,
-    then the parent's text.  Each monomial is built with that text by the
-    trusted `Monomial._canonical`, and the sort reads it from the slot.
+    the plane) is closed in one step, from a table indexed by the remaining
+    weight: the closing factor, its degree and its text, or False where no
+    power fills that weight.  An entry is made when the walk first reads it,
+    so a call builds no more of the table than it reaches.  The level above
+    emits its monomials in its own loop, with no call per monomial, from its
+    exponents' factors and texts, written once per call.  Factors are
+    prepended as the rank falls, so they arrive in canonical order, and each
+    node carries its canonical text: the new factor's text, a space, then
+    the parent's text.  Each monomial is built with that text by the trusted
+    `Monomial._canonical`, and the sort reads it from the slot.
     """
     as_prime(p)
     if n < 0:
@@ -198,44 +202,67 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
     ordered: list[Generator] = sorted(gens, key=lambda g: g.rank)
     if len({g.rank for g in ordered}) != len(ordered):
         raise ValueError("duplicate generators")
+    if n == 0:
+        return [Monomial()]
     if not ordered:
-        return [Monomial()] if n == 0 else []
+        return []
     canonical = Monomial._canonical
     out: list[Monomial] = []
-    low = ordered[0]
-    descending = ordered[:0:-1]
-    depth = len(descending)
+    append = out.append
 
-    # `text` is the node's canonical text, "" at the root.
+    low = ordered[0]
+    closing: list = [((), 0, "")] + [None] * n
+
+    def close(r: int):
+        e, left = divmod(r, low.weight)
+        if left or (e > 1 and low.exterior):
+            closing[r] = False
+        else:
+            closing[r] = ((low, e),), e * low.degree, _power(low, e)
+        return closing[r]
+
+    if len(ordered) == 1:
+        closed = close(n)
+        return [canonical(closed[0], n, closed[1], closed[2][:-1])] if closed else []
+    levels = ordered[:0:-1]
+    last = len(levels) - 1
+    g = levels[last]
+    es = range(1, (min(n // g.weight, 1) if g.exterior else n // g.weight) + 1)
+    last_factors = [()] + [((g, e),) for e in es]
+    last_texts = [""] + [_power(g, e) for e in es]
+
+    # `text` is the node's canonical text followed by a space, "" at the root.
     def extend(idx: int, remaining: int, degree: int, tail: tuple, text: str) -> None:
         if remaining == 0:
-            out.append(canonical(tail, n, degree, text or "1"))
+            append(canonical(tail, n, degree, text[:-1] or "1"))
             return
-        sep = " " + text if text else ""
-        if idx == depth:
-            e, r = divmod(remaining, low.weight)
-            if not r and (e == 1 or not low.exterior):
-                name = low.name if e == 1 else f"{low.name}^{e}"
-                out.append(canonical(((low, e),) + tail, n, degree + e * low.degree, name + sep))
+        g = levels[idx]
+        w, d = g.weight, g.degree
+        if idx < last:
+            extend(idx + 1, remaining, degree, tail, text)
+            for e in range(1, (min(remaining // w, 1) if g.exterior else remaining // w) + 1):
+                extend(idx + 1, remaining - e * w, degree + e * d, ((g, e),) + tail,
+                       _power(g, e) + text)
             return
-        g = descending[idx]
-        extend(idx + 1, remaining, degree, tail, text)
-        top = remaining // g.weight
-        if g.exterior:
-            top = min(top, 1)
-        for e in range(1, top + 1):
-            name = g.name if e == 1 else f"{g.name}^{e}"
-            extend(
-                idx + 1,
-                remaining - e * g.weight,
-                degree + e * g.degree,
-                ((g, e),) + tail,
-                name + sep,
-            )
+        for e in range(min(remaining // w + 1, len(last_texts))):
+            r = remaining - e * w
+            closed = closing[r]
+            if closed is None:
+                closed = close(r)
+            if closed:
+                factor, dd, name = closed
+                full = name + last_texts[e] + text
+                append(canonical(factor + last_factors[e] + tail, n, degree + e * d + dd,
+                                 full[:-1]))
 
     extend(0, n, 0, (), "")
     out.sort(key=_DEGREE_TEXT)
     return out
+
+
+def _power(g: Generator, e: int) -> str:
+    """The canonical text of g^e, e >= 1, followed by a space."""
+    return g.name + " " if e == 1 else f"{g.name}^{e} "
 
 
 def _by_degree(monomials) -> dict[int, list[Monomial]]:
@@ -311,9 +338,10 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     carry from one cell into the next.  The rows' size is known before any
     is built, from one sweep giving each weight's total and highest degree; a
     table of more than MAX_SERIES_BITS bits, counting each row as at least
-    _WORD_BITS, raises ValueError.  When every generator is exterior, the
-    table stops at the sum of their weights, the heaviest weight a monomial
-    reaches; the empty weights above it are not built.
+    _WORD_BITS, raises ValueError.  When every generator of degree 0 is
+    exterior, the table stops at the heaviest weight a monomial of degree
+    <= dmax reaches, each generator taken once if exterior and dmax //
+    degree times if not; the empty weights above it are not built.
     """
     as_prime(p)
     if max_weight < 0 or dmax < 0:
@@ -321,9 +349,10 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     if any(g.weight < 1 or g.degree < 0 for g in gens):
         raise ValueError("series generators need weight >= 1 and degree >= 0")
     gens = [g for g in gens if g.weight <= max_weight and g.degree <= dmax]
-    if all(g.exterior for g in gens):
-        # each exponent is at most one: no monomial is heavier than all of them
-        max_weight = min(max_weight, sum(g.weight for g in gens))
+    if all(g.exterior for g in gens if not g.degree):
+        # no monomial of degree <= dmax holds a polynomial g more than dmax // g.degree times
+        heaviest = sum(g.weight * (1 if g.exterior else dmax // g.degree) for g in gens)
+        max_weight = min(max_weight, heaviest)
     bits = _WORD_BITS * (max_weight + 1)
     if bits <= MAX_SERIES_BITS:
         totals, tops = _weight_sizes(gens, max_weight)

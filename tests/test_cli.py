@@ -1,8 +1,10 @@
 """CLI surface: grammar, formats, exit codes, and byte-stable output."""
 
 import contextlib
+import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confhom import FpMatrix, bv, catalog, cli, enumeration, identities, verify
+from confhom.algebra import Monomial
 from confhom.catalog import MAX_BASIS, plane_config_generators
 from confhom.cli import _render_json, build_parser, main
 from confhom.enumeration import GradedDims, _plane_totals, poincare
@@ -264,6 +267,110 @@ def test_delta_command_builds_no_dense_matrix(monkeypatch, fmt):
                 code, out, _ = _capture(["delta", "--p", str(p), "--n", str(n),
                                          "--format", fmt, *degree])
                 assert code == 0 and out
+
+
+_TABLE_ONLY_LISTINGS = [
+    ["delta", "--p", "2", "--n", "6"],
+    ["delta", "--p", "3", "--n", "9"],
+    ["delta", "--p", "5", "--n", "12", "--degree", "1"],
+    ["equivariant", "--group", "S1", "--p", "3", "--n", "9"],
+    ["equivariant", "--group", "S1", "--p", "3", "--n", "8"],
+    ["equivariant", "--group", "S1", "--p", "2", "--n", "7", "--dmax", "5"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_table_formats_build_only_what_they_print(monkeypatch, fmt):
+    # delta and S1 tables print dimensions and ranks: no matrix rows, no
+    # monomial text and so no (monomial, circle degree) pairs
+    argvs = [argv + ["--format", fmt] for argv in _TABLE_ONLY_LISTINGS]
+    expected = [_capture(argv)[:2] for argv in argvs]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a table or csv listing built what only JSON prints")
+
+    monkeypatch.setattr(bv, "_image_rows", refused)
+    monkeypatch.setattr(cli, "_image_rows", refused)
+    monkeypatch.setattr(Monomial, "text", refused)
+    for argv, (code, out) in zip(argvs, expected):
+        assert code == 0 and out
+        assert _capture(argv)[:2] == (0, out)
+
+
+def _table_cells(out: str) -> tuple[list, list]:
+    """The header and rows of a `--format table` listing, each line cut at
+    the columns its dash line marks."""
+    lines = out.rstrip("\n").split("\n")
+    starts = [m.start() for m in re.finditer("-+", lines[1])]
+    spans = list(zip(starts, starts[1:] + [None]))
+    header, *rows = [[line[a:b].strip() for a, b in spans] for line in lines[:1] + lines[2:]]
+    return header, rows
+
+
+def _listing_rows(command, result) -> list[list]:
+    """What a table or csv listing prints, read from the JSON result."""
+    if command == "basis":
+        return [[r["monomial"], r["degree"], r["weight"]] for r in result["rows"]]
+    if command == "delta":
+        return [[mp["degree"], len(mp["source"]), len(mp["target"]), mp["rank"]]
+                for mp in result["maps"]]
+    return result["dims"]
+
+
+# Each listing's command words and its bounds: none, then -3, 0 and 5.
+_BOUNDS = ("-3", "0", "5")
+_LISTINGS = {
+    "basis": (["basis"], [[]]),
+    "delta": (["delta"], [[]] + [["--degree", b] for b in _BOUNDS]),
+    "S1": (["equivariant", "--group", "S1"], [[]] + [["--dmax", b] for b in _BOUNDS]),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("command", list(_LISTINGS))
+def test_table_and_csv_rows_are_the_json_fields(p, command):
+    words, bounds = _LISTINGS[command]
+    for n in range(21):
+        for bound in bounds:
+            argv_n = words + ["--p", str(p), "--n", str(n), *bound]
+            code, out, _ = _capture(argv_n)
+            assert code == 0
+            result = json.loads(out)["result"]
+            want = [[str(c) for c in row] for row in _listing_rows(words[0], result)]
+            code, out, _ = _capture(argv_n + ["--format", "table"])
+            assert code == 0
+            header, rows = _table_cells(out)
+            code, out, _ = _capture(argv_n + ["--format", "csv"])
+            assert code == 0
+            assert rows == want and list(csv.reader(io.StringIO(out))) == [header, *want]
+            if command == "S1" and result["regime"] == "tensor_bs1":
+                dmax = result["degree_bound"]
+                # the listing as a sort of every (total degree, text, circle degree) triple
+                pairs = sorted((m.degree + c, m.text(), c)
+                               for m in bv.equivariant_s1(n, p, dmax).basis
+                               for c in range(0, dmax - m.degree + 1, 2))
+                assert result["basis"] == [{"monomial": text, "circle_degree": c}
+                                           for _, text, c in pairs]
+
+
+def _ljust_table(table, header) -> str:
+    """A table padded one cell at a time."""
+    rows = [header] + [[str(c) for c in row] for row in table]
+    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
+_CELLS = st.one_of(st.integers(-(10**6), 10**6), st.text(" a%s-^\t", max_size=6))
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.tuples(st.lists(st.text("ab %", min_size=1, max_size=5), min_size=k, max_size=k),
+                        st.lists(st.lists(_CELLS, min_size=k, max_size=k), max_size=6))))
+def test_table_template_pads_as_each_cell_padded_alone(header_table):
+    header, table = header_table
+    assert cli._render_table(table, header) == _ljust_table(table, header)
 
 
 def test_verify_bijection_reports_an_invariant_violation(monkeypatch):

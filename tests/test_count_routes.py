@@ -93,18 +93,54 @@ def test_zp_at_large_weight_matches_the_stable_slice(p, n, bound):
 LARGE_WEIGHT_SMALL_BOUND = [
     (["sign", "--p", "1000000007", "--n", "1000000007", "--q", "0", "--dmax", "10"], []),
     (["sign", "--p", "3", "--n", "300001", "--q", "0", "--dmax", "8"], []),
+    # the same at degree <= 200, past the 2^30-bit limit even when truncated
+    # there: these answer only because the table stops at the heaviest weight
+    # a degree <= 200 monomial reaches
+    (["sign", "--p", "3", "--n", "300001", "--q", "0", "--dmax", "200"], []),
+    (["sign", "--p", "3", "--n", "300001", "--q", "1", "--dmax", "200"], []),
     (["equivariant", "--group", "Zp", "--p", "2", "--n", "100000", "--dmax", "10"],
      _stable_plane_slice(2, 10).convolve_geometric(1, 10).to_pairs()),
 ]
 
 
 @pytest.mark.parametrize("argv, dims", LARGE_WEIGHT_SMALL_BOUND,
-                         ids=["sign-p1000000007", "sign-p3", "zp-p2"])
+                         ids=["sign-p1000000007", "sign-p3", "sign-p3-q0-dmax200",
+                              "sign-p3-q1-dmax200", "zp-p2"])
 def test_large_weight_with_small_degree_bound_answers(argv, dims):
     proc = subprocess.run([sys.executable, "-m", "confhom", *argv],
                           capture_output=True, text=True, timeout=5)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["dims"] == dims
+
+
+def _past_the_degree_cap(p, q, n, bound):
+    """The least weight in n's class mod p above every weight a monomial of
+    degree <= bound reaches over the shifted generators: each exterior one
+    taken once and each polynomial one bound // degree times, over those of
+    degree <= bound (all of weight <= bound + 2, as a shifted degree is the
+    weight less 1 or 2).  The point class, of degree 0, is exterior at odd
+    p, so this weight is finite."""
+    m = 2 * q + 1
+    heaviest = 0
+    for g in sphere_labelled_generators(p, m, bound + 2):
+        d = g.degree - m * g.weight
+        if d <= bound:
+            heaviest += g.weight * (1 if g.exterior else bound // d)
+    w = heaviest + 1
+    return w + (n - w) % p
+
+
+# Both exit 2 when the table runs over the weights 0..n (64 bits each, at least).
+@pytest.mark.parametrize("p, n, q, bound", [(3, 20000001, 0, 10), (5, 100000000, 2, 40)])
+def test_sign_at_any_weight_matches_enumeration_past_the_degree_cap(p, n, q, bound):
+    w = _past_the_degree_cap(p, q, n, bound)
+    assert w < 200
+    want = _enumerated_shifted_slice(w, p, q).convolve_geometric(2, bound)
+    argv = ["sign", "--p", str(p), "--n", str(n), "--q", str(q), "--dmax", str(bound)]
+    proc = subprocess.run([sys.executable, "-m", "confhom", *argv],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["dims"] == want.to_pairs()
 
 
 COUNT_COMMANDS = [

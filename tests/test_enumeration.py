@@ -122,8 +122,9 @@ def _plane_gens_without_point_class(p):
 
 
 @pytest.mark.parametrize("make_gens, p, max_n", [
-    (_plane_gens(2), 2, 24),
-    (_plane_gens(3), 3, 24),
+    # to weight 30: the last level and the closing table well past the small weights
+    (_plane_gens(2), 2, 30),
+    (_plane_gens(3), 3, 30),
     (_plane_gens(5), 5, 24),
     (_plane_gens(7), 7, 24),
     # the lowest-rank generator is the weight-1 exterior class at odd p
