@@ -122,11 +122,8 @@ def _cmd_poincare(args) -> _Answer:
     prime = as_prime(args.p)
     gens = plane_config_generators(prime, max(args.n, 1))
     dims = series_coefficient(gens, args.n, None, prime)
-    return (
-        {"dims": dims.to_pairs(), "total": dims.total()},
-        dims.to_pairs(),
-        ["degree", "dim"],
-    )
+    pairs = dims.to_pairs()
+    return {"dims": pairs, "total": dims.total()}, pairs, ["degree", "dim"]
 
 
 def _cmd_delta(args) -> _Answer:
@@ -161,9 +158,8 @@ def _cmd_equivariant(args) -> _Answer:
     prime = as_prime(args.p)
     dmax = args.dmax if args.dmax is not None else default_degree_bound(args.n)
     if args.group == "Zp":
-        dims = equivariant_zp(args.n, prime, dmax)
-        result = {"group": "Zp", "dims": dims.to_pairs(), "degree_bound": dmax}
-        return result, dims.to_pairs(), ["degree", "dim"]
+        pairs = equivariant_zp(args.n, prime, dmax).to_pairs()
+        return {"group": "Zp", "dims": pairs, "degree_bound": dmax}, pairs, ["degree", "dim"]
     answer = equivariant_s1(args.n, prime, dmax)
     if args.format != "json":
         return None, answer.dims.to_pairs(), ["degree", "dim"]
@@ -201,12 +197,9 @@ def _cmd_sign(args) -> _Answer:
     prime = as_prime(args.p)
     dmax = args.dmax if args.dmax is not None else default_degree_bound(args.n)
     dims = sign_rep_homology(args.n, prime, args.q, dmax)
-    result = {
-        "dims": dims.to_pairs(),
-        "total_through_bound": dims.total(),
-        "degree_bound": dmax,
-    }
-    return result, dims.to_pairs(), ["degree", "dim"]
+    pairs = dims.to_pairs()
+    result = {"dims": pairs, "total_through_bound": dims.total(), "degree_bound": dmax}
+    return result, pairs, ["degree", "dim"]
 
 
 def _cmd_gravity(args) -> _Answer:

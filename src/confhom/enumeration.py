@@ -6,7 +6,9 @@ factor per polynomial generator, `1 + t^d s^w` per exterior one) in place
 on a weight x degree table whose rows are Python ints, one per weight,
 holding that weight's counts at a fixed number of bits per degree, and
 every dimension-only command reads its answer from one decoded row;
-`total_dim` reads the one-variable series in weight alone.
+`total_dim` reads the one-variable series in weight alone.  Both take the
+generators heaviest first, each sweep strided by the gcd of the weights so
+far: rows off the stride stay 0, and the table is the same in any order.
 `monomial_basis` enumerates the canonical monomials of a fixed weight, for
 callers that need the monomials themselves: it walks the generators down by
 rank, closes the lowest-rank one from a table and the level above it in a
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate
+from math import gcd
 from operator import attrgetter
 
 from .algebra import Generator, Monomial, as_prime
@@ -114,7 +117,8 @@ class BigradedDims:
     ints indexed [weight][degree] (the spectral-sequence page indexes it
     [fiber degree][base column]): any sequence of int rows, ragged or lazy;
     `dims` is the dict of its nonzero cells, made when first read, and
-    `weight_slice` reads one row."""
+    `weight_slice` reads one row of a series table, whose cells are never
+    negative, unchecked."""
 
     __slots__ = ("_dims", "_rows")
 
@@ -132,7 +136,7 @@ class BigradedDims:
     def weight_slice(self, w: int) -> GradedDims:
         if not 0 <= w < len(self._rows):
             return GradedDims()
-        return GradedDims({d: n for d, n in enumerate(self._rows[w]) if n})
+        return GradedDims._trusted({d: n for d, n in enumerate(self._rows[w]) if n})
 
     def total(self) -> int:
         return sum(self.dims.values())
@@ -302,9 +306,22 @@ def _sweep(g: Generator, max_weight: int) -> range:
     """The weights that multiplying by `g`'s factor updates in place, in
     order: descending for an exterior factor 1 + x, which reads each weight
     below before it changes, and ascending for a geometric 1/(1 - x), which
-    reads weights that already hold every power."""
+    reads weights that already hold every power; `_strided_sweeps` strides it."""
     w0 = g.weight
     return range(max_weight, w0 - 1, -1) if g.exterior else range(w0, max_weight + 1)
+
+
+def _strided_sweeps(gens, max_weight: int):
+    """Each generator, heaviest first (a stable sort), with the weights its
+    factor can change: only multiples of the gcd of the weights already
+    expanded are nonzero, so with g_k the gcd of those and its own, the
+    sweep steps by g_k, and a row off the stride stays 0.  The product of
+    the factors does not depend on their order."""
+    step = 0
+    for g in sorted(gens, key=attrgetter("weight"), reverse=True):
+        step = gcd(step, g.weight)
+        sweep = _sweep(g, max_weight)
+        yield g, sweep[sweep.start % step :: step]
 
 
 def _weight_sizes(gens, max_weight: int) -> tuple[list[int], list[int]]:
@@ -312,13 +329,15 @@ def _weight_sizes(gens, max_weight: int) -> tuple[list[int], list[int]]:
     one-variable series, in Python ints) and highest degree of a monomial
     (-1 where there is none; the same sweep in (max, +)), for the weights
     <= max_weight.  They bound every cell and every row's degrees of the
-    two-variable table at every stage of its expansion."""
+    two-variable table at every stage of its expansion.  `_strided_sweeps`
+    visits no row that must stay 0, and the result does not depend on the
+    order of `gens`."""
     # made in place, not as a sum of two lists: at 2^24 weights each is 128 MiB
     totals, tops = [0] * (max_weight + 1), [-1] * (max_weight + 1)
     totals[0], tops[0] = 1, 0
-    for g in gens:
+    for g, sweep in _strided_sweeps(gens, max_weight):
         w0, d0 = g.weight, g.degree
-        for w in _sweep(g, max_weight):
+        for w in sweep:
             below = totals[w - w0]
             if below:
                 totals[w] += below
@@ -342,6 +361,8 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     exterior, the table stops at the heaviest weight a monomial of degree
     <= dmax reaches, each generator taken once if exterior and dmax //
     degree times if not; the empty weights above it are not built.
+    The factors are expanded by the same strided sweeps, so the table, its
+    width and its size do not depend on the order of `gens`.
     """
     as_prime(p)
     if max_weight < 0 or dmax < 0:
@@ -368,9 +389,9 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     keep = (1 << cap) - 1
     rows = [0] * (max_weight + 1)
     rows[0] = 1
-    for g in gens:
+    for g, sweep in _strided_sweeps(gens, max_weight):
         w0, shift = g.weight, g.degree * width
-        for w in _sweep(g, max_weight):
+        for w in sweep:
             below = rows[w - w0]
             if below:
                 row = rows[w] + (below << shift)

@@ -7,7 +7,10 @@ trees, tower degrees by naive iteration, monomial bases by filtering every
 exponent vector, group homology of cyclic groups and their free
 products from the 2-periodic resolution, braid-group homology from the
 Salvetti complex, with its own sparse elimination mod p, and the homology of
-the braid group modulo its center from that by the split Gysin sequence.
+the braid group modulo its center from that by the split Gysin sequence,
+and Hilbert series by multiplying out their factors term by term, with the
+plane's total dimensions from a partition recurrence at p = 2 and a plain
+convolution of closed-form factors at odd p.
 """
 
 from __future__ import annotations
@@ -304,3 +307,66 @@ def dims_to_pairs(dims_list):
 
 def multiset(pairs):
     return sorted(pairs)
+
+
+# ---------------------------------------------------------------------------
+# Hilbert series by explicit products.  A factor is (weight, degree,
+# exterior); the free graded-commutative algebra's series is the product of
+# 1 + t^d s^w over the exterior factors and sum_e t^(e d) s^(e w) over the
+# polynomial ones, multiplied out term by term in a dict.
+
+def product_expansion(factors, max_weight, dmax=None):
+    """{(weight, degree): count} of the monomials of weight <= max_weight
+    (and degree <= dmax, when given) over `factors`, zeros omitted."""
+    cells = {(0, 0): 1}
+    for w, d, exterior in factors:
+        top = 1 if exterior else max_weight // w
+        out = {}
+        for (w0, d0), count in cells.items():
+            for e in range(top + 1):
+                key = (w0 + e * w, d0 + e * d)
+                if key[0] > max_weight or (dmax is not None and key[1] > dmax):
+                    break
+                out[key] = out.get(key, 0) + count
+        cells = out
+    return cells
+
+
+def binary_partition_counts(max_weight):
+    """b(0..max_weight) for b(0) = 1, b(2m+1) = b(2m), b(2m) = b(2m-1) + b(m):
+    the partitions of each weight into powers of two (OEIS A018819)."""
+    b = [1] * (max_weight + 1)
+    for k in range(1, max_weight + 1):
+        b[k] = b[k - 1] + (b[k // 2] if k % 2 == 0 else 0)
+    return b
+
+
+def truncated_product(series, max_weight):
+    """The product of power series given as coefficient lists, truncated
+    after s^max_weight, by plain convolution over each factor's nonzero terms."""
+    out = [1] + [0] * max_weight
+    for factor in series:
+        acc = [0] * (max_weight + 1)
+        for j, c in enumerate(factor[: max_weight + 1]):
+            if c:
+                for w in range(j, max_weight + 1):
+                    acc[w] += c * out[w - j]
+        out = acc
+    return out
+
+
+def odd_plane_totals(p, max_weight):
+    """Total dimensions by weight of the plane algebra at odd p:
+    (1 + s^2)/(1 - s) * prod_{i >= 1} (1 + s^(2p^i))/(1 - s^(2p^i))."""
+    def geometric(k):
+        return [1 if w % k == 0 else 0 for w in range(max_weight + 1)]
+
+    def exterior(k):
+        return [1] + [0] * (k - 1) + [1]
+
+    series = [geometric(1), exterior(2)]
+    k = 2 * p
+    while k <= max_weight:
+        series += [geometric(k), exterior(k)]
+        k *= p
+    return truncated_product(series, max_weight)

@@ -18,9 +18,19 @@ from confhom import (
 )
 from confhom.algebra import Generator, Monomial, iota, u_class
 from confhom.catalog import sphere_labelled_generators
-from confhom.enumeration import _MAX_TOTAL_WEIGHT, MAX_SERIES_BITS
+from confhom.enumeration import (
+    _MAX_TOTAL_WEIGHT,
+    MAX_SERIES_BITS,
+    _plane_totals,
+    _weight_sizes,
+)
 
-from oracles import monomial_basis_bruteforce
+from oracles import (
+    binary_partition_counts,
+    monomial_basis_bruteforce,
+    odd_plane_totals,
+    product_expansion,
+)
 
 
 def test_weight9_table_p3():
@@ -240,6 +250,47 @@ def test_series_refuses_oversized_tables():
         series_table([iota()], MAX_SERIES_BITS, 0, 2)
     # the total reads the one-variable series, which has no table to refuse
     assert total_dim(20000, 2) == _binary_partitions(20000)
+
+
+@st.composite
+def _factor_lists(draw):
+    # weights 1-12, or all even, or all multiples of 3, so that the rows off
+    # the stride of every sweep must stay empty
+    unit = draw(st.sampled_from([1, 2, 3]))
+    weight = st.integers(1, 12 // unit).map(unit.__mul__)
+    factor = st.tuples(weight, st.integers(0, 6), st.booleans())
+    # degree 0, exterior or polynomial, at the lightest weight of the set
+    point = st.tuples(st.just(unit), st.just(0), st.booleans())
+    return draw(st.lists(st.one_of(factor, point), max_size=7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors=_factor_lists(), max_weight=st.integers(0, 40), dmax=st.integers(0, 30),
+       seed=st.randoms(use_true_random=False))
+def test_strided_expansion_matches_product_expansion(factors, max_weight, dmax, seed):
+    # heaviest first and strided by the gcd so far, in any input order, the
+    # sweeps give the table, totals and tops of the multiplied-out product
+    gens = [Generator("tower", k, f"g{k}", *f, (9, k)) for k, f in enumerate(factors)]
+    table = series_table(gens, max_weight, dmax, 3)
+    assert table.dims == product_expansion(factors, max_weight, dmax)
+    shuffled = gens[:]
+    seed.shuffle(shuffled)
+    assert series_table(shuffled, max_weight, dmax, 3).dims == table.dims
+    cells = product_expansion(factors, max_weight)
+    totals, tops = [0] * (max_weight + 1), [-1] * (max_weight + 1)
+    for (w, d), count in cells.items():
+        totals[w] += count
+        tops[w] = max(tops[w], d)
+    assert _weight_sizes(gens, max_weight) == (totals, tops)
+    assert _weight_sizes(shuffled, max_weight) == (totals, tops)
+
+
+def test_plane_totals_match_outside_recurrences():
+    # p = 2: partitions into powers of two (OEIS A018819), at 2^16 weights;
+    # odd p: the closed-form product, convolved plainly
+    assert _plane_totals(2**16, 2) == binary_partition_counts(2**16)
+    for p in (3, 5):
+        assert _plane_totals(3000, p) == odd_plane_totals(p, 3000)
 
 
 def _binary_partitions(n):
