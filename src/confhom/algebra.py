@@ -207,21 +207,23 @@ class Monomial:
     exterior generators carry exponent exactly one.  Weight and degree are
     the exponent-weighted sums over the factors.  The constructor merges
     repeated generators and validates the exterior constraint; it does not
-    track Koszul signs, which belong to `monomial_mul`.  Enumeration, whose
-    factors are canonical by construction, builds through the trusted
-    `_canonical` instead, handing over the text it wrote on the way.  The
-    hash, and the text of a constructed monomial, are computed on first use
-    and kept.
+    track Koszul signs, which belong to `monomial_mul`.  Code whose factors
+    are canonical by construction builds through the trusted `_canonical`
+    instead: enumeration, handing over the text it wrote on the way, and
+    the BV operator's images, without a text.  The hash, and a text not
+    handed over, are computed on first use and kept.
     """
 
     __slots__ = ("factors", "weight", "degree", "_hash", "_text")
 
     @classmethod
-    def _canonical(cls, factors: tuple, weight: int, degree: int, text: str) -> "Monomial":
+    def _canonical(
+        cls, factors: tuple, weight: int, degree: int, text: str | None
+    ) -> "Monomial":
         """A monomial from factors already canonical (strictly increasing
         rank, positive exponents, exterior exponents 1), their weight and
         degree sums and their canonical text; nothing is merged, sorted or
-        checked."""
+        checked.  A `text` of None is written by `text()` on first use."""
         m = object.__new__(cls)
         m.factors, m.weight, m.degree, m._hash, m._text = factors, weight, degree, None, text
         return m
@@ -303,7 +305,11 @@ def monomial_mul(m1: Monomial, m2: Monomial, p) -> Optional[tuple[int, Monomial]
 
 
 class Element:
-    """A finite F_p-linear combination of monomials; zero coefficients dropped."""
+    """A finite F_p-linear combination of monomials; zero coefficients dropped.
+
+    The constructor reduces every coefficient mod p and drops the zeros;
+    `_trusted` wraps terms already reduced and nonzero, unchecked.
+    """
 
     __slots__ = ("terms", "p")
 
@@ -313,8 +319,16 @@ class Element:
         self.terms = {m: c % prime.p for m, c in terms.items() if c % prime.p}
 
     @classmethod
+    def _trusted(cls, terms: dict[Monomial, int], prime: Prime) -> "Element":
+        """Wrap a dict whose coefficients are already in 1..p-1, over a
+        verified Prime, unchecked: `zero` and the BV operator's images."""
+        el = object.__new__(cls)
+        el.terms, el.p = terms, prime
+        return el
+
+    @classmethod
     def zero(cls, p) -> "Element":
-        return cls({}, p)
+        return cls._trusted({}, as_prime(p))
 
     @classmethod
     def term(cls, coeff: int, m: Monomial, p) -> "Element":

@@ -16,6 +16,15 @@ The operator's rank in each degree is the count of nonzero images
 int rows (`_image_rows`), and `delta_matrix` wraps them in the `FpMatrix`
 whose rank is the oracle in `verify`.
 
+`delta` validates its input once, through `_split_plane_monomial`, and
+builds its output with the trusted constructors: the image monomial with
+`Monomial._canonical` (factors canonical by construction, weight and
+degree summed from them, text written on first use) and the image with
+`Element._trusted` (one coefficient, already reduced and nonzero).
+`delta_matrix` hands its rows, ints already in [0, p), to
+`FpMatrix._trusted`.  The validating constructors serve every input from
+outside.
+
 The equivariant dispatcher returns the tensor answer with the circle
 classifying space when n is 0 or 1 mod p, and the cokernel of the operator
 otherwise; its basis is plane monomials in both.  An independently computed
@@ -32,6 +41,9 @@ from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _split_plane
 from .catalog import plane_config_generators
 from .enumeration import BigradedDims, GradedDims, _by_degree, _complete_table
 from .linalg import FpMatrix
+
+# The point class and the odd class: one generator each, the same at every odd p.
+_POINT, _ODD = iota(), u_class(3)
 
 REGIME_TENSOR_BS1 = "tensor_bs1"
 REGIME_COKER_DELTA = "coker_delta"
@@ -71,13 +83,17 @@ def delta(m: Monomial, p) -> Element:
     """Apply the BV operator to a canonical plane-configuration monomial."""
     prime = as_prime(p)
     k, eps, rest = _split_plane_monomial(m, prime)
-    if prime.p == 2 or eps:
-        return Element.zero(prime)
-    coeff = k * (k - 1) % prime.p
-    if coeff == 0:
-        return Element.zero(prime)
-    image = Monomial([(iota(), k - 2), (u_class(prime), 1)] + rest)
-    return Element.term(coeff, image, prime)
+    coeff = 0 if prime.p == 2 or eps else k * (k - 1) % prime.p
+    if not coeff:
+        return Element._trusted({}, prime)
+    # coeff != 0 needs k >= 2; the point class leaves the image at k = 2
+    factors = (((_POINT, k - 2),) if k > 2 else ()) + ((_ODD, 1),) + rest
+    weight = degree = 0
+    for g, e in factors:
+        weight += g.weight * e
+        degree += g.degree * e
+    image = Monomial._canonical(factors, weight, degree, None)
+    return Element._trusted({image: coeff}, prime)
 
 
 def _delta_rank(images) -> int:
@@ -103,17 +119,20 @@ def delta_matrix(n: int, p, degree: int, by_deg=None) -> FpMatrix:
     source = by_deg.get(degree, [])
     target = by_deg.get(degree + 1, [])
     rows = _image_rows([delta(m, prime) for m in source], target)
-    return FpMatrix(rows, prime, (len(target), len(source)))
+    return FpMatrix._trusted(rows, prime, len(source))
 
 
 def _image_rows(images, target) -> list[list[int]]:
     """The operator's matrix as one int row per `target` monomial: column j
-    holds the image of the j-th source monomial."""
-    index = {m: i for i, m in enumerate(target)}
+    holds the image of the j-th source monomial.  The index of `target` is
+    built only when some image is nonzero (never at p = 2)."""
     rows = [[0] * len(images) for _ in target]
-    for j, image in enumerate(images):
-        for m, c in image.terms.items():
-            rows[index[m]][j] = c
+    columns = [(j, image.terms) for j, image in enumerate(images) if image.terms]
+    if columns:
+        index = {m: i for i, m in enumerate(target)}
+        for j, terms in columns:
+            for m, c in terms.items():
+                rows[index[m]][j] = c
     return rows
 
 

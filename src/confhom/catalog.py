@@ -130,23 +130,24 @@ def _refuse_large_bases(spans: list[range], p) -> None:
             )
 
 
-def _split_plane_monomial(m: Monomial, prime: Prime) -> tuple[int, int, list]:
+def _split_plane_monomial(m: Monomial, prime: Prime) -> tuple[int, int, tuple]:
     """Read a plane monomial as (point-class exponent k, odd-class exponent
     eps, the other factors); a generator the plane algebra at p lacks
-    raises ValueError."""
+    raises ValueError.  After one pass over the kinds, k and eps are read
+    off the head of the factors, which the point class and then the odd
+    class lead in the rank order, and the rest is the tail of the tuple."""
     allowed = _PLANE_KINDS_TWO if prime.p == 2 else _PLANE_KINDS_ODD
-    k = eps = 0
-    rest = []
-    for g, e in m.factors:
+    factors = m.factors
+    for g, _ in factors:
         if g.kind not in allowed:
             raise ValueError(f"not a plane-configuration monomial: {m.text()}")
-        if g.kind == KIND_IOTA:
-            k = e
-        elif g.kind == KIND_U:
-            eps = e
-        else:
-            rest.append((g, e))
-    return k, eps, rest
+    k = eps = head = 0
+    if factors and factors[0][0].kind == KIND_IOTA:
+        k, head = factors[0][1], 1
+    if head < len(factors) and factors[head][0].kind == KIND_U:
+        eps = factors[head][1]
+        head += 1
+    return k, eps, factors[head:]
 
 
 def sphere_labelled_generators(p, m: int, weight_bound: int) -> list[Generator]:

@@ -6,11 +6,16 @@ one representation is exact at every prime `Prime` accepts and no integer
 width is chosen.  `FpMatrix.rank` is the rank oracle of `verify` and the
 tests; `rank_kernel_image` reads kernel and image off the same elimination
 for the tests.  The matrices stay small, so dense list arithmetic is fine.
+
+The constructor reads any entries through `int` and reduces them mod p;
+`FpMatrix._trusted` wraps rows that are already Python ints in [0, p), of
+equal length, over a verified Prime, and checks nothing: the BV operator's
+matrices (`bv.delta_matrix`).
 """
 
 from __future__ import annotations
 
-from .algebra import as_prime
+from .algebra import Prime, as_prime
 
 
 class FpMatrix:
@@ -35,6 +40,14 @@ class FpMatrix:
             raise ValueError("rows of unequal length")
         if shape is not None and tuple(shape) != (self.rows, self.cols):
             raise ValueError(f"expected shape {tuple(shape)}, got {(self.rows, self.cols)}")
+
+    @classmethod
+    def _trusted(cls, rows: list[list[int]], prime: Prime, cols: int) -> "FpMatrix":
+        """Wrap `rows`, each `cols` Python ints in [0, p), unchecked and
+        uncopied."""
+        m = object.__new__(cls)
+        m.p, m.a, m.cols = prime, rows, cols
+        return m
 
     @property
     def rows(self) -> int:

@@ -3,6 +3,8 @@
 import pytest
 
 from confhom import (
+    Element,
+    FpMatrix,
     GradedDims,
     Monomial,
     REGIME_COKER_DELTA,
@@ -20,9 +22,9 @@ from confhom import (
     plane_config_generators,
     serre_e3,
 )
-from confhom.algebra import alpha_gen, beta_gen, iota, q_iota, u_class
+from confhom.algebra import alpha_gen, as_prime, beta_gen, iota, q_iota, u_class
 from confhom.bv import _delta_rank
-from confhom.catalog import _plane_basis
+from confhom.catalog import _plane_basis, _split_plane_monomial
 from confhom.enumeration import _by_degree
 
 
@@ -246,3 +248,72 @@ def test_delta_matrix_from_grouped_basis_matches_enumerated(p):
             enumerated = delta_matrix(n, p, d)
             assert (grouped.rows, grouped.cols) == (enumerated.rows, enumerated.cols)
             assert grouped.a == enumerated.a
+
+
+def _scanned(m):
+    # every factor read by kind, wherever it stands
+    k = eps = 0
+    rest = []
+    for g, e in m.factors:
+        if g.kind == "iota":
+            k = e
+        elif g.kind == "u":
+            eps = e
+        else:
+            rest.append((g, e))
+    return k, eps, rest
+
+
+def _validated_delta(m, p):
+    # the closed form through the validating constructors
+    k, eps, rest = _scanned(m)
+    if p == 2 or eps or k < 2:
+        return Element.zero(p)
+    return Element.term(k * (k - 1), Monomial([(iota(), k - 2), (u_class(p), 1)] + rest), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_delta_matches_the_validating_construction(p):
+    prime = as_prime(p)
+    for n in range(31):
+        for m in _plane_basis(n, p):
+            k, eps, rest = _scanned(m)
+            assert _split_plane_monomial(m, prime) == (k, eps, tuple(rest))
+            image, expected = delta(m, p), _validated_delta(m, p)
+            assert image == expected and hash(image) == hash(expected)
+            assert image.terms == expected.terms and image.text() == expected.text()
+            for (mm, c), (ee, ce) in zip(image.terms.items(), expected.terms.items()):
+                assert c == ce and 0 < c < p
+                assert mm.factors == ee.factors
+                assert (mm.weight, mm.degree) == (ee.weight, ee.degree)
+                assert mm.text() == ee.text() and mm == ee and hash(mm) == hash(ee)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_delta_rejects_a_foreign_factor_anywhere(p):
+    foreign = q_iota(1) if p != 2 else u_class(3)
+    tail = q_iota(3) if p == 2 else alpha_gen(1, p)
+    # alone, after the point class, and between the point class and a plane letter
+    for factors in ([(foreign, 1)], [(iota(), 3), (foreign, 1)],
+                    [(iota(), 2), (foreign, 1), (tail, 1)]):
+        m = Monomial(factors)
+        with pytest.raises(ValueError, match="not a plane-configuration monomial"):
+            delta(m, p)
+        with pytest.raises(ValueError, match="not a plane-configuration monomial"):
+            _split_plane_monomial(m, as_prime(p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_delta_matrix_matches_the_validating_constructor(p):
+    for n in range(31):
+        by_deg = _by_degree(_plane_basis(n, p))
+        for d in range(-1, max(by_deg) + 2):
+            source, target = by_deg.get(d, []), by_deg.get(d + 1, [])
+            rows = [[_validated_delta(m, p).terms.get(t, 0) for m in source] for t in target]
+            expected = FpMatrix(rows, p, (len(target), len(source)))
+            got = delta_matrix(n, p, d, by_deg)
+            assert got.p == expected.p and (got.rows, got.cols) == (expected.rows, expected.cols)
+            assert (got.rows, got.cols) == (len(target), len(source))
+            assert got.a == expected.a
+            assert got.rank() == expected.rank()
+            assert all(type(v) is int and 0 <= v < p for row in got.a for v in row)
