@@ -349,11 +349,17 @@ class Element:
         return Element({m: c * v for m, v in self.terms.items()}, self.p)
 
     def map_monomials(self, f) -> "Element":
-        """Apply a linear map given on monomials (f returns an Element)."""
-        out = Element.zero(self.p)
+        """Apply a linear map given on monomials (f returns an Element over
+        the same prime): the images' coefficients are summed in one dict,
+        reduced once."""
+        out: dict[Monomial, int] = {}
         for m, c in self.terms.items():
-            out = out.add(f(m).scale(c))
-        return out
+            image = f(m)
+            if image.p != self.p:
+                raise ValueError("mixed primes")
+            for t, v in image.terms.items():
+                out[t] = out.get(t, 0) + c * v
+        return Element(out, self.p)
 
     def text(self) -> str:
         if not self.terms:

@@ -2,11 +2,16 @@
 
 Covered: unordered configurations of the plane, plane configurations with
 labels in a sphere, configurations of the punctured plane, and the fixed
-points of the rotation of order p.  Plane monomials are written and read
-here only: `_plane_basis` is the basis every module uses (sized first;
-`_plane_monomials` for a caller that has sized it), and
-`_split_plane_monomial` the one reader that knows which generator kinds a
-plane monomial may hold at p.  Sphere catalogs come from closed forms, which
+points of the rotation of order p.  `_plane_basis` is the plane basis
+every module uses (sized first; `_plane_monomials` for a caller that has
+sized it), and `_split_plane_monomial` the one reader that knows which
+generator kinds a plane monomial may hold at p: it splits a monomial into
+its point-class power, its odd-class exponent and the rest.  Other modules
+build plane monomials from that split (`bv.delta` its images, through
+`Monomial._canonical`; `identities.bijection_image`, through `Monomial`),
+and a caller that needs only whether the odd class is present reads it with
+`Monomial.contains_kind` (`bv._equivariant_s1`, `verify._regime_dichotomy`).
+Sphere catalogs come from closed forms, which
 `signhom.verify_q_stability` checks against the bracket tower.
 """
 

@@ -10,10 +10,12 @@ every dimension-only command reads its answer from one decoded row;
 generators heaviest first, each sweep strided by the gcd of the weights so
 far: rows off the stride stay 0, and the table is the same in any order.
 `monomial_basis` enumerates the canonical monomials of a fixed weight, for
-callers that need the monomials themselves: it walks the generators down by
-rank, closes the lowest-rank one from a table and the level above it in a
-loop, writes each monomial's text in the walk, and builds through the
-trusted `Monomial._canonical`, so the final sort calls no `text()`.
+callers that need the monomials themselves: one loop takes the generators
+down by rank over partial products grouped by the weight they still have to
+fill, the lowest-rank generator closes each group with the one exponent that
+fills it, each monomial's text is written on the way, and the monomials are
+built through the trusted `Monomial._canonical`, so the final sort calls no
+`text()`.
 `poincare` counts the monomials by degree, the enumeration side of the
 series in the demos and tests; the verification suite counts the plane
 basis it has already swept.
@@ -186,19 +188,20 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
     Exterior generators contribute exponent at most one.  The result is
     sorted by (degree, canonical text).
 
-    The recursion chooses exponents from the highest rank down, carrying
-    the weight still to fill and the degree so far, and emits a monomial as
-    soon as nothing remains.  The lowest-rank generator (the point class on
-    the plane) is closed in one step, from a table indexed by the remaining
-    weight: the closing factor, its degree and its text, or False where no
-    power fills that weight.  An entry is made when the walk first reads it,
-    so a call builds no more of the table than it reaches.  The level above
-    emits its monomials in its own loop, with no call per monomial, from its
-    exponents' factors and texts, written once per call.  Factors are
+    One loop takes the generators from the highest rank down and keeps the
+    partial products grouped by the weight they still have to fill: weight
+    left -> list of (factors, degree, text).  Each generator's powers that
+    fit in n are written once; each group, lightest first, stays as it is
+    (exponent 0) and appends its products with every power that fits to the
+    group of the weight then left, which is below its own and so already
+    passed.  The lowest-rank generator (the point class on the plane)
+    closes each group with the one exponent that fills its weight, or drops
+    it, and each group is popped as its monomials are built.  Factors are
     prepended as the rank falls, so they arrive in canonical order, and each
-    node carries its canonical text: the new factor's text, a space, then
-    the parent's text.  Each monomial is built with that text by the trusted
-    `Monomial._canonical`, and the sort reads it from the slot.
+    product carries its canonical text followed by a space: the new
+    factor's text, a space, then the old text.  Each monomial is built with
+    that text by the trusted `Monomial._canonical`, and the sort reads it
+    from the slot.
     """
     as_prime(p)
     if n < 0:
@@ -210,56 +213,35 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
         return [Monomial()]
     if not ordered:
         return []
+    groups: dict[int, list] = {n: [((), 0, "")]}
+    for g in ordered[:0:-1]:
+        w, d = g.weight, g.degree
+        top = min(n // w, 1) if g.exterior else n // w
+        powers = [(e * w, ((g, e),), e * d, _power(g, e)) for e in range(1, top + 1)]
+        for left in sorted(groups):
+            parents = groups[left]
+            for used, factor, dd, name in powers:
+                if used > left:
+                    break
+                group = groups.get(left - used)
+                if group is None:
+                    group = groups[left - used] = []
+                append = group.append
+                for tail, degree, text in parents:
+                    append((factor + tail, degree + dd, name + text))
+    low = ordered[0]
     canonical = Monomial._canonical
     out: list[Monomial] = []
     append = out.append
-
-    low = ordered[0]
-    closing: list = [((), 0, "")] + [None] * n
-
-    def close(r: int):
-        e, left = divmod(r, low.weight)
-        if left or (e > 1 and low.exterior):
-            closing[r] = False
-        else:
-            closing[r] = ((low, e),), e * low.degree, _power(low, e)
-        return closing[r]
-
-    if len(ordered) == 1:
-        closed = close(n)
-        return [canonical(closed[0], n, closed[1], closed[2][:-1])] if closed else []
-    levels = ordered[:0:-1]
-    last = len(levels) - 1
-    g = levels[last]
-    es = range(1, (min(n // g.weight, 1) if g.exterior else n // g.weight) + 1)
-    last_factors = [()] + [((g, e),) for e in es]
-    last_texts = [""] + [_power(g, e) for e in es]
-
-    # `text` is the node's canonical text followed by a space, "" at the root.
-    def extend(idx: int, remaining: int, degree: int, tail: tuple, text: str) -> None:
-        if remaining == 0:
-            append(canonical(tail, n, degree, text[:-1] or "1"))
-            return
-        g = levels[idx]
-        w, d = g.weight, g.degree
-        if idx < last:
-            extend(idx + 1, remaining, degree, tail, text)
-            for e in range(1, (min(remaining // w, 1) if g.exterior else remaining // w) + 1):
-                extend(idx + 1, remaining - e * w, degree + e * d, ((g, e),) + tail,
-                       _power(g, e) + text)
-            return
-        for e in range(min(remaining // w + 1, len(last_texts))):
-            r = remaining - e * w
-            closed = closing[r]
-            if closed is None:
-                closed = close(r)
-            if closed:
-                factor, dd, name = closed
-                full = name + last_texts[e] + text
-                append(canonical(factor + last_factors[e] + tail, n, degree + e * d + dd,
-                                 full[:-1]))
-
-    extend(0, n, 0, (), "")
+    while groups:
+        # rebinding `group` drops the walk's last reference to a popped group
+        left, group = groups.popitem()
+        e, rest = divmod(left, low.weight)
+        if rest or (e > 1 and low.exterior):
+            continue
+        factor, dd, name = (((low, e),), e * low.degree, _power(low, e)) if e else ((), 0, "")
+        for tail, degree, text in group:
+            append(canonical(factor + tail, n, degree + dd, (name + text)[:-1]))
     out.sort(key=_DEGREE_TEXT)
     return out
 

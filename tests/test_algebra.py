@@ -214,3 +214,36 @@ def test_element_arithmetic_and_text():
     assert total.is_zero()
     assert Element.zero(3).text() == "0"
     assert Element({Monomial([(u, 1)]): 2, Monomial([(i, 2)]): 1}, 3).text() == "i^2 + 2*u"
+
+
+def _map_by_fold(el, f):
+    """The fold `Element.map_monomials` replaced: one `add` and one `scale`
+    per term."""
+    out = Element.zero(el.p)
+    for m, c in el.terms.items():
+        out = out.add(f(m).scale(c))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_map_monomials_matches_the_fold(p):
+    # many-to-one: every monomial of a weight goes to a combination of the
+    # same three monomials, and the summed coefficients cancel mod p for
+    # some of them
+    gens = plane_config_generators(p, 12)
+    basis = [m for n in range(1, 13) for m in monomial_basis(gens, n, p)]
+    targets = basis[:3]
+
+    def f(m):
+        k = sum(e for _, e in m.factors)
+        return Element({targets[0]: 1, targets[1]: k, targets[2]: p - 1 if k % 2 else 1}, p)
+
+    for size in (0, 1, 2, p, len(basis)):
+        el = Element({m: 1 + k % (p - 1 or 1) for k, m in enumerate(basis[:size])}, p)
+        assert el.map_monomials(f) == _map_by_fold(el, f)
+    cancelling = Element({basis[0]: 1, basis[1]: p - 1}, p)
+    assert cancelling.map_monomials(lambda m: Element({targets[0]: 1}, p)).is_zero()
+    assert _map_by_fold(cancelling, lambda m: Element({targets[0]: 1}, p)).is_zero()
+    other = 3 if p != 3 else 5
+    with pytest.raises(ValueError, match="mixed primes"):
+        el.map_monomials(lambda m: Element({targets[0]: 1}, other))

@@ -16,7 +16,7 @@ from confhom import (
     series_table,
     total_dim,
 )
-from confhom.algebra import Generator, Monomial, iota, u_class
+from confhom.algebra import Generator, Monomial, alpha_gen, iota, u_class
 from confhom.catalog import sphere_labelled_generators
 from confhom.enumeration import (
     _MAX_TOTAL_WEIGHT,
@@ -145,8 +145,13 @@ def _plane_gens_without_point_class(p):
     # the lowest-rank generator has weight 2: u (exterior) at p = 3, Qi1 at p = 2
     (_plane_gens_without_point_class(3), 3, 24),
     (_plane_gens_without_point_class(2), 2, 24),
+    # one generator, which is also the one that closes: polynomial of weight
+    # 1, exterior of weight 2, exterior of weight 10 and degree 9
+    (lambda n: [iota()], 3, 24),
+    (lambda n: [u_class(3)], 3, 24),
+    (lambda n: [alpha_gen(1, 5)], 5, 40),
 ], ids=["plane2", "plane3", "plane5", "plane7", "sphere3m1", "sphere3m3", "sphere5m1",
-        "sphere2m2", "no-point-class3", "no-point-class2"])
+        "sphere2m2", "no-point-class3", "no-point-class2", "iota", "u3", "a1p5"])
 def test_monomial_basis_matches_bruteforce(make_gens, p, max_n):
     for n in range(max_n + 1):
         gens = make_gens(n)
@@ -156,6 +161,27 @@ def test_monomial_basis_matches_bruteforce(make_gens, p, max_n):
         for a, b in zip(got, want):
             assert a == b and hash(a) == hash(b) and a.text() == b.text()
             assert (a.weight, a.degree) == (b.weight, b.degree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    factors=st.lists(
+        st.tuples(st.integers(1, 6), st.integers(0, 6), st.booleans()), max_size=5
+    ),
+    n=st.integers(0, 14),
+    seed=st.randoms(use_true_random=False),
+)
+def test_monomial_basis_matches_bruteforce_on_random_catalogs(factors, n, seed):
+    # several generators often share a weight, so groups meet at one weight
+    # left from different exponents; the input order is shuffled
+    gens = [Generator("tower", k, f"g{k}", *f, (9, k)) for k, f in enumerate(factors)]
+    seed.shuffle(gens)
+    got = monomial_basis(gens, n, 3)
+    want = monomial_basis_bruteforce(gens, n)
+    assert [m.factors for m in got] == [m.factors for m in want]
+    assert [(m.text(), m.weight, m.degree) for m in got] == [
+        (m.text(), m.weight, m.degree) for m in want
+    ]
 
 
 def test_monomial_basis_over_no_generators():
