@@ -12,10 +12,12 @@ far: rows off the stride stay 0, and the table is the same in any order.
 `monomial_basis` enumerates the canonical monomials of a fixed weight, for
 callers that need the monomials themselves: one loop takes the generators
 down by rank over partial products grouped by the weight they still have to
-fill, the lowest-rank generator closes each group with the one exponent that
-fills it, each monomial's text is written on the way, and the monomials are
-built through the trusted `Monomial._canonical`, so the final sort calls no
-`text()`.
+fill, the two lowest-rank generators close each group without storing
+another level (each power of the second that fits, then the one exponent of
+the lowest that fills the rest), each monomial's text is written on the way,
+and the monomials are built through the trusted `Monomial._canonical` into a
+list per degree, each sorted by the text in its slot, so no `text()` is
+called.
 `poincare` counts the monomials by degree, the enumeration side of the
 series in the demos and tests; the verification suite counts the plane
 basis it has already swept.
@@ -43,8 +45,8 @@ MAX_SERIES_BITS = 1 << 30
 _WORD_BITS = 64
 # Largest weight of `total_dim`: 2^20 Python ints, 50 MiB at p = 2 (the widest).
 _MAX_TOTAL_WEIGHT = 1 << 20
-# `Monomial.sort_key` read from the slots, for monomials built with their text.
-_DEGREE_TEXT = attrgetter("degree", "_text")
+# The text in a monomial's slot: the sort key within one degree of a basis.
+_TEXT = attrgetter("_text")
 
 
 class GradedDims:
@@ -186,22 +188,26 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
     """All canonical monomials of total weight exactly n over `gens`.
 
     Exterior generators contribute exponent at most one.  The result is
-    sorted by (degree, canonical text).
+    sorted by (degree, canonical text).  A generator of weight < 1 is
+    refused: the basis would not be finite.
 
-    One loop takes the generators from the highest rank down and keeps the
-    partial products grouped by the weight they still have to fill: weight
-    left -> list of (factors, degree, text).  Each generator's powers that
-    fit in n are written once; each group, lightest first, stays as it is
-    (exponent 0) and appends its products with every power that fits to the
-    group of the weight then left, which is below its own and so already
-    passed.  The lowest-rank generator (the point class on the plane)
-    closes each group with the one exponent that fills its weight, or drops
-    it, and each group is popped as its monomials are built.  Factors are
-    prepended as the rank falls, so they arrive in canonical order, and each
-    product carries its canonical text followed by a space: the new
-    factor's text, a space, then the old text.  Each monomial is built with
-    that text by the trusted `Monomial._canonical`, and the sort reads it
-    from the slot.
+    One loop takes the generators from the highest rank down to the third
+    lowest and keeps the partial products grouped by the weight they still
+    have to fill: weight left -> list of (factors, degree, text).  Each
+    generator's powers that fit in n are written once; each group, lightest
+    first, stays as it is (exponent 0) and appends its products with every
+    power that fits to the group of the weight then left, which is below its
+    own and so already passed.  The two lowest-rank generators (the point
+    class and the next one on the plane) close the groups without storing
+    another level: each group is popped, and for each power of the second
+    lowest that fits, exponent 0 first, the lowest fills the rest with its
+    one exponent, or that product is dropped.  Factors are prepended as the
+    rank falls, so they arrive in canonical order, and each product carries
+    its canonical text followed by a space: the new factor's text, a space,
+    then the old text.  Each monomial is built with that text by the
+    trusted `Monomial._canonical` and filed in a list for its degree; the
+    degrees are joined in ascending order, each list sorted by the text in
+    its slot, which is distinct within a weight.
     """
     as_prime(p)
     if n < 0:
@@ -209,15 +215,16 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
     ordered: list[Generator] = sorted(gens, key=lambda g: g.rank)
     if len({g.rank for g in ordered}) != len(ordered):
         raise ValueError("duplicate generators")
+    for g in ordered:
+        if g.weight < 1:
+            raise ValueError(f"generator {g.name} needs weight >= 1, got {g.weight}")
     if n == 0:
         return [Monomial()]
     if not ordered:
         return []
     groups: dict[int, list] = {n: [((), 0, "")]}
-    for g in ordered[:0:-1]:
-        w, d = g.weight, g.degree
-        top = min(n // w, 1) if g.exterior else n // w
-        powers = [(e * w, ((g, e),), e * d, _power(g, e)) for e in range(1, top + 1)]
+    for g in ordered[:1:-1]:
+        powers = _powers(g, n)
         for left in sorted(groups):
             parents = groups[left]
             for used, factor, dd, name in powers:
@@ -230,20 +237,43 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
                 for tail, degree, text in parents:
                     append((factor + tail, degree + dd, name + text))
     low = ordered[0]
+    second_powers = [(0, (), 0, "")]
+    for g in ordered[1:2]:
+        second_powers += _powers(g, n)
     canonical = Monomial._canonical
-    out: list[Monomial] = []
-    append = out.append
+    by_degree: dict[int, list[Monomial]] = {}
     while groups:
         # rebinding `group` drops the walk's last reference to a popped group
         left, group = groups.popitem()
-        e, rest = divmod(left, low.weight)
-        if rest or (e > 1 and low.exterior):
-            continue
-        factor, dd, name = (((low, e),), e * low.degree, _power(low, e)) if e else ((), 0, "")
-        for tail, degree, text in group:
-            append(canonical(factor + tail, n, degree + dd, (name + text)[:-1]))
-    out.sort(key=_DEGREE_TEXT)
+        for used, factor, dd, name in second_powers:
+            if used > left:
+                break
+            e, rest = divmod(left - used, low.weight)
+            if rest or (e > 1 and low.exterior):
+                continue
+            if e:
+                factor, dd, name = ((low, e),) + factor, e * low.degree + dd, _power(low, e) + name
+            for tail, degree, text in group:
+                degree += dd
+                same = by_degree.get(degree)
+                if same is None:
+                    same = by_degree[degree] = []
+                same.append(canonical(factor + tail, n, degree, (name + text)[:-1]))
+    out: list[Monomial] = []
+    for d in sorted(by_degree):
+        same = by_degree[d]
+        if len(same) > 1:
+            same.sort(key=_TEXT)
+        out += same
     return out
+
+
+def _powers(g: Generator, n: int) -> list[tuple]:
+    """(weight, factors, degree, text) of g^e for every e >= 1 that fits in
+    weight n, at most 1 if g is exterior."""
+    w, d = g.weight, g.degree
+    top = min(n // w, 1) if g.exterior else n // w
+    return [(e * w, ((g, e),), e * d, _power(g, e)) for e in range(1, top + 1)]
 
 
 def _power(g: Generator, e: int) -> str:
@@ -349,8 +379,7 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     as_prime(p)
     if max_weight < 0 or dmax < 0:
         raise ValueError("bounds must be >= 0")
-    if any(g.weight < 1 or g.degree < 0 for g in gens):
-        raise ValueError("series generators need weight >= 1 and degree >= 0")
+    _check_series_generators(gens)
     gens = [g for g in gens if g.weight <= max_weight and g.degree <= dmax]
     if all(g.exterior for g in gens if not g.degree):
         # no monomial of degree <= dmax holds a polynomial g more than dmax // g.degree times
@@ -399,5 +428,12 @@ def _complete_table(gens, max_weight: int, p, dmax: int | None = None) -> Bigrad
     `series_coefficient(gens, n, dmax, p)`."""
     if max_weight < 0:
         raise ValueError(f"weight must be >= 0, got {max_weight}")
+    _check_series_generators(gens)
     bound = max((g.degree * max_weight // g.weight for g in gens), default=0)
     return series_table(gens, max_weight, bound if dmax is None else min(dmax, bound), p)
+
+
+def _check_series_generators(gens) -> None:
+    """Refuse a generator the series cannot expand, before anything is built."""
+    if any(g.weight < 1 or g.degree < 0 for g in gens):
+        raise ValueError("series generators need weight >= 1 and degree >= 0")

@@ -1,5 +1,6 @@
 """Monomial bases by weight and the two dimension-counting routes."""
 
+import hashlib
 import math
 
 import pytest
@@ -132,7 +133,7 @@ def _plane_gens_without_point_class(p):
 
 
 @pytest.mark.parametrize("make_gens, p, max_n", [
-    # to weight 30: the last level and the closing table well past the small weights
+    # to weight 30: the two closing levels well past the small weights
     (_plane_gens(2), 2, 30),
     (_plane_gens(3), 3, 30),
     (_plane_gens(5), 5, 24),
@@ -161,6 +162,66 @@ def test_monomial_basis_matches_bruteforce(make_gens, p, max_n):
         for a, b in zip(got, want):
             assert a == b and hash(a) == hash(b) and a.text() == b.text()
             assert (a.weight, a.degree) == (b.weight, b.degree)
+
+
+
+def _basis_digest(make_gens, p, max_n):
+    """sha256 over every monomial of weights 0..max_n, in the order listed:
+    factor names and exponents, text, weight and degree."""
+    h = hashlib.sha256()
+    for n in range(max_n + 1):
+        h.update(f"weight {n}\n".encode())
+        for m in monomial_basis(make_gens(n), n, p):
+            factors = " ".join(f"{g.name}^{e}" for g, e in m.factors)
+            h.update(f"{factors}|{m.text()}|{m.weight}|{m.degree}\n".encode())
+    return h.hexdigest()
+
+
+# Digests recorded from the walk before its last two levels were merged.
+_GOLDEN_BASES = [
+    ("plane2", _plane_gens(2), 2, 64,
+     "a8a8df463c58015dd4876caef3f037956ee199d6b6079228a90d94c4c888e6d0"),
+    ("plane3", _plane_gens(3), 3, 90,
+     "4830700a3f0ebba12aa76605288914fb6dbc2f3cb8c9eb36670211665ff178e1"),
+    ("plane5", _plane_gens(5), 5, 90,
+     "27f0cfce023d470b92877c491854a824380027874d2c03c4ce7d5a577762ad2d"),
+    ("plane7", _plane_gens(7), 7, 90,
+     "bd6d9a1362d3df20a7e169438d3d2f387d8ee8e9aa115ac48d49e74654c3fbf3"),
+    ("no-point-class2", _plane_gens_without_point_class(2), 2, 48,
+     "658f49b86d6a8bc1b965e5d06219bb4812339aa169f2f04fdc45d4231496b4fa"),
+    ("no-point-class3", _plane_gens_without_point_class(3), 3, 60,
+     "83f8330abbd8ee868cca8295e694f5fb63a0127a9fd19bf4fc023bebdb687938"),
+    # the lowest-rank generator is the weight-1 exterior class at odd p
+    ("sphere3m1", _sphere_gens(3, 1), 3, 40,
+     "d0a71c975dcb17c56479c051062f111d631eb37f70ce2879b1daabeb1b6fdfc9"),
+    ("sphere5m3", _sphere_gens(5, 3), 5, 40,
+     "2d4517e7ee07e406763fbc1d77f865b6e55ae24d62cb86fe165628b7c19d9355"),
+    ("sphere7m1", _sphere_gens(7, 1), 7, 40,
+     "c6d85125e6f4bf573d36adcf82c815a78433ae053cd8af519419df369f3b921f"),
+    ("sphere2m1", _sphere_gens(2, 1), 2, 40,
+     "d47bbddb29d17dff3b3df0f559bed9902615c6b5383b1405bb6ffcc9493300e5"),
+    ("sphere2m2", _sphere_gens(2, 2), 2, 40,
+     "01aa49039d112ef0577937fcf45e8bdb704e92230fd18f2dfecb5c67ddccbd04"),
+    # one generator, which is also the one that closes
+    ("iota", lambda n: [iota()], 3, 24,
+     "21479213dd223c6dcac71e74355923716f30d3f906bb254b8f5f579fd59d31e6"),
+    ("u3", lambda n: [u_class(3)], 3, 24,
+     "95393a8a3311876009d2ca0a517724190a5223b07d81f4f113e5cae782941eae"),
+    ("a1p5", lambda n: [alpha_gen(1, 5)], 5, 40,
+     "c2d33c1d3bace5d5ec710306f40ec3238664794924a57af710ebf46e2fc29124"),
+    ("Qi2", lambda n: [plane_config_generators(2, 4)[2]], 2, 24,
+     "4b9ab377023a3807aded4ec78e817a7854fa460e68478a42f9a3e06cf9af89ab"),
+    ("Qs0p3", lambda n: [sphere_labelled_generators(3, 1, 1)[0]], 3, 24,
+     "c03120f04d7f607cb9c0f9f6e064ebdf33868151a94f8f17937dfc9bcc2a69ab"),
+    ("bQs1p3", lambda n: [sphere_labelled_generators(3, 1, 3)[1]], 3, 24,
+     "a173aea99a8639a023b7a58bcb5ae7659fe1a3c40cf70d495f3b29de02ee3f90"),
+]
+
+
+@pytest.mark.parametrize("make_gens, p, max_n, digest", [c[1:] for c in _GOLDEN_BASES],
+                         ids=[c[0] for c in _GOLDEN_BASES])
+def test_monomial_basis_golden_digest(make_gens, p, max_n, digest):
+    assert _basis_digest(make_gens, p, max_n) == digest
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,6 +6,7 @@ from confhom import (
     ONE,
     SOURCE_WEIGHT_PQ,
     Element,
+    Generator,
     Monomial,
     SpaceSpec,
     alpha_gen,
@@ -32,6 +33,12 @@ from confhom import (
     verify_q_stability,
 )
 
+
+def _weighted(weight):
+    """A polynomial generator of the given weight and degree 2."""
+    return Generator("tower", 0, "g", weight, 2, False, (9, 0))
+
+
 # (id, the refused call, the start of its message)
 _REFUSALS = [
     ("u_class-even-p", lambda: u_class(2), "the weight-2 odd generator exists only for odd p"),
@@ -50,6 +57,14 @@ _REFUSALS = [
     ("cohen-bound-0", lambda: cohen_generators([], 3, 0), "weight_bound must be >= 1, got 0"),
     ("duplicate-generators", lambda: monomial_basis([iota(), iota()], 2, 3),
      "duplicate generators"),
+    ("monomial_basis-weight-0", lambda: monomial_basis([_weighted(0)], 4, 3),
+     "generator g needs weight >= 1, got 0"),
+    ("monomial_basis-negative-weight", lambda: monomial_basis([iota(), _weighted(-1)], 0, 3),
+     "generator g needs weight >= 1, got -1"),
+    ("series_coefficient-weight-0", lambda: series_coefficient([_weighted(0)], 4, None, 3),
+     "series generators need weight >= 1 and degree >= 0"),
+    ("series_table-weight-0", lambda: series_table([_weighted(0)], 4, 4, 3),
+     "series generators need weight >= 1 and degree >= 0"),
     ("series_table-negative-weight", lambda: series_table([iota()], -1, 0, 3),
      "bounds must be >= 0"),
     ("series_coefficient-negative-weight", lambda: series_coefficient([iota()], -1, None, 3),
