@@ -30,16 +30,24 @@ classifying space when n is 0 or 1 mod p, and the cokernel of the operator
 otherwise; its basis is plane monomials in both.  An independently computed
 spectral-sequence page (`serre_e3`), a table of Python-int counts, serves
 as the oracle for both regimes.
+
+Only the JSON listings enumerate a basis and share its limits.  The counts
+the `delta` and S1 tables and csv print come from the Hilbert series:
+`_equivariant_s1_dims` and `equivariant_zp` tensor the plane slice with a
+classifying space through `_slice_times_circle` (the S1 cokernel is the
+series without the odd class), and `_delta_counts` reads the rank in each
+degree off one table over the plane generators without the point and odd
+classes, as the operator is injective on the sources it does not kill.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import KIND_U, Element, Monomial, as_prime, iota, u_class
+from .algebra import KIND_IOTA, KIND_U, Element, Monomial, as_prime, iota, u_class
 from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _split_plane_monomial
 from .catalog import plane_config_generators
-from .enumeration import BigradedDims, GradedDims, _by_degree, _complete_table
+from .enumeration import BigradedDims, GradedDims, _by_degree, _complete_table, series_coefficient
 from .linalg import FpMatrix
 
 # The point class and the odd class: one generator each, the same at every odd p.
@@ -136,6 +144,28 @@ def _image_rows(images, target) -> list[list[int]]:
     return rows
 
 
+def _delta_counts(n: int, p, degree: int | None) -> list[tuple[int, int, int, int]]:
+    """(degree, source dim, target dim, rank) of the operator in weight n,
+    from the series, for `degree` or else every degree of the basis.  The
+    dims are the plane slice in d and d + 1.  At odd p the rank in degree d
+    is the count of sources iota^k x with x free of the point and odd
+    classes and k(k-1) != 0 mod p, that is the sum over k >= 2 with
+    k mod p not 0 or 1 of T'(n - k, d), T' the series over the plane
+    generators without those two classes; at p = 2 it is 0."""
+    prime = as_prime(p)
+    gens = plane_config_generators(prime, max(n, 1))
+    plane = series_coefficient(gens, n, None, prime)
+    ranks: dict[int, int] = {}
+    if prime.p != 2:
+        rest = _complete_table([g for g in gens if g.kind not in (KIND_IOTA, KIND_U)], n, prime)
+        for k in range(2, n + 1):
+            if k % prime.p > 1:
+                for d, c in rest.weight_slice(n - k).dims.items():
+                    ranks[d] = ranks.get(d, 0) + c
+    degrees = sorted(plane.dims) if degree is None else [degree]
+    return [(d, plane[d], plane[d + 1], ranks.get(d, 0)) for d in degrees]
+
+
 def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
     """Circle-equivariant homology of weight-n plane configurations.
 
@@ -167,6 +197,22 @@ def _equivariant_s1(n: int, prime, mons: list, dmax: int | None) -> EquivariantA
     return EquivariantAnswer(REGIME_COKER_DELTA, dims, u_free)
 
 
+def _equivariant_s1_dims(n: int, p, dmax: int | None) -> GradedDims:
+    """`equivariant_s1(n, p, dmax).dims` from the series, with no basis: the
+    plane slice times the circle in the tensor regime, and in the cokernel
+    regime row n of the series over the plane generators without the odd
+    class.  Besides the series' own size limit, only a negative n and, in
+    the tensor regime, a dmax above MAX_BASIS are refused: the basis and
+    pair-count limits belong to the listing."""
+    prime = as_prime(p)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n % prime.p in (0, 1):
+        return _slice_times_circle(n, prime, _degree_bound(n, dmax), 2)
+    gens = [g for g in plane_config_generators(prime, n) if g.kind != KIND_U]
+    return series_coefficient(gens, n, None, prime)
+
+
 def equivariant_zp(n: int, p, dmax: int | None = None) -> GradedDims:
     """Equivariant homology for the order-p rotation subgroup, computed as
     the plane homology tensored with the cyclic-group classifying space.
@@ -180,10 +226,17 @@ def equivariant_zp(n: int, p, dmax: int | None = None) -> GradedDims:
             f"rotation-equivariant homology is computed only for n = 0, 1 mod p "
             f"(got n={n}, p={prime.p})"
         )
-    dmax = _degree_bound(n, dmax)
+    return _slice_times_circle(n, prime, _degree_bound(n, dmax), 1)
+
+
+def _slice_times_circle(n: int, prime, dmax: int, step: int) -> GradedDims:
+    """The weight-n plane slice from the series, truncated at dmax, times
+    1/(1 - t^step): the plane homology tensored with a classifying space
+    with one class every `step` degrees (1 for the order-p subgroup, 2 for
+    the circle)."""
     gens = plane_config_generators(prime, max(n, 1))
     table = _complete_table(gens, n, prime, max(dmax, 0))
-    return table.weight_slice(n).convolve_geometric(1, dmax)
+    return table.weight_slice(n).convolve_geometric(step, dmax)
 
 
 def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:

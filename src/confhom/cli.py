@@ -5,9 +5,10 @@ JSON schema is {"command", "params", "result", "status"} with stable key
 order, and timing goes to stderr only.  Exit codes: 0 on success, 1 when a
 verification fails, 2 on usage errors or mathematically unsupported cases.
 
-A listing's handler builds only what the chosen format prints: a `delta`
-table computes each degree's images and rank but no matrix or text, and an
-`equivariant --group S1` table builds no (monomial, circle degree) pairs.
+A listing's handler builds only what the chosen format prints: a `delta` or
+`equivariant --group S1` table or csv reads its counts from the Hilbert
+series and enumerates no basis; only JSON lists the monomials, and only it
+meets the basis and (monomial, circle degree) pair limits.
 
 `main` is cheap to call repeatedly in one process: it parses with one
 parser, built on the first call and reused (`parse_args` makes a fresh
@@ -35,7 +36,9 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .algebra import as_prime
 from .bv import (
     REGIME_TENSOR_BS1,
+    _delta_counts,
     _delta_rank,
+    _equivariant_s1_dims,
     _image_rows,
     default_degree_bound,
     delta,
@@ -127,17 +130,17 @@ def _cmd_poincare(args) -> _Answer:
 
 
 def _cmd_delta(args) -> _Answer:
+    header = ["degree", "source_dim", "target_dim", "rank"]
+    if args.format != "json":
+        return None, _delta_counts(args.n, args.p, args.degree), header
     prime = as_prime(args.p)
     by_deg = _by_degree(_plane_basis(args.n, prime))
     degrees = [args.degree] if args.degree is not None else sorted(by_deg)
-    maps, table = [], []
+    maps = []
     for d in degrees:
         source = by_deg.get(d, [])
         target = by_deg.get(d + 1, [])
         images = [delta(m, prime) for m in source]
-        if args.format != "json":
-            table.append((d, len(source), len(target), _delta_rank(images)))
-            continue
         maps.append(
             {
                 "degree": d,
@@ -150,8 +153,7 @@ def _cmd_delta(args) -> _Answer:
                 ],
             }
         )
-    header = ["degree", "source_dim", "target_dim", "rank"]
-    return ({"maps": maps}, None, header) if args.format == "json" else (None, table, header)
+    return {"maps": maps}, None, header
 
 
 def _cmd_equivariant(args) -> _Answer:
@@ -160,9 +162,9 @@ def _cmd_equivariant(args) -> _Answer:
     if args.group == "Zp":
         pairs = equivariant_zp(args.n, prime, dmax).to_pairs()
         return {"group": "Zp", "dims": pairs, "degree_bound": dmax}, pairs, ["degree", "dim"]
-    answer = equivariant_s1(args.n, prime, dmax)
     if args.format != "json":
-        return None, answer.dims.to_pairs(), ["degree", "dim"]
+        return None, _equivariant_s1_dims(args.n, prime, dmax).to_pairs(), ["degree", "dim"]
+    answer = equivariant_s1(args.n, prime, dmax)
     if answer.regime == REGIME_TENSOR_BS1:
         basis = _tensor_pairs(answer.basis, dmax)
     else:

@@ -1,10 +1,14 @@
 """Dimension-only answers come from the Hilbert series; enumeration checks them.
 
 `poincare`, `sign` and `equivariant --group Zp` read their dimensions off
-the series.  These tests compare each with the enumerated basis at small
-weights, and check that the commands no longer enumerate at all.
+the series, and so do the table and csv forms of `delta` and
+`equivariant --group S1`.  These tests compare each with the enumerated
+basis at small weights, and check that the commands no longer enumerate at
+all.
 """
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -14,6 +18,8 @@ import pytest
 
 from confhom import (
     GradedDims,
+    bv,
+    cli,
     default_degree_bound,
     equivariant_zp,
     monomial_basis,
@@ -23,7 +29,9 @@ from confhom import (
     sign_rep_homology,
     sphere_labelled_generators,
 )
+from confhom.catalog import MAX_BASIS, _plane_basis
 from confhom.cli import main
+from confhom.enumeration import _by_degree
 
 WEIGHTS = range(41)
 
@@ -171,6 +179,127 @@ def test_count_commands_do_not_enumerate(capsys, monkeypatch):
     for argv, out in zip(COUNT_COMMANDS, expected):
         assert main(argv) == 0
         assert capsys.readouterr().out == out
+
+
+def _listing_counts() -> list[list[str]]:
+    """`equivariant --group S1` in both regimes (only the tensor one at
+    p = 2), with and without --dmax, and `delta` with and without
+    --degree, in table and csv."""
+    argvs = []
+    for p in (2, 3, 5):
+        for n in (4 * p, 4 * p + 2):
+            s1 = ["equivariant", "--group", "S1", "--p", str(p), "--n", str(n)]
+            argvs += [s1, s1 + ["--dmax", "7"]]
+        d = ["delta", "--p", str(p), "--n", str(4 * p + 3)]
+        argvs += [d, d + ["--degree", "3"]]
+    return [argv + ["--format", fmt] for argv in argvs for fmt in ("table", "csv")]
+
+
+LISTING_COUNTS = _listing_counts()
+
+
+def test_listing_counts_do_not_enumerate(capsys, monkeypatch):
+    expected = []
+    for argv in LISTING_COUNTS:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table or csv listing enumerated a basis")
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("confhom") and hasattr(module, "monomial_basis"):
+            monkeypatch.setattr(module, "monomial_basis", refuse)
+            patched.add(name)
+    assert {"confhom.enumeration", "confhom.catalog"} <= patched
+    monkeypatch.setattr(bv, "delta", refuse)
+    monkeypatch.setattr(cli, "delta", refuse)
+    for argv, out in zip(LISTING_COUNTS, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+
+def _csv_rows(capsys, argv) -> list[list[int]]:
+    assert main(argv + ["--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    return [[int(c) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_listing_counts_match_enumeration(capsys, p):
+    # beyond the weights 0..20 where the csv rows are checked against the JSON listing
+    for n in [*range(41), 66, 143]:
+        by_deg = _by_degree(_plane_basis(n, p))
+        want = {d: [d, len(mons), len(by_deg.get(d + 1, [])),
+                    bv._delta_rank(bv.delta(m, p) for m in mons)]
+                for d, mons in by_deg.items()}
+        argv = ["delta", "--p", str(p), "--n", str(n)]
+        assert _csv_rows(capsys, argv) == [want[d] for d in sorted(want)]
+        for d in (-1, 1, max(want) + 1):
+            empty = [d, 0, len(by_deg.get(d + 1, [])), 0]
+            assert _csv_rows(capsys, argv + ["--degree", str(d)]) == [want.get(d, empty)]
+        for bound in ([], ["--dmax", "5"]):
+            argv = ["equivariant", "--group", "S1", "--p", str(p), "--n", str(n), *bound]
+            assert main(argv) == 0
+            dims = json.loads(capsys.readouterr().out)["result"]["dims"]
+            assert _csv_rows(capsys, argv) == dims
+
+
+def _times_circle(dims: list[list[int]], dmax: int) -> list[list[int]]:
+    """Degree-indexed dims times 1/(1 - t^2) through dmax, one term at a time."""
+    out: dict[int, int] = {}
+    for d, c in dims:
+        for k in range(d, dmax + 1, 2):
+            out[k] = out.get(k, 0) + c
+    return [[k, out[k]] for k in sorted(out)]
+
+
+# Each exited 2 before the table and csv forms read the series: the weight-n
+# basis passes MAX_BASIS (p = 2, n = 300 and 400), or its (monomial, circle
+# degree) pairs do (the others; n = 270 took 3.5 s to refuse).
+NOW_ANSWERED = [
+    ["equivariant", "--group", "S1", "--p", "2", "--n", "270", "--format", "table"],
+    ["equivariant", "--group", "S1", "--p", "2", "--n", "300", "--format", "table"],
+    ["equivariant", "--group", "S1", "--p", "2", "--n", "143", "--format", "csv"],
+    ["equivariant", "--group", "S1", "--p", "3", "--n", "399", "--format", "csv"],
+    ["delta", "--p", "2", "--n", "400", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", NOW_ANSWERED,
+                         ids=lambda argv: "-".join(a for a in argv if a[0] != "-"))
+def test_listing_counts_answer_past_the_basis_limits(capsys, argv):
+    started = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - started < 1.0
+    out = capsys.readouterr().out
+    p, n = argv[argv.index("--p") + 1], argv[argv.index("--n") + 1]
+    assert main(["poincare", "--p", p, "--n", n]) == 0
+    plane = json.loads(capsys.readouterr().out)["result"]["dims"]
+    if argv[0] == "delta":
+        # the operator is zero at p = 2
+        dims = dict(map(tuple, plane))
+        header = ["degree", "source_dim", "target_dim", "rank"]
+        want = [[d, c, dims.get(d + 1, 0), 0] for d, c in plane]
+    else:
+        header = ["degree", "dim"]
+        want = _times_circle(plane, default_degree_bound(int(n)))
+    cells = [header] + [list(map(str, row)) for row in want]
+    if argv[-1] == "csv":
+        assert list(csv.reader(io.StringIO(out))) == cells
+    else:
+        lines = out.splitlines()
+        assert [line.split() for line in lines[:1] + lines[2:]] == cells
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_listing_degree_bound_past_the_limit_refused(capsys, fmt):
+    argv = ["equivariant", "--group", "S1", "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS + 1)]
+    assert main(argv + ["--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: degree bound") and str(MAX_BASIS) in captured.err
 
 
 def test_huge_weight_refused_quickly(capsys):
