@@ -15,6 +15,7 @@ up the Koszul sign counting transpositions of odd-degree factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional
 
 
@@ -116,11 +117,22 @@ class Generator:
         return self.name
 
 
+# Generators are frozen values, so each named family's constructor hands out
+# one instance per argument tuple: catalogs rebuilt at every call share their
+# generators, and comparing factors stops at identity.  An int p and the equal
+# Prime are distinct keys, giving equal generators; invalid arguments raise
+# on every call, as nothing is stored for them.  The bound caps the memo over
+# a long run through many sphere dimensions.
+_shared = lru_cache(maxsize=1024, typed=True)
+
+
+@_shared
 def iota() -> Generator:
     """The class of a single point, weight 1 and degree 0."""
     return Generator(KIND_IOTA, 0, "i", 1, 0, False, (0,))
 
 
+@_shared
 def u_class(p) -> Generator:
     """The weight-2 odd class (the bracket of the point class with itself), p odd."""
     q = as_prime(p)
@@ -129,6 +141,7 @@ def u_class(p) -> Generator:
     return Generator(KIND_U, 0, "u", 2, 1, True, (1,))
 
 
+@_shared
 def beta_gen(i: int, p) -> Generator:
     """The weight 2p^i, degree 2p^i - 2 polynomial generator, i >= 1, p odd."""
     q = as_prime(p)
@@ -138,6 +151,7 @@ def beta_gen(i: int, p) -> Generator:
     return Generator(KIND_BETA, i, f"b{i}", w, w - 2, False, (2, i, 0))
 
 
+@_shared
 def alpha_gen(i: int, p) -> Generator:
     """The weight 2p^i, degree 2p^i - 1 exterior generator, i >= 1, p odd."""
     q = as_prime(p)
@@ -147,6 +161,7 @@ def alpha_gen(i: int, p) -> Generator:
     return Generator(KIND_ALPHA, i, f"a{i}", w, w - 1, True, (2, i, 1))
 
 
+@_shared
 def q_iota(i: int) -> Generator:
     """The weight 2^i, degree 2^i - 1 generator of the mod-2 algebra, i >= 1."""
     if i < 1:
@@ -155,6 +170,7 @@ def q_iota(i: int) -> Generator:
     return Generator(KIND_Q_IOTA, i, f"Qi{i}", w, w - 1, False, (3, i))
 
 
+@_shared
 def sphere_q(i: int, m: int, p) -> Generator:
     """Iterated degree-raising generator over a sphere label of dimension m.
 
@@ -169,6 +185,7 @@ def sphere_q(i: int, m: int, p) -> Generator:
     return Generator(KIND_SPHERE_Q, i, f"Qs{i}", w, d, q.p != 2, (4, i, 1))
 
 
+@_shared
 def sphere_bq(i: int, m: int, p) -> Generator:
     """Bockstein of sphere_q(i): weight p^i, degree p^i * (m + 1) - 2, i >= 1, p odd."""
     q = as_prime(p)

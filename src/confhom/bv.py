@@ -45,9 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import KIND_IOTA, KIND_U, Element, Monomial, as_prime, iota, u_class
-from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _split_plane_monomial
+from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _refuse_large_bases
+from .catalog import _split_plane_monomial
 from .catalog import plane_config_generators
-from .enumeration import BigradedDims, GradedDims, _by_degree, _complete_table, series_coefficient
+from .enumeration import BigradedDims, GradedDims, _by_degree, _complete_table, monomial_basis
+from .enumeration import series_coefficient
 from .linalg import FpMatrix
 
 # The point class and the odd class: one generator each, the same at every odd p.
@@ -171,15 +173,22 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
 
     n = 0, 1 mod p: the plane homology tensored with the homology of the
     circle classifying space, truncated at dmax, with the plane monomials of
-    degree <= dmax as basis; a dmax, or a count of (monomial, circle degree)
-    pairs (`dims.total()`), above MAX_BASIS raises ValueError before the
-    series is built.  Otherwise: the cokernel of the BV operator, whose
-    basis is the u-free monomials, and dmax is not read.
+    degree <= dmax as basis.  Otherwise: the cokernel of the BV operator,
+    whose basis is the u-free monomials, and dmax is not read.  ValueError
+    is raised before any monomial is built, in this order, for a basis of
+    more than MAX_BASIS monomials, a dmax above MAX_BASIS, or more than
+    MAX_BASIS (monomial, circle degree) pairs (`dims.total()`), counted
+    from the weight-n slice of the Hilbert series.
     """
     prime = as_prime(p)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _equivariant_s1(n, prime, _plane_basis(n, prime), dmax)
+    _refuse_large_bases([range(n, n + 1)], prime)
+    gens = plane_config_generators(prime, max(n, 1))
+    if n % prime.p in (0, 1):
+        dmax = _degree_bound(n, dmax)
+        _check_tensor_pairs(series_coefficient(gens, n, max(dmax, 0), prime), dmax)
+    return _equivariant_s1(n, prime, monomial_basis(gens, n, prime), dmax)
 
 
 def _equivariant_s1(n: int, prime, mons: list, dmax: int | None) -> EquivariantAnswer:
@@ -187,14 +196,21 @@ def _equivariant_s1(n: int, prime, mons: list, dmax: int | None) -> EquivariantA
     if n % prime.p in (0, 1):
         dmax = _degree_bound(n, dmax)
         basis = [m for m in mons if m.degree <= dmax]
-        pairs = sum((dmax - m.degree) // 2 + 1 for m in basis)
-        if pairs > MAX_BASIS:
-            raise ValueError(f"tensor basis of {pairs} pairs exceeds the limit of {MAX_BASIS}")
-        dims = GradedDims.of_degrees(m.degree for m in basis).convolve_geometric(2, dmax)
-        return EquivariantAnswer(REGIME_TENSOR_BS1, dims, basis)
+        plane = GradedDims.of_degrees(m.degree for m in basis)
+        _check_tensor_pairs(plane, dmax)
+        return EquivariantAnswer(REGIME_TENSOR_BS1, plane.convolve_geometric(2, dmax), basis)
     u_free = [m for m in mons if not m.contains_kind(KIND_U)]
     dims = GradedDims.of_degrees(m.degree for m in u_free)
     return EquivariantAnswer(REGIME_COKER_DELTA, dims, u_free)
+
+
+def _check_tensor_pairs(plane: GradedDims, dmax: int) -> None:
+    """Refuse a tensor basis of more than MAX_BASIS (monomial, circle degree)
+    pairs: a plane degree d <= dmax pairs with the (dmax - d) // 2 + 1 circle
+    degrees that keep the total within dmax."""
+    pairs = sum(c * ((dmax - d) // 2 + 1) for d, c in plane.dims.items() if d <= dmax)
+    if pairs > MAX_BASIS:
+        raise ValueError(f"tensor basis of {pairs} pairs exceeds the limit of {MAX_BASIS}")
 
 
 def _equivariant_s1_dims(n: int, p, dmax: int | None) -> GradedDims:

@@ -3,8 +3,9 @@
 Covered: unordered configurations of the plane, plane configurations with
 labels in a sphere, configurations of the punctured plane, and the fixed
 points of the rotation of order p.  `_plane_basis` is the plane basis
-every module uses (sized first; `_plane_monomials` for a caller that has
-sized it), and `_split_plane_monomial` the one reader that knows which
+every module uses (sized first; the verification suite sizes its weights
+once and enumerates them over this catalog itself), and
+`_split_plane_monomial` the one reader that knows which
 generator kinds a plane monomial may hold at p: it splits a monomial into
 its point-class power, its odd-class exponent and the rest.  Other modules
 build plane monomials from that split (`bv.delta` its images, through
@@ -108,11 +109,6 @@ def _plane_basis(n: int, p) -> list[Monomial]:
     monomials raises ValueError instead of being built."""
     if n >= 0:
         _refuse_large_bases([range(n, n + 1)], p)
-    return _plane_monomials(n, p)
-
-
-def _plane_monomials(n: int, p) -> list[Monomial]:
-    """`_plane_basis` unsized, for a caller that has already sized weight n."""
     return monomial_basis(plane_config_generators(p, max(n, 1)), n, p)
 
 

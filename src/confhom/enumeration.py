@@ -10,14 +10,16 @@ every dimension-only command reads its answer from one decoded row;
 generators heaviest first, each sweep strided by the gcd of the weights so
 far: rows off the stride stay 0, and the table is the same in any order.
 `monomial_basis` enumerates the canonical monomials of a fixed weight, for
-callers that need the monomials themselves: one loop takes the generators
-down by rank over partial products grouped by the weight they still have to
-fill, the two lowest-rank generators close each group without storing
-another level (each power of the second that fits, then the one exponent of
-the lowest that fills the rest), each monomial's text is written on the way,
-and the monomials are built through the trusted `Monomial._canonical` into a
-list per degree, each sorted by the text in its slot, so no `text()` is
-called.
+callers that need the monomials themselves.  It is the one-weight case of
+one walk, `_monomial_bases`, which hands out the basis of each weight of a
+range in turn, for the verification sweep: one loop takes the generators
+down by rank over partial products grouped by the weight they use, built
+once up to the top weight; for each weight the two lowest-rank generators
+close the groups without storing another level (each power of the second
+that fits, then the one exponent of the lowest that fills the rest), each
+monomial's text is written on the way, and the monomials are built through
+the trusted `Monomial._canonical` into a list per degree, each sorted by
+the text in its slot, so no `text()` is called.
 `poincare` counts the monomials by degree, the enumeration side of the
 series in the demos and tests; the verification suite counts the plane
 basis it has already swept.
@@ -189,66 +191,97 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
 
     Exterior generators contribute exponent at most one.  The result is
     sorted by (degree, canonical text).  A generator of weight < 1 is
-    refused: the basis would not be finite.
+    refused: the basis would not be finite.  This is the one-weight case of
+    the walk `_monomial_bases`, which a sweep over every weight up to some
+    bound reads instead.
+    """
+    (basis,) = _monomial_bases(gens, range(n, n + 1), p)
+    return basis
+
+
+def _monomial_bases(gens, weights: range, p):
+    """Yield `monomial_basis(gens, n, p)` for each n of the ascending range
+    `weights` in turn, from one walk.
 
     One loop takes the generators from the highest rank down to the third
-    lowest and keeps the partial products grouped by the weight they still
-    have to fill: weight left -> list of (factors, degree, text).  Each
-    generator's powers that fit in n are written once; each group, lightest
+    lowest and keeps the partial products grouped by the weight they use:
+    weight used -> list of (factors, degree, text), up to the top weight.
+    Each generator's powers that fit are written once; each group, heaviest
     first, stays as it is (exponent 0) and appends its products with every
-    power that fits to the group of the weight then left, which is below its
+    power that fits to the group of the weight then used, which is above its
     own and so already passed.  The two lowest-rank generators (the point
-    class and the next one on the plane) close the groups without storing
-    another level: each group is popped, and for each power of the second
-    lowest that fits, exponent 0 first, the lowest fills the rest with its
-    one exponent, or that product is dropped.  Factors are prepended as the
-    rank falls, so they arrive in canonical order, and each product carries
-    its canonical text followed by a space: the new factor's text, a space,
-    then the old text.  Each monomial is built with that text by the
-    trusted `Monomial._canonical` and filed in a list for its degree; the
-    degrees are joined in ascending order, each list sorted by the text in
-    its slot, which is distinct within a weight.
+    class and the next one on the plane) close the groups for each weight n
+    without storing another level (`_close`).  The groups are kept for the
+    weights still to come, and dropped, each once it is closed, at the top
+    weight; each basis is handed out and kept by the walk no longer.
     """
     as_prime(p)
-    if n < 0:
-        raise ValueError(f"weight must be >= 0, got {n}")
+    if weights and weights[0] < 0:
+        raise ValueError(f"weight must be >= 0, got {weights[0]}")
     ordered: list[Generator] = sorted(gens, key=lambda g: g.rank)
     if len({g.rank for g in ordered}) != len(ordered):
         raise ValueError("duplicate generators")
     for g in ordered:
         if g.weight < 1:
             raise ValueError(f"generator {g.name} needs weight >= 1, got {g.weight}")
-    if n == 0:
-        return [Monomial()]
-    if not ordered:
-        return []
-    groups: dict[int, list] = {n: [((), 0, "")]}
+    if not weights:
+        return
+    top = weights[-1]
+    groups: dict[int, list] = {0: [((), 0, "")]}
     for g in ordered[:1:-1]:
-        powers = _powers(g, n)
-        for left in sorted(groups):
-            parents = groups[left]
-            for used, factor, dd, name in powers:
-                if used > left:
+        powers = _powers(g, top)
+        for used in sorted(groups, reverse=True):
+            parents, room = groups[used], top - used
+            for w, factor, dd, name in powers:
+                if w > room:
                     break
-                group = groups.get(left - used)
+                group = groups.get(used + w)
                 if group is None:
-                    group = groups[left - used] = []
+                    group = groups[used + w] = []
                 append = group.append
                 for tail, degree, text in parents:
                     append((factor + tail, degree + dd, name + text))
-    low = ordered[0]
     second_powers = [(0, (), 0, "")]
     for g in ordered[1:2]:
-        second_powers += _powers(g, n)
+        second_powers += _powers(g, top)
+    for n in weights:
+        if n == 0 or not ordered:
+            # the empty product alone at weight 0, and nothing above it without generators
+            yield [Monomial()] if n == 0 else []
+            continue
+        pending = list(groups.items())
+        if n == top:
+            groups.clear()
+        yield _close(pending, n, ordered[0], second_powers)
+
+
+def _close(pending: list, n: int, low: Generator, second_powers: list) -> list[Monomial]:
+    """The weight-n basis from the groups `pending` (weight used, partial
+    products) of the walk, popped last-inserted first, and emptied: in that
+    order each degree's list arrives closer to sorted than in the order of
+    insertion, which leaves its sort more work.
+
+    For each power of the second-lowest generator that fits, exponent 0
+    first, the lowest fills the weight left with its one exponent, or that
+    product is dropped; a group heavier than n has no weight left and
+    closes nothing.  Factors are prepended as the rank falls, so they
+    arrive in canonical order, and each product carries its canonical text
+    followed by a space: the new factor's text, a space, then the old text.
+    Each monomial is built with that text by the trusted
+    `Monomial._canonical` and filed in a list for its degree; the degrees
+    are joined in ascending order, each list sorted by the text in its
+    slot, which is distinct within a weight.
+    """
     canonical = Monomial._canonical
     by_degree: dict[int, list[Monomial]] = {}
-    while groups:
-        # rebinding `group` drops the walk's last reference to a popped group
-        left, group = groups.popitem()
-        for used, factor, dd, name in second_powers:
-            if used > left:
+    while pending:
+        # rebinding `group` drops this frame's reference to a popped group
+        used, group = pending.pop()
+        left = n - used
+        for w, factor, dd, name in second_powers:
+            if w > left:
                 break
-            e, rest = divmod(left - used, low.weight)
+            e, rest = divmod(left - w, low.weight)
             if rest or (e > 1 and low.exterior):
                 continue
             if e:

@@ -7,17 +7,20 @@ generating functions against explicit enumeration, and the two mod-2
 routes against each other.  Checks report failures instead of raising.
 
 The checks that read the weight-n plane basis are steps of one sweep:
-`run_verifications` walks n = 0..max_n once, enumerates each weight's basis
-once, groups it by degree once, and hands both to every step that reads
-weight n, then drops them, so no basis outlives its weight.  Sharing the
-list merges no oracle: every route already started from that basis, and
-each step still compares its own two routes (the matrix rank against the
-u-free count, the page against the dispatcher, the enumerated degrees
-against the series).  Each step carries its own report (name, work counters
-and failure list), and one method, `_Step.report`, writes every swept
-report.  Each public `verify_*` function of a swept check is a sweep with
-that one step.  The sizes of every basis a run will enumerate are checked
-once, before any check runs.
+`run_verifications` walks n = 0..max_n once, takes each weight's basis from
+one enumeration walk over the weights (`_monomial_bases`, which builds the
+products of the heavier generators once and keeps only those), groups it by
+degree once, and hands both to every step that reads weight n, then drops
+them, so no basis outlives its weight.  Sharing the list merges no oracle:
+every route already started from that basis, and each step still compares
+its own two routes (the matrix rank against the u-free count, the page
+against the dispatcher, the enumerated degrees against the series; the sign
+slices that check enumerates come from a walk of its own over the 1-sphere
+catalog).  Each step carries its own report (name, work counters and
+failure list), and one method, `_Step.report`, writes every swept report.
+Each public `verify_*` function of a swept check is a sweep with that one
+step.  The sizes of every basis a run will enumerate are checked once,
+before any check runs.
 
 The count side is built once per run too: each Hilbert-series table (the
 plane, each sphere dimension of the sign and mod-2 routes, each q of the
@@ -42,10 +45,10 @@ from .bv import (
     delta_element,
     delta_matrix,
 )
-from .catalog import MAX_BASIS, _plane_monomials, _refuse_large_bases
+from .catalog import MAX_BASIS, _refuse_large_bases
 from .catalog import plane_config_generators, sphere_labelled_generators
 from .enumeration import GradedDims, _by_degree, _check_total_weight, _complete_table
-from .enumeration import _plane_totals, monomial_basis
+from .enumeration import _monomial_bases, _plane_totals, monomial_basis
 from .identities import _bijection, classify_monomial, verify_dimension_identity
 from .reports import VerifyReport
 from .signhom import _answers_by_weight, _q_stability, _shifted_table
@@ -81,10 +84,14 @@ class _Step:
 
 
 def _sweep(prime, steps: list[_Step]) -> None:
-    """Feed each weight's plane basis, enumerated once, to every step
-    bounded at or above it; the caller has sized every swept basis."""
-    for n in range(max((s.bound for s in steps), default=-1) + 1):
-        _visit(n, _plane_monomials(n, prime), [s for s in steps if n <= s.bound])
+    """Feed each weight's plane basis, from one walk over the weights, to
+    every step bounded at or above it; the caller has sized every swept
+    basis."""
+    top = max((s.bound for s in steps), default=-1)
+    gens = plane_config_generators(prime, max(top, 1))
+    bases = _monomial_bases(gens, range(top + 1), prime)
+    for n in range(top + 1):
+        _visit(n, next(bases), [s for s in steps if n <= s.bound])
 
 
 def _sweep_one(p, check: Callable[..., _Step], max_n: int) -> VerifyReport:
@@ -186,15 +193,15 @@ def _series_agreement(prime, max_n: int) -> _Step:
     top = max(max_n, 0)
     plane = _complete_table(plane_config_generators(prime, max(top, 1)), top, prime)
     sign = _shifted_table(prime, 1, top)
+    # the sweep visits n = 0..max_n in turn, each reading the walk's next basis
+    labelled = sphere_labelled_generators(prime, 1, max(top, 1))
+    labelled_bases = _monomial_bases(labelled, range(top + 1), prime)
 
     def visit(step, n, mons, by_deg):
         counted = GradedDims({d: len(ms) for d, ms in by_deg.items()})
         if counted != plane.weight_slice(n):
             step.failures.append(f"n={n}")
-        labelled = sphere_labelled_generators(prime, 1, max(n, 1))
-        enumerated = GradedDims.of_degrees(
-            m.degree - n for m in monomial_basis(labelled, n, prime)
-        )
+        enumerated = GradedDims.of_degrees(m.degree - n for m in next(labelled_bases))
         if sign.weight_slice(n) != enumerated:
             step.failures.append(f"n={n} sign slice")
 
@@ -305,8 +312,10 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
     if want("bijection"):
         # every target dimension is read from one list of totals
         totals = _plane_totals(prime.p * (max_q + 1), prime)
+        # one catalog serves every source: none is heavier than weight p * max_q
+        plane = plane_config_generators(prime, max(prime.p * max_q, 1))
         for q in range(max_q + 1):
-            sources = [_plane_monomials(w, prime) for w in (prime.p * q, q + 1)]
+            sources = [monomial_basis(plane, w, prime) for w in (prime.p * q, q + 1)]
             plan.append(_bijection(prime, q, *sources, totals[prime.p * (q + 1)]))
     if want("classify"):
         plan.append(_classify_total(prime, max_n))

@@ -20,6 +20,8 @@ from confhom import (
     q_iota,
     u_class,
 )
+from confhom.algebra import sphere_bq, sphere_q
+from confhom.catalog import sphere_labelled_generators
 from confhom.enumeration import monomial_basis
 
 from oracles import bubble_sign
@@ -71,6 +73,44 @@ def test_generator_tables():
         g = q_iota(i)
         assert (g.weight, g.degree) == (2**i, 2**i - 1)
         assert not g.exterior  # odd degree but polynomial at p = 2
+
+
+def test_generators_are_shared_values():
+    made = [
+        (lambda p: iota(), 3),
+        (u_class, 5),
+        (lambda p: beta_gen(2, p), 3),
+        (lambda p: alpha_gen(1, p), 7),
+        (lambda p: q_iota(3), 2),
+        (lambda p: sphere_q(2, 3, p), 5),
+        (lambda p: sphere_bq(1, 1, p), 3),
+    ]
+    for make, p in made:
+        assert make(p) is make(p)
+        # an int p and the equal Prime give equal generators, of one hash
+        assert make(p) == make(Prime(p)) and hash(make(p)) == hash(make(Prime(p)))
+    assert beta_gen(1, 3) == beta_gen(1, Prime(3))
+    assert beta_gen(1, 3) != beta_gen(1, 5) and sphere_q(1, 1, 3) != sphere_q(1, 3, 3)
+
+
+def test_shared_generators_still_refuse_invalid_arguments():
+    for _ in range(2):
+        for call in (lambda: u_class(2), lambda: beta_gen(0, 3), lambda: alpha_gen(1, 4),
+                     lambda: q_iota(0), lambda: sphere_q(0, 0, 3), lambda: sphere_bq(1, 1, 2)):
+            with pytest.raises(ValueError):
+                call()
+
+
+def test_catalogs_return_a_new_list_each_call():
+    for catalog in (lambda: plane_config_generators(3, 18),
+                    lambda: sphere_labelled_generators(3, 1, 27)):
+        first = catalog()
+        want = list(first)
+        first.append(q_iota(9))
+        first.pop(0)
+        again = catalog()
+        assert again is not first and again == want
+        assert all(g is h for g, h in zip(again, want))
 
 
 def test_global_generator_order():

@@ -220,6 +220,25 @@ def test_listing_counts_do_not_enumerate(capsys, monkeypatch):
         assert capsys.readouterr().out == out
 
 
+def test_json_s1_pair_count_refused_before_enumerating(capsys, monkeypatch):
+    argv = ["equivariant", "--group", "S1", "--p", "2", "--n", "270"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    message = "error: tensor basis of 169664888 pairs exceeds the limit of 1048576\n"
+    assert (captured.out, captured.err) == ("", message)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair count was read from an enumerated basis")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("confhom") and hasattr(module, "monomial_basis"):
+            monkeypatch.setattr(module, "monomial_basis", refuse)
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == message
+
+
 def _csv_rows(capsys, argv) -> list[list[int]]:
     assert main(argv + ["--format", "csv"]) == 0
     header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))

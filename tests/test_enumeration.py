@@ -2,9 +2,10 @@
 
 import hashlib
 import math
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from confhom import (
     BigradedDims,
@@ -22,6 +23,7 @@ from confhom.catalog import sphere_labelled_generators
 from confhom.enumeration import (
     _MAX_TOTAL_WEIGHT,
     MAX_SERIES_BITS,
+    _monomial_bases,
     _plane_totals,
     _weight_sizes,
 )
@@ -243,6 +245,50 @@ def test_monomial_basis_matches_bruteforce_on_random_catalogs(factors, n, seed):
     assert [(m.text(), m.weight, m.degree) for m in got] == [
         (m.text(), m.weight, m.degree) for m in want
     ]
+
+
+def _basis_fields(basis):
+    return [(m.factors, m.text(), m.degree, m.weight) for m in basis]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    factors=st.lists(
+        st.tuples(st.integers(1, 12), st.integers(0, 6), st.booleans()), max_size=5
+    ),
+    max_n=st.integers(0, 40),
+    seed=st.randoms(use_true_random=False),
+)
+# the empty set; an exterior lowest generator; a lowest generator of weight > 1
+@example(factors=[], max_n=7, seed=random.Random(0))
+@example(factors=[(1, 1, True), (2, 2, False), (3, 1, True)], max_n=40,
+         seed=random.Random(0))
+@example(factors=[(3, 2, False), (5, 1, True), (4, 0, False)], max_n=40,
+         seed=random.Random(0))
+def test_the_walk_yields_each_one_weight_basis(factors, max_n, seed):
+    # generator k has rank (9, k): the first listed is the lowest
+    gens = [Generator("tower", k, f"g{k}", *f, (9, k)) for k, f in enumerate(factors)]
+    assume(sum(_weight_sizes(gens, max_n)[0]) <= 20000)
+    seed.shuffle(gens)
+    walked = list(_monomial_bases(gens, range(max_n + 1), 3))
+    assert len(walked) == max_n + 1
+    for n, basis in enumerate(walked):
+        assert _basis_fields(basis) == _basis_fields(monomial_basis(gens, n, 3))
+        if n <= 12:
+            assert _basis_fields(basis) == _basis_fields(monomial_basis_bruteforce(gens, n))
+
+
+def test_the_walk_refuses_as_monomial_basis_does():
+    bad = [
+        ([iota()], range(-1, 3), "weight must be >= 0, got -1"),
+        ([iota(), iota()], range(3), "duplicate generators"),
+        ([Generator("tower", 0, "g", 0, 2, False, (9, 0))], range(3), "needs weight >= 1"),
+    ]
+    for gens, weights, message in bad:
+        with pytest.raises(ValueError, match=message):
+            next(_monomial_bases(gens, weights, 3))
+    # a sweep with no steps walks no weight
+    assert list(_monomial_bases([iota()], range(0), 3)) == []
 
 
 def test_monomial_basis_over_no_generators():

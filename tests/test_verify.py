@@ -176,24 +176,33 @@ def test_a_fault_in_one_step_fails_only_its_report(monkeypatch, attr, fault, fai
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_the_sweep_enumerates_each_plane_weight_once(monkeypatch, p):
     max_n, max_q = 20, 3
-    real = catalog.monomial_basis
-    weights = []
+    real = enumeration._monomial_bases
+    weights, walks = [], []
 
-    def counted(gens, n, prime):
-        if list(gens) == plane_config_generators(prime, max(n, 1)):
-            weights.append(n)
-        return real(gens, n, prime)
+    def counted(gens, span, prime):
+        # a plane catalog is the one its heaviest generator bounds
+        gens = list(gens)
+        plane = bool(gens) and gens == plane_config_generators(prime, gens[-1].weight)
+        if plane:
+            walks.append(span)
+        for n, basis in zip(span, real(gens, span, prime)):
+            if plane:
+                weights.append(n)
+            yield basis
 
-    # every module that holds the name, as `poincare` reads the enumeration's own
+    # every module that holds the walk, as `monomial_basis` reads the enumeration's own
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("confhom") and getattr(module, "monomial_basis", None) is real:
-            monkeypatch.setattr(module, "monomial_basis", counted)
+        if module.__name__.startswith("confhom") and getattr(module, "_monomial_bases", 0) is real:
+            monkeypatch.setattr(module, "_monomial_bases", counted)
     run_verifications("bijection", p, max_n, max_q)
     bijection = sorted(w for q in range(max_q + 1) for w in (p * q, q + 1))
     assert sorted(weights) == bijection
     weights.clear()
+    walks.clear()
     run_verifications("all", p, max_n, max_q)
     assert sorted(weights) == sorted(list(range(max_n + 1)) + bijection)
+    # the sweep walks the plane once; each bijection source is a one-weight walk
+    assert [span for span in walks if len(span) > 1] == [range(max_n + 1)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
