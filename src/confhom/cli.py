@@ -15,10 +15,20 @@ parser, built on the first call and reused (`parse_args` makes a fresh
 namespace each time, and a usage error only raises SystemExit), while
 `build_parser` still returns a new parser on every call.  JSON is written
 by `_render_json`, whose output is byte-identical to
-`json.dumps(payload, indent=2)`: the stdlib serves `indent` with its
-pure-Python encoder, and the renderer joins the rows the commands emit
-(integer pairs and matrix rows, flat dicts sharing one key order) from
-precomputed indents, handing any other value back to the stdlib.
+`json.dumps(payload, indent=2)` with each listing below expanded to its
+rows: the stdlib serves `indent` with its pure-Python encoder, and the
+renderer joins the rows the commands emit (integer pairs and matrix rows,
+flat dicts sharing one key order) from precomputed indents, handing any
+other value back to the stdlib.
+
+The two longest listings hold no row of their own.  `basis` answers with
+a `_BasisRows` (each degree's monomial texts and the weight), which
+writes JSON, table and csv with one join per degree, since a degree's
+rows differ only in their text; a degree whose texts `csv.writer` would
+quote goes through the writer.  The S1 tensor JSON lists its (monomial,
+circle degree) pairs through a `_TensorPairs`, which encodes each
+monomial's row once and adds only the circle degree per pair.
+`_render` reads either only in its last, fallback branch.
 """
 
 from __future__ import annotations
@@ -31,9 +41,11 @@ import itertools
 import json
 import sys
 import time
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import attrgetter
 
-from .algebra import as_prime
+from .algebra import Monomial, as_prime
 from .bv import (
     REGIME_TENSOR_BS1,
     _delta_counts,
@@ -113,12 +125,73 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_basis(args) -> _Answer:
-    mons = _plane_basis(args.n, args.p)
-    header = ["monomial", "degree", "weight"]
-    if args.format == "json":
-        rows = [{"monomial": m.text(), "degree": m.degree, "weight": m.weight} for m in mons]
-        return {"rows": rows}, None, header
-    return None, [(m.text(), m.degree, m.weight) for m in mons], header
+    rows = _BasisRows(_texts_by_degree(_plane_basis(args.n, args.p)), args.n)
+    return {"rows": rows}, rows, ["monomial", "degree", "weight"]
+
+
+def _texts_by_degree(mons: list) -> list[tuple[int, list[str]]]:
+    """The texts of `mons`, which are sorted by degree, one list per degree."""
+    return [(d, list(map(Monomial.text, ms)))
+            for d, ms in itertools.groupby(mons, attrgetter("degree"))]
+
+
+@dataclass(frozen=True)
+class _BasisRows:
+    """The rows (monomial, degree, weight) of a weight-n basis, held as each
+    degree's monomial texts in listing order.  Every format is rendered with
+    one join per degree, since a degree's rows differ only in their text."""
+
+    groups: list[tuple[int, list[str]]]
+    weight: int
+
+    def json(self, nl: str) -> str:
+        """The rows as `_render` writes a list of flat dicts closing at `nl`."""
+        inner = nl + "  "
+        cell = inner + "  "
+        opener = "{" + cell + '"monomial": '
+        parts = ["[" + inner + opener]
+        for d, texts in self.groups:
+            if texts:
+                close = f',{cell}"degree": {d},{cell}"weight": {self.weight}{inner}}}'
+                joint = close + "," + inner + opener
+                parts += (joint.join(map(_encode_str, texts)), joint)
+        if len(parts) == 1:
+            return "[]"
+        parts[-1] = close + nl + "]"
+        return "".join(parts)
+
+    def table(self, header: list[str]) -> str:
+        """`_render_table` of the rows."""
+        groups = [(str(d), texts) for d, texts in self.groups if texts]
+        weight = str(self.weight)
+        widths = (
+            max([len(header[0])] + [max(map(len, texts)) for _, texts in groups]),
+            max([len(header[1])] + [len(d) for d, _ in groups]),
+            max([len(header[2])] + [len(weight)] * bool(groups)),
+        )
+        lines = ["  ".join(map(str.ljust, header, widths)).rstrip(),
+                 "  ".join("-" * w for w in widths)]
+        for d, texts in groups:
+            # the last column is not padded: `_render_table` strips it
+            tail = "  " + d.ljust(widths[1]) + "  " + weight
+            lines.append((tail + "\n").join([t.ljust(widths[0]) for t in texts]) + tail)
+        return "\n".join(lines)
+
+    def csv(self, header: list[str]) -> str:
+        """`_render_csv` of the header and rows: a degree whose texts need no
+        quoting is joined, any other goes through `csv.writer`."""
+        lines = [_render_csv([header])]
+        for d, texts in self.groups:
+            if not texts:
+                continue
+            blob = "".join(texts)
+            if "," in blob or '"' in blob or "\r" in blob or "\n" in blob:
+                rows = zip(texts, itertools.repeat(d), itertools.repeat(self.weight))
+                lines.append(_render_csv(rows))
+            else:
+                tail = f",{d},{self.weight}"
+                lines.append((tail + "\n").join(texts) + tail)
+        return "\n".join(lines)
 
 
 def _cmd_poincare(args) -> _Answer:
@@ -166,7 +239,7 @@ def _cmd_equivariant(args) -> _Answer:
         return None, _equivariant_s1_dims(args.n, prime, dmax).to_pairs(), ["degree", "dim"]
     answer = equivariant_s1(args.n, prime, dmax)
     if answer.regime == REGIME_TENSOR_BS1:
-        basis = _tensor_pairs(answer.basis, dmax)
+        basis = _TensorPairs(_texts_by_degree(answer.basis), dmax)
     else:
         basis = [{"monomial": m.text()} for m in answer.basis]
     result = {
@@ -179,20 +252,35 @@ def _cmd_equivariant(args) -> _Answer:
     return result, None, ["degree", "dim"]
 
 
-def _tensor_pairs(mons: list, dmax: int) -> list[dict]:
-    """Each monomial of `mons`, sorted by (degree, text), times the even circle
-    degrees through dmax, by total degree D and then text: the monomials of
-    degree <= D and D's parity, each degree merged in as a sorted run."""
-    by_deg = _by_degree(mons)
-    runs: tuple[list, list] = ([], [])
-    pairs = []
-    for total in range(dmax + 1):
-        run = runs[total % 2]
-        if total in by_deg:
-            run += [(m.text(), m.degree) for m in by_deg[total]]
-            run.sort()
-        pairs += [{"monomial": text, "circle_degree": total - d} for text, d in run]
-    return pairs
+@dataclass(frozen=True)
+class _TensorPairs:
+    """The tensor regime's (monomial, circle degree) pairs: each monomial of
+    `groups` (degree, texts) times the even circle degrees through dmax, by
+    total degree D and then text, listed as JSON by `json`."""
+
+    groups: list[tuple[int, list[str]]]
+    dmax: int
+
+    def json(self, nl: str) -> str:
+        """The pairs as `_render` writes a list of flat dicts closing at `nl`:
+        each monomial's row up to its circle degree is encoded once, and the
+        rows of total D are those of degree <= D and D's parity, each degree
+        merged in as a sorted run."""
+        inner = nl + "  "
+        cell = inner + "  "
+        opener, middle = "{" + cell + '"monomial": ', "," + cell + '"circle_degree": '
+        by_deg = dict(self.groups)
+        runs: tuple[list, list] = ([], [])
+        items = []
+        for total in range(self.dmax + 1):
+            run = runs[total % 2]
+            if total in by_deg:
+                run += [(t, opener + _encode_str(t) + middle, total) for t in by_deg[total]]
+                run.sort()
+            items += [head + str(total - d) for _, head, d in run]
+        if not items:
+            return "[]"
+        return "[" + inner + (inner + "}," + inner).join(items) + inner + "}" + nl + "]"
 
 
 def _cmd_sign(args) -> _Answer:
@@ -273,6 +361,8 @@ def _render(x, nl: str) -> str:
     if t is dict and all(type(k) is str for k in x):
         items = [_encode_str(k) + ": " + _render(v, inner) for k, v in x.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is _BasisRows or t is _TensorPairs:
+        return x.json(nl)
     # Encoded JSON holds no raw newline, so re-indenting the stdlib's output is exact.
     return json.dumps(x, indent=2).replace("\n", nl)
 
@@ -319,11 +409,10 @@ def _render_table(table: list, header: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _render_csv(table: list[list], header: list[str]) -> str:
+def _render_csv(rows) -> str:
+    """`rows` as `csv.writer` writes them, one per line, with no final newline."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(table)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue().rstrip("\n")
 
 
@@ -358,10 +447,12 @@ def main(argv=None) -> int:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
         print(_render_json(payload))
+    elif type(table) is _BasisRows:
+        print(table.table(header) if fmt == "table" else table.csv(header))
     elif fmt == "table":
         print(_render_table(table, header))
     else:
-        print(_render_csv(table, header))
+        print(_render_csv([header, *table]))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
     return 0 if status == "ok" else 1

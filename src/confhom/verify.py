@@ -19,8 +19,10 @@ slices that check enumerates come from a walk of its own over the 1-sphere
 catalog).  Each step carries its own report (name, work counters and
 failure list), and one method, `_Step.report`, writes every swept report.
 Each public `verify_*` function of a swept check is a sweep with that one
-step.  The sizes of every basis a run will enumerate are checked once,
-before any check runs.
+step.  Outside the sweep, the bijection enumerates each distinct source
+weight (p * q or q + 1) once and hands that list to every q that reads it.
+The sizes of every basis a run will enumerate are checked once, before any
+check runs.
 
 The count side is built once per run too: each Hilbert-series table (the
 plane, each sphere dimension of the sign and mod-2 routes, each q of the
@@ -314,9 +316,19 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
         totals = _plane_totals(prime.p * (max_q + 1), prime)
         # one catalog serves every source: none is heavier than weight p * max_q
         plane = plane_config_generators(prime, max(prime.p * max_q, 1))
+        # each source weight is enumerated once, and dropped after the last q that reads it
+        last_reader = {w: q for q in range(max_q + 1) for w in (prime.p * q, q + 1)}
+        sources: dict[int, list] = {}
         for q in range(max_q + 1):
-            sources = [monomial_basis(plane, w, prime) for w in (prime.p * q, q + 1)]
-            plan.append(_bijection(prime, q, *sources, totals[prime.p * (q + 1)]))
+            weights = (prime.p * q, q + 1)
+            for w in weights:
+                if w not in sources:
+                    sources[w] = monomial_basis(plane, w, prime)
+            src_pq, src_q1 = map(sources.get, weights)
+            plan.append(_bijection(prime, q, src_pq, src_q1, totals[prime.p * (q + 1)]))
+            for w in weights:
+                if last_reader[w] == q:
+                    sources.pop(w, None)
     if want("classify"):
         plan.append(_classify_total(prime, max_n))
     if want("stability"):

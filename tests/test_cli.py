@@ -538,6 +538,49 @@ def test_degree_bound_is_unused_in_the_cokernel_regime(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["regime"] == "coker_delta"
 
 
+_LISTING_TEXT = st.text(st.sampled_from(list(',"\r\n% ab^1\t\u00e9\u2028\u4e2d')), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 40), st.lists(_LISTING_TEXT, max_size=4)), max_size=5),
+       st.one_of(st.integers(-3, 300), st.integers(10**6, 10**9)))
+def test_basis_listing_renders_as_its_rows(groups, weight):
+    # any degree groups, empty ones and texts csv.writer quotes included
+    listing = cli._BasisRows(groups, weight)
+    header = ["monomial", "degree", "weight"]
+    rows = [(t, d, weight) for d, texts in groups for t in texts]
+    assert listing.table(header) == _ljust_table(rows, header)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    assert listing.csv(header) == buf.getvalue().rstrip("\n")
+    dicts = [{"monomial": t, "degree": d, "weight": w} for t, d, w in rows]
+    assert _render_json({"rows": listing}) == json.dumps({"rows": dicts}, indent=2)
+    assert _render_json([listing, 1]) == json.dumps([dicts, 1], indent=2)
+
+
+class _TextMonomial:
+    """A stand-in monomial: the text and degree the pair builder reads."""
+
+    def __init__(self, text: str, degree: int):
+        self._text, self.degree = text, degree
+
+    def text(self) -> str:
+        return self._text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_LISTING_TEXT, st.integers(0, 12), max_size=12), st.integers(-1, 16))
+def test_tensor_pairs_render_as_the_old_pair_builder(degrees, dmax):
+    # distinct texts, as a basis's are, sorted by (degree, text) as a basis is
+    mons = sorted((_TextMonomial(t, d) for t, d in degrees.items()),
+                  key=lambda m: (m.degree, m.text()))
+    groups = [(d, [m.text() for m in mons if m.degree == d])
+              for d in sorted(set(degrees.values()))]
+    old = _tensor_pairs_oracle(mons, dmax)
+    pairs = cli._TensorPairs(groups, dmax)
+    assert _render_json({"basis": pairs}) == json.dumps({"basis": old}, indent=2)
+
+
 def _capture(argv) -> tuple[int, str, str]:
     """Run `main` with stdout and stderr captured; a usage error gives its exit code."""
     out, err = io.StringIO(), io.StringIO()
@@ -552,6 +595,10 @@ def _capture(argv) -> tuple[int, str, str]:
 _RENDERED_COMMANDS = [
     ["basis", "--p", "3", "--n", "9"],
     ["basis", "--p", "2", "--n", "0"],
+    ["basis", "--p", "3", "--n", "0"],
+    ["basis", "--p", "2", "--n", "1"],
+    ["basis", "--p", "2", "--n", "11"],
+    ["basis", "--p", "3", "--n", "17"],
     ["poincare", "--p", "5", "--n", "12"],
     ["delta", "--p", "3", "--n", "6"],
     ["delta", "--p", "3", "--n", "6", "--degree", "2"],
@@ -560,6 +607,10 @@ _RENDERED_COMMANDS = [
     ["delta", "--p", "3", "--n", "6", "--degree", "40"],
     ["equivariant", "--group", "S1", "--p", "3", "--n", "6", "--dmax", "12"],
     ["equivariant", "--group", "S1", "--p", "3", "--n", "8"],
+    ["equivariant", "--group", "S1", "--p", "3", "--n", "9"],
+    ["equivariant", "--group", "S1", "--p", "3", "--n", "9", "--dmax", "0"],
+    ["equivariant", "--group", "S1", "--p", "2", "--n", "7", "--dmax", "3"],
+    ["equivariant", "--group", "S1", "--p", "2", "--n", "7", "--dmax", "-1"],
     ["equivariant", "--group", "Zp", "--p", "3", "--n", "9", "--dmax", "12"],
     ["equivariant", "--group", "Zp", "--p", "3", "--n", "5"],
     ["sign", "--p", "3", "--n", "3", "--q", "0"],
@@ -580,13 +631,63 @@ def _rendered_payloads(monkeypatch, argv) -> tuple[list, str]:
     return seen, out
 
 
+def _plain_rows(listing) -> list[dict]:
+    """`json.dumps` default: a `basis` or S1 tensor listing as its rows."""
+    if type(listing) is cli._BasisRows:
+        return [{"monomial": t, "degree": d, "weight": listing.weight}
+                for d, texts in listing.groups for t in texts]
+    if type(listing) is cli._TensorPairs:
+        pairs = sorted((d + c, t, c) for d, texts in listing.groups for t in texts
+                       for c in range(0, listing.dmax - d + 1, 2))
+        return [{"monomial": t, "circle_degree": c} for _, t, c in pairs]
+    raise TypeError(f"{type(listing).__name__} is not a listing")
+
+
+def _basis_rows_oracle(n: int, p: int) -> list[dict]:
+    """The `basis` JSON rows, one dict per monomial of the weight-n basis."""
+    return [{"monomial": m.text(), "degree": m.degree, "weight": m.weight}
+            for m in catalog._plane_basis(n, p)]
+
+
+def _tensor_pairs_oracle(mons: list, dmax: int) -> list[dict]:
+    """Each monomial of `mons`, sorted by (degree, text), times the even circle
+    degrees through dmax, by total degree D and then text: the monomials of
+    degree <= D and D's parity, each degree merged in as a sorted run."""
+    by_deg = enumeration._by_degree(mons)
+    runs: tuple[list, list] = ([], [])
+    pairs = []
+    for total in range(dmax + 1):
+        run = runs[total % 2]
+        if total in by_deg:
+            run += [(m.text(), m.degree) for m in by_deg[total]]
+            run.sort()
+        pairs += [{"monomial": text, "circle_degree": total - d} for text, d in run]
+    return pairs
+
+
+def _oracle_payload(payload: dict) -> dict:
+    """`payload` with a `basis` or S1 tensor listing rebuilt, one dict per row,
+    by the row builders above; any other payload as it is."""
+    result, params = dict(payload["result"]), payload["params"]
+    if payload["command"] == "basis" and payload["status"] == "ok":
+        result["rows"] = _basis_rows_oracle(params["n"], params["p"])
+    elif result.get("regime") == bv.REGIME_TENSOR_BS1:
+        dmax = result["degree_bound"]
+        basis = bv.equivariant_s1(params["n"], params["p"], dmax).basis
+        result["basis"] = _tensor_pairs_oracle(basis, dmax)
+    return {**payload, "result": result}
+
+
 @pytest.mark.parametrize("argv", _RENDERED_COMMANDS, ids=" ".join)
 def test_renderer_matches_json_dumps_on_command_payloads(monkeypatch, argv):
+    # a `basis` or S1 tensor payload holds its listing, which json.dumps
+    # reads as its rows; every other payload is plain JSON
     seen, out = _rendered_payloads(monkeypatch, argv)
     assert len(seen) == 1
-    expected = json.dumps(seen[0], indent=2)
+    expected = json.dumps(seen[0], indent=2, default=_plain_rows)
     assert _render_json(seen[0]) == expected
     assert out == expected + "\n"
+    assert json.dumps(_oracle_payload(seen[0]), indent=2) == expected
 
 
 def test_renderer_matches_json_dumps_on_a_failed_verify(monkeypatch):
