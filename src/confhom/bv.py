@@ -31,11 +31,12 @@ otherwise; its basis is plane monomials in both.  An independently computed
 spectral-sequence page (`serre_e3`), a table of Python-int counts, serves
 as the oracle for both regimes.
 
-Only the JSON listings enumerate a basis and share its limits.  The counts
-the `delta` and S1 tables and csv print come from the Hilbert series:
-`_equivariant_s1_dims` and `equivariant_zp` tensor the plane slice with a
-classifying space through `_slice_times_circle` (the S1 cokernel is the
-series without the odd class), and `_delta_counts` reads the rank in each
+Every dimension of these answers comes from the Hilbert series; only the
+JSON listings enumerate a basis and share its limits.
+`_equivariant_s1_dims` gives the S1 dims of a range of weights to every
+format and to `verify`, and every "row n of a series table times
+1/(1 - t^step)" answer (S1 and Zp here, sign and mod-2 in `signhom`) goes
+through `_rows_times_circle`.  `_delta_counts` reads the rank in each
 degree off one table over the plane generators without the point and odd
 classes, as the operator is injective on the sources it does not kill.
 """
@@ -174,11 +175,11 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
     n = 0, 1 mod p: the plane homology tensored with the homology of the
     circle classifying space, truncated at dmax, with the plane monomials of
     degree <= dmax as basis.  Otherwise: the cokernel of the BV operator,
-    whose basis is the u-free monomials, and dmax is not read.  ValueError
-    is raised before any monomial is built, in this order, for a basis of
-    more than MAX_BASIS monomials, a dmax above MAX_BASIS, or more than
-    MAX_BASIS (monomial, circle degree) pairs (`dims.total()`), counted
-    from the weight-n slice of the Hilbert series.
+    whose basis is the u-free monomials, and dmax is not read.  The dims
+    are read from the series.  ValueError is raised before any monomial is
+    built, in this order, for a basis of more than MAX_BASIS monomials, a
+    dmax above MAX_BASIS, or more than MAX_BASIS (monomial, circle degree)
+    pairs (`dims.total()`), counted from the weight-n slice of the series.
     """
     prime = as_prime(p)
     if n < 0:
@@ -187,46 +188,39 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
     gens = plane_config_generators(prime, max(n, 1))
     if n % prime.p in (0, 1):
         dmax = _degree_bound(n, dmax)
-        _check_tensor_pairs(series_coefficient(gens, n, max(dmax, 0), prime), dmax)
-    return _equivariant_s1(n, prime, monomial_basis(gens, n, prime), dmax)
-
-
-def _equivariant_s1(n: int, prime, mons: list, dmax: int | None) -> EquivariantAnswer:
-    """`equivariant_s1` from the weight-n plane basis `mons`."""
-    if n % prime.p in (0, 1):
-        dmax = _degree_bound(n, dmax)
-        basis = [m for m in mons if m.degree <= dmax]
-        plane = GradedDims.of_degrees(m.degree for m in basis)
-        _check_tensor_pairs(plane, dmax)
+        plane = series_coefficient(gens, n, max(dmax, 0), prime)
+        # a plane degree d <= dmax pairs with the circle degrees that keep the total within dmax
+        pairs = sum(c * ((dmax - d) // 2 + 1) for d, c in plane.dims.items() if d <= dmax)
+        if pairs > MAX_BASIS:
+            raise ValueError(f"tensor basis of {pairs} pairs exceeds the limit of {MAX_BASIS}")
+        basis = [m for m in monomial_basis(gens, n, prime) if m.degree <= dmax]
         return EquivariantAnswer(REGIME_TENSOR_BS1, plane.convolve_geometric(2, dmax), basis)
-    u_free = [m for m in mons if not m.contains_kind(KIND_U)]
-    dims = GradedDims.of_degrees(m.degree for m in u_free)
+    dims = _equivariant_s1_dims([n], prime, None)[n]
+    u_free = [m for m in monomial_basis(gens, n, prime) if not m.contains_kind(KIND_U)]
     return EquivariantAnswer(REGIME_COKER_DELTA, dims, u_free)
 
 
-def _check_tensor_pairs(plane: GradedDims, dmax: int) -> None:
-    """Refuse a tensor basis of more than MAX_BASIS (monomial, circle degree)
-    pairs: a plane degree d <= dmax pairs with the (dmax - d) // 2 + 1 circle
-    degrees that keep the total within dmax."""
-    pairs = sum(c * ((dmax - d) // 2 + 1) for d, c in plane.dims.items() if d <= dmax)
-    if pairs > MAX_BASIS:
-        raise ValueError(f"tensor basis of {pairs} pairs exceeds the limit of {MAX_BASIS}")
-
-
-def _equivariant_s1_dims(n: int, p, dmax: int | None) -> GradedDims:
-    """`equivariant_s1(n, p, dmax).dims` from the series, with no basis: the
-    plane slice times the circle in the tensor regime, and in the cokernel
-    regime row n of the series over the plane generators without the odd
-    class.  Besides the series' own size limit, only a negative n and, in
-    the tensor regime, a dmax above MAX_BASIS are refused: the basis and
-    pair-count limits belong to the listing."""
+def _equivariant_s1_dims(ns, p, dmax: int | None) -> dict[int, GradedDims]:
+    """`equivariant_s1(n, p, dmax).dims` for each n of the ascending ns, from
+    one table per regime and no basis: the plane slice times the circle, or
+    row n of the series over the plane generators without the odd class.
+    Besides the series' own size limit, only a negative n and, in the tensor
+    regime, a dmax above MAX_BASIS are refused: the basis and pair-count
+    limits belong to the listing."""
     prime = as_prime(p)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n % prime.p in (0, 1):
-        return _slice_times_circle(n, prime, _degree_bound(n, dmax), 2)
-    gens = [g for g in plane_config_generators(prime, n) if g.kind != KIND_U]
-    return series_coefficient(gens, n, None, prime)
+    if ns and ns[0] < 0:
+        raise ValueError(f"n must be >= 0, got {ns[0]}")
+    tensor = [n for n in ns if n % prime.p < 2]
+    coker = [n for n in ns if n % prime.p > 1]
+    dims = {}
+    if tensor:
+        gens = plane_config_generators(prime, max(tensor[-1], 1))
+        dims = _rows_times_circle(gens, tensor, prime, dmax, 2)
+    if coker:
+        gens = [g for g in plane_config_generators(prime, coker[-1]) if g.kind != KIND_U]
+        table = _complete_table(gens, coker[-1], prime)
+        dims.update((n, table.weight_slice(n)) for n in coker)
+    return dims
 
 
 def equivariant_zp(n: int, p, dmax: int | None = None) -> GradedDims:
@@ -242,17 +236,19 @@ def equivariant_zp(n: int, p, dmax: int | None = None) -> GradedDims:
             f"rotation-equivariant homology is computed only for n = 0, 1 mod p "
             f"(got n={n}, p={prime.p})"
         )
-    return _slice_times_circle(n, prime, _degree_bound(n, dmax), 1)
+    return _rows_times_circle(plane_config_generators(prime, max(n, 1)), [n], prime, dmax, 1)[n]
 
 
-def _slice_times_circle(n: int, prime, dmax: int, step: int) -> GradedDims:
-    """The weight-n plane slice from the series, truncated at dmax, times
-    1/(1 - t^step): the plane homology tensored with a classifying space
-    with one class every `step` degrees (1 for the order-p subgroup, 2 for
-    the circle)."""
-    gens = plane_config_generators(prime, max(n, 1))
-    table = _complete_table(gens, n, prime, max(dmax, 0))
-    return table.weight_slice(n).convolve_geometric(step, dmax)
+def _rows_times_circle(gens, ns, prime, dmax: int | None, step: int) -> dict[int, GradedDims]:
+    """Row n of the series over `gens`, truncated at `_degree_bound(n, dmax)`,
+    times 1/(1 - t^step), for each n of the nonempty ascending ns: a slice
+    tensored with a classifying space with a class every `step` degrees (1
+    for the order-p subgroup, 2 for the circle), from one table expanded
+    through the largest bound, built after every bound is checked."""
+    bounds = {n: _degree_bound(n, dmax) for n in ns}
+    # a negative bound reads no degree, and the table's least bound is 0
+    table = _complete_table(gens, ns[-1], prime, max(0, *bounds.values()))
+    return {n: table.weight_slice(n).convolve_geometric(step, bounds[n]) for n in ns}
 
 
 def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:

@@ -11,7 +11,7 @@ its point-class power, its odd-class exponent and the rest.  Other modules
 build plane monomials from that split (`bv.delta` its images, through
 `Monomial._canonical`; `identities.bijection_image`, through `Monomial`),
 and a caller that needs only whether the odd class is present reads it with
-`Monomial.contains_kind` (`bv._equivariant_s1`, `verify._regime_dichotomy`).
+`Monomial.contains_kind` (`bv.equivariant_s1`, `verify._regime_dichotomy`).
 Sphere catalogs come from closed forms, which
 `signhom.verify_q_stability` checks against the bracket tower.
 """

@@ -236,7 +236,8 @@ def _cmd_equivariant(args) -> _Answer:
         pairs = equivariant_zp(args.n, prime, dmax).to_pairs()
         return {"group": "Zp", "dims": pairs, "degree_bound": dmax}, pairs, ["degree", "dim"]
     if args.format != "json":
-        return None, _equivariant_s1_dims(args.n, prime, dmax).to_pairs(), ["degree", "dim"]
+        dims = _equivariant_s1_dims([args.n], prime, dmax)[args.n]
+        return None, dims.to_pairs(), ["degree", "dim"]
     answer = equivariant_s1(args.n, prime, dmax)
     if answer.regime == REGIME_TENSOR_BS1:
         basis = _TensorPairs(_texts_by_degree(answer.basis), dmax)

@@ -19,11 +19,11 @@ generators keep their exterior flags): the shift is bookkeeping, not an
 algebra map.
 
 One series table built to weight N holds every slice of weight n <= N as
-its row n (`_shifted_table`), expanded only through the highest degree a
-caller reads: an answer with degree bound D reads no degree above D.  So
-the verification suite builds one table per sphere dimension and run, and
-the q-stability check builds one table, one closed-form catalog and one
-bracket tower per q for all its weights (`_q_stability`).
+its row n, expanded by `bv._rows_times_circle` (shared with S1 and Zp) only
+through the highest degree bound read.  So the verification suite builds
+one table per sphere dimension and run, and the q-stability check builds
+one table, one closed-form catalog and one bracket tower per q for all its
+weights (`_q_stability`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import attrgetter
 
 from .algebra import as_prime
 from .brackets import LabelClass, cohen_generators, enumerate_basic_brackets
-from .bv import _degree_bound
+from .bv import _rows_times_circle
 from .catalog import sphere_labelled_generators
 from .enumeration import BigradedDims, GradedDims, _complete_table
 from .reports import VerifyReport
@@ -42,15 +42,16 @@ from .reports import VerifyReport
 _CATALOG_KEY = attrgetter("weight", "degree", "exterior")
 
 
-def _shifted_table(prime, sphere_dim: int, max_n: int, dmax: int | None = None) -> BigradedDims:
-    """The series of the shifted generators over labels in a sphere of
-    dimension sphere_dim, to weight max_n, truncated as `_complete_table`:
-    row n is `shifted_weight_slice(n, prime, sphere_dim)` to degree dmax."""
-    shifted = [
-        replace(g, degree=g.degree - sphere_dim * g.weight)
-        for g in sphere_labelled_generators(prime, sphere_dim, max(max_n, 1))
-    ]
-    return _complete_table(shifted, max_n, prime, dmax)
+def _shifted_generators(prime, sphere_dim: int, max_n: int) -> list:
+    """The generators over labels in a sphere of dimension sphere_dim, to
+    weight max(max_n, 1), each degree shifted down by sphere_dim * weight."""
+    gens = sphere_labelled_generators(prime, sphere_dim, max(max_n, 1))
+    return [replace(g, degree=g.degree - sphere_dim * g.weight) for g in gens]
+
+
+def _shifted_table(prime, sphere_dim: int, max_n: int) -> BigradedDims:
+    """Their series to weight max_n: row n is `shifted_weight_slice(n, prime, sphere_dim)`."""
+    return _complete_table(_shifted_generators(prime, sphere_dim, max_n), max_n, prime)
 
 
 def shifted_weight_slice(n: int, p, sphere_dim: int) -> GradedDims:
@@ -65,12 +66,10 @@ def _answers_by_weight(
 ) -> dict[int, GradedDims]:
     """The answer of each weight n in ns at degree_bound (the default for
     None) over labels in a sphere of dimension sphere_dim (odd: sign, even:
-    mod-2 trivial): row n of one shifted table, expanded through the largest
-    bound, tensored with the circle-classifying-space series."""
-    bounds = {n: _degree_bound(n, degree_bound) for n in ns}
-    # a negative bound reads no degree, and the table's least bound is 0
-    table = _shifted_table(prime, sphere_dim, ns[-1], max(0, *bounds.values()))
-    return {n: table.weight_slice(n).convolve_geometric(2, bounds[n]) for n in ns}
+    mod-2 trivial): row n of the shifted series tensored with the
+    circle-classifying-space series, through `_rows_times_circle`."""
+    gens = _shifted_generators(prime, sphere_dim, ns[-1])
+    return _rows_times_circle(gens, ns, prime, degree_bound, 2)
 
 
 def sign_rep_homology(n: int, p, q: int, degree_bound: int | None = None) -> GradedDims:

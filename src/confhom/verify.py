@@ -2,9 +2,10 @@
 
 Every check here compares two ways of getting the same numbers: the BV
 operator against its square and gradings, matrix ranks against monomial
-counts, the spectral-sequence page against the equivariant dispatcher,
-generating functions against explicit enumeration, and the two mod-2
-routes against each other.  Checks report failures instead of raising.
+counts, the spectral-sequence page against the equivariant dispatcher's
+series (the dims the `equivariant` command prints), generating functions
+against explicit enumeration, and the two mod-2 routes against each other.
+Checks report failures instead of raising.
 
 The checks that read the weight-n plane basis are steps of one sweep:
 `run_verifications` walks n = 0..max_n once, takes each weight's basis from
@@ -12,12 +13,12 @@ one enumeration walk over the weights (`_monomial_bases`, which builds the
 products of the heavier generators once and keeps only those), groups it by
 degree once, and hands both to every step that reads weight n, then drops
 them, so no basis outlives its weight.  Sharing the list merges no oracle:
-every route already started from that basis, and each step still compares
-its own two routes (the matrix rank against the u-free count, the page
-against the dispatcher, the enumerated degrees against the series; the sign
-slices that check enumerates come from a walk of its own over the 1-sphere
-catalog).  Each step carries its own report (name, work counters and
-failure list), and one method, `_Step.report`, writes every swept report.
+each step still compares its own two routes (the matrix rank against the
+u-free count, the page against the dispatcher's series, the enumerated
+degrees against the series; the sign slices that check enumerates come
+from a walk of its own over the 1-sphere catalog).  Each step carries its
+own report (name, work counters and failure list), and one method,
+`_Step.report`, writes every swept report.
 Each public `verify_*` function of a swept check is a sweep with that one
 step.  Outside the sweep, the bijection enumerates each distinct source
 weight (p * q or q + 1) once and hands that list to every q that reads it.
@@ -26,10 +27,10 @@ check runs.
 
 The count side is built once per run too: each Hilbert-series table (the
 plane, each sphere dimension of the sign and mod-2 routes, each q of the
-q-stability check) is expanded once up to the run's largest weight, and
-weight n reads row n, which is the complete weight-n slice.  Every table
-belongs to one step and lives as long as the run; each oracle still builds
-its own, so no route reads another's numbers.
+q-stability check, the dispatcher's tensor and cokernel tables) is expanded
+once up to its step's largest weight, and weight n reads row n.  Every
+table belongs to one step and lives as long as the run; each oracle still
+builds its own, so no route reads another's numbers.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable
 
 from .algebra import KIND_U, as_prime
 from .bv import (
-    _equivariant_s1,
+    _equivariant_s1_dims,
     _serre_e3,
     collapse_total_degree,
     delta,
@@ -171,6 +172,8 @@ def verify_regime_dichotomy(p, max_n: int) -> VerifyReport:
 
 
 def _serre_agreement(prime, max_n: int) -> _Step:
+    dispatcher = _equivariant_s1_dims(range(max_n + 1), prime, None)
+
     def visit(step, n, mons, by_deg):
         e3 = _serre_e3(n, prime, by_deg, None)
         try:
@@ -178,7 +181,7 @@ def _serre_agreement(prime, max_n: int) -> _Step:
         except ValueError as exc:
             step.failures.append(f"n={n}: {exc}")
             return
-        if page != _equivariant_s1(n, prime, mons, None).dims:
+        if page != dispatcher[n]:
             step.failures.append(f"n={n}")
 
     return _Step(f"serre-vs-dispatcher p={prime.p} n<={max_n}", max_n, visit)
@@ -186,8 +189,8 @@ def _serre_agreement(prime, max_n: int) -> _Step:
 
 def verify_serre_agreement(p, max_n: int) -> VerifyReport:
     """The spectral-sequence page, collapsed by total degree, matches the
-    equivariant dispatcher in both regimes.  A page with a negative cell
-    (a rank above its degree's dimension) is a failure of that n."""
+    dispatcher's series in both regimes.  A page with a negative cell (a
+    rank above its degree's dimension) is a failure of that n."""
     return _sweep_one(p, _serre_agreement, max_n)
 
 
@@ -257,18 +260,18 @@ def verify_fixed_points(p, max_n: int) -> VerifyReport:
 def _p2_routes(prime, max_n: int) -> _Step:
     # `trivial_rep_homology_p2(n, q)` for every n, over sphere labels of dimension 2q
     routes = {q: _answers_by_weight(prime, 2 * q, range(max(max_n, 0) + 1)) for q in (1, 2)}
+    expected = _equivariant_s1_dims(range(max_n + 1), prime, None)
 
     def visit(step, n, mons, by_deg):
-        expected = _equivariant_s1(n, prime, mons, None).dims
         for q, answers in routes.items():
-            if answers[n] != expected:
+            if answers[n] != expected[n]:
                 step.failures.append(f"n={n} q={q}")
 
     return _Step(f"p2-cross-route n<={max_n}", max_n, visit)
 
 
 def verify_p2_routes(max_n: int) -> VerifyReport:
-    """At p = 2 the labelled-configuration route (2- and 4-spheres) equals the equivariant one."""
+    """At p = 2 the labelled-configuration route (2- and 4-spheres) equals the dispatcher's series."""
     return _sweep_one(2, _p2_routes, max_n)
 
 

@@ -534,8 +534,14 @@ def test_tensor_basis_refused_before_its_series_is_built(capsys, monkeypatch):
 
 def test_degree_bound_is_unused_in_the_cokernel_regime(capsys):
     # n = 8 is 2 mod 3: the answer is finite and no truncated array is built
-    assert main(["equivariant", "--group", "S1", "--p", "3", "--n", "8", "--dmax", "20000000"]) == 0
+    argv = ["equivariant", "--group", "S1", "--p", "3", "--n", "8"]
+    assert main(argv + ["--dmax", "20000000"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["regime"] == "coker_delta"
+    for fmt in ("table", "csv"):
+        assert main(argv + ["--format", fmt]) == 0
+        unbounded = capsys.readouterr()
+        assert main(argv + ["--dmax", "20000000", "--format", fmt]) == 0
+        assert capsys.readouterr().out == unbounded.out != ""
 
 
 _LISTING_TEXT = st.text(st.sampled_from(list(',"\r\n% ab^1\t\u00e9\u2028\u4e2d')), max_size=5)

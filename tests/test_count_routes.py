@@ -29,6 +29,7 @@ from confhom import (
     sign_rep_homology,
     sphere_labelled_generators,
 )
+from confhom.algebra import KIND_U
 from confhom.catalog import MAX_BASIS, _plane_basis
 from confhom.cli import main
 from confhom.enumeration import _by_degree
@@ -249,7 +250,8 @@ def _csv_rows(capsys, argv) -> list[list[int]]:
 def test_listing_counts_match_enumeration(capsys, p):
     # beyond the weights 0..20 where the csv rows are checked against the JSON listing
     for n in [*range(41), 66, 143]:
-        by_deg = _by_degree(_plane_basis(n, p))
+        basis = _plane_basis(n, p)
+        by_deg = _by_degree(basis)
         want = {d: [d, len(mons), len(by_deg.get(d + 1, [])),
                     bv._delta_rank(bv.delta(m, p) for m in mons)]
                 for d, mons in by_deg.items()}
@@ -258,11 +260,18 @@ def test_listing_counts_match_enumeration(capsys, p):
         for d in (-1, 1, max(want) + 1):
             empty = [d, 0, len(by_deg.get(d + 1, [])), 0]
             assert _csv_rows(capsys, argv + ["--degree", str(d)]) == [want.get(d, empty)]
-        for bound in ([], ["--dmax", "5"]):
-            argv = ["equivariant", "--group", "S1", "--p", str(p), "--n", str(n), *bound]
+        # every format prints the series; the S1 dims counted here from the basis
+        u_free = _by_degree([m for m in basis if not m.contains_kind(KIND_U)])
+        for bound, flag in ((default_degree_bound(n), []), (5, ["--dmax", "5"])):
+            if n % p in (0, 1):
+                plane = [[d, len(by_deg[d])] for d in sorted(by_deg) if d <= bound]
+                counted = _times_circle(plane, bound)
+            else:
+                counted = [[d, len(u_free[d])] for d in sorted(u_free)]
+            argv = ["equivariant", "--group", "S1", "--p", str(p), "--n", str(n), *flag]
             assert main(argv) == 0
-            dims = json.loads(capsys.readouterr().out)["result"]["dims"]
-            assert _csv_rows(capsys, argv) == dims
+            assert json.loads(capsys.readouterr().out)["result"]["dims"] == counted
+            assert _csv_rows(capsys, argv) == counted
 
 
 def _times_circle(dims: list[list[int]], dmax: int) -> list[list[int]]:
@@ -312,7 +321,7 @@ def test_listing_counts_answer_past_the_basis_limits(capsys, argv):
         assert [line.split() for line in lines[:1] + lines[2:]] == cells
 
 
-@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_listing_degree_bound_past_the_limit_refused(capsys, fmt):
     argv = ["equivariant", "--group", "S1", "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS + 1)]
     assert main(argv + ["--format", fmt]) == 2

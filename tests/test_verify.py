@@ -158,10 +158,13 @@ _PLANTED = [
     ("collapse_total_degree", _shifted, "serre-vs-dispatcher"),
     ("_complete_table", _shifted_slices, "enumeration-vs-series"),
     ("_answers_by_weight", _shifted_answers, "p2-cross-route"),
+    ("_equivariant_s1_dims", _shifted_answers, "serre-vs-dispatcher"),
 ]
+# one id per row: the report name, and for the dispatcher's series the attribute
+_PLANTED_IDS = [f if a != "_equivariant_s1_dims" else "dispatcher-series" for a, _, f in _PLANTED]
 
 
-@pytest.mark.parametrize("attr, fault, failing", _PLANTED, ids=[f for _, _, f in _PLANTED])
+@pytest.mark.parametrize("attr, fault, failing", _PLANTED, ids=_PLANTED_IDS)
 def test_a_fault_in_one_step_fails_only_its_report(monkeypatch, attr, fault, failing):
     p = 2 if failing == "p2-cross-route" else 3
     clean = [r.to_payload() for r in run_verifications("all", p, 10, 1)]
@@ -222,8 +225,12 @@ def test_each_count_table_is_built_once_per_run(monkeypatch, p):
     at_12 = len(calls)
     calls.clear()
     run_verifications("all", p, 24, 3)
-    # the plane and sign tables, one per q <= 3, and at p = 2 one per mod-2 sphere
-    assert len(calls) == at_12 == 2 + 4 + (2 if p == 2 else 0)
+    # the plane and sign tables, one per q <= 3, and at p = 2 one per mod-2 sphere;
+    # then the dispatcher's: its tensor and cokernel tables in the serre step, and
+    # at p = 2, where every weight is in the tensor regime, one each in the serre
+    # and mod-2 steps
+    dispatcher = 2
+    assert len(calls) == at_12 == 2 + 4 + (2 if p == 2 else 0) + dispatcher
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -325,7 +332,7 @@ _FAILING_DETAILS = {
 }
 
 
-@pytest.mark.parametrize("attr, fault, failing", _PLANTED, ids=[f for _, _, f in _PLANTED])
+@pytest.mark.parametrize("attr, fault, failing", _PLANTED, ids=_PLANTED_IDS)
 def test_a_failing_report_lists_its_counters_and_failures(monkeypatch, attr, fault, failing):
     p = 2 if failing == "p2-cross-route" else 3
     monkeypatch.setattr(verify, attr, fault(getattr(verify, attr)))
