@@ -49,7 +49,7 @@ from .algebra import KIND_IOTA, KIND_U, Element, Monomial, as_prime, iota, u_cla
 from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _refuse_large_bases
 from .catalog import _split_plane_monomial
 from .catalog import plane_config_generators
-from .enumeration import BigradedDims, GradedDims, _by_degree, _complete_table, monomial_basis
+from .enumeration import BigradedDims, GradedDims, _complete_table, _monomial_bases
 from .enumeration import series_coefficient
 from .linalg import FpMatrix
 
@@ -123,10 +123,10 @@ def delta_element(el: Element) -> Element:
 def delta_matrix(n: int, p, degree: int, by_deg=None) -> FpMatrix:
     """Matrix of the BV operator from the weight-n, degree-`degree` monomial
     basis to the degree+1 basis, columns in monomial_basis order.  `by_deg`
-    is that basis grouped by degree; it is enumerated when omitted."""
+    is the `_plane_basis` of weight n; it is enumerated when omitted."""
     prime = as_prime(p)
     if by_deg is None:
-        by_deg = _by_degree(_plane_basis(n, prime))
+        by_deg = _plane_basis(n, prime)
     source = by_deg.get(degree, [])
     target = by_deg.get(degree + 1, [])
     rows = _image_rows([delta(m, prime) for m in source], target)
@@ -154,16 +154,17 @@ def _delta_counts(n: int, p, degree: int | None) -> list[tuple[int, int, int, in
     is the count of sources iota^k x with x free of the point and odd
     classes and k(k-1) != 0 mod p, that is the sum over k >= 2 with
     k mod p not 0 or 1 of T'(n - k, d), T' the series over the plane
-    generators without those two classes; at p = 2 it is 0."""
+    generators without those two classes; at p = 2 it is 0.  Only the rows
+    the table of T' holds are read (k mod p > 1 needs k >= 2)."""
     prime = as_prime(p)
     gens = plane_config_generators(prime, max(n, 1))
     plane = series_coefficient(gens, n, None, prime)
     ranks: dict[int, int] = {}
     if prime.p != 2:
         rest = _complete_table([g for g in gens if g.kind not in (KIND_IOTA, KIND_U)], n, prime)
-        for k in range(2, n + 1):
-            if k % prime.p > 1:
-                for d, c in rest.weight_slice(n - k).dims.items():
+        for w in range(len(rest._rows)):
+            if (n - w) % prime.p > 1:
+                for d, c in rest.weight_slice(w).dims.items():
                     ranks[d] = ranks.get(d, 0) + c
     degrees = sorted(plane.dims) if degree is None else [degree]
     return [(d, plane[d], plane[d + 1], ranks.get(d, 0)) for d in degrees]
@@ -176,8 +177,9 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
     circle classifying space, truncated at dmax, with the plane monomials of
     degree <= dmax as basis.  Otherwise: the cokernel of the BV operator,
     whose basis is the u-free monomials, and dmax is not read.  The dims
-    are read from the series.  ValueError is raised before any monomial is
-    built, in this order, for a basis of more than MAX_BASIS monomials, a
+    are read from the series, the basis from the degree groups of weight n,
+    sized once.  ValueError is raised before any monomial is built, in
+    this order, for a basis of more than MAX_BASIS monomials, a
     dmax above MAX_BASIS, or more than MAX_BASIS (monomial, circle degree)
     pairs (`dims.total()`), counted from the weight-n slice of the series.
     """
@@ -193,10 +195,12 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
         pairs = sum(c * ((dmax - d) // 2 + 1) for d, c in plane.dims.items() if d <= dmax)
         if pairs > MAX_BASIS:
             raise ValueError(f"tensor basis of {pairs} pairs exceeds the limit of {MAX_BASIS}")
-        basis = [m for m in monomial_basis(gens, n, prime) if m.degree <= dmax]
+        (groups,) = _monomial_bases(gens, range(n, n + 1), prime)
+        basis = [m for d, same in groups.items() if d <= dmax for m in same]
         return EquivariantAnswer(REGIME_TENSOR_BS1, plane.convolve_geometric(2, dmax), basis)
     dims = _equivariant_s1_dims([n], prime, None)[n]
-    u_free = [m for m in monomial_basis(gens, n, prime) if not m.contains_kind(KIND_U)]
+    (groups,) = _monomial_bases(gens, range(n, n + 1), prime)
+    u_free = [m for same in groups.values() for m in same if not m.contains_kind(KIND_U)]
     return EquivariantAnswer(REGIME_COKER_DELTA, dims, u_free)
 
 
@@ -265,7 +269,7 @@ def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:
     A degree_bound above MAX_BASIS raises ValueError.
     """
     prime = as_prime(p)
-    return _serre_e3(n, prime, _by_degree(_plane_basis(n, prime)), degree_bound)
+    return _serre_e3(n, prime, _plane_basis(n, prime), degree_bound)
 
 
 def _serre_e3(n: int, prime, by_deg: dict, degree_bound: int | None) -> BigradedDims:

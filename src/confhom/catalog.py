@@ -2,9 +2,9 @@
 
 Covered: unordered configurations of the plane, plane configurations with
 labels in a sphere, configurations of the punctured plane, and the fixed
-points of the rotation of order p.  `_plane_basis` is the plane basis
-every module uses (sized first; the verification suite sizes its weights
-once and enumerates them over this catalog itself), and
+points of the rotation of order p.  `_plane_basis` is the plane basis, by
+degree, every module uses (sized first; the verification suite sizes its
+weights once and enumerates them over this catalog itself), and
 `_split_plane_monomial` the one reader that knows which
 generator kinds a plane monomial may hold at p: it splits a monomial into
 its point-class power, its odd-class exponent and the rest.  Other modules
@@ -36,7 +36,7 @@ from .algebra import (
     u_class,
 )
 from .brackets import LabelClass, bracket_as_generator, bracket_of, leaf
-from .enumeration import _plane_totals, monomial_basis
+from .enumeration import _monomial_bases, _plane_totals
 
 
 class UnsupportedCaseError(ValueError):
@@ -103,13 +103,14 @@ def plane_config_generators(p, weight_bound: int) -> list[Generator]:
     return gens
 
 
-def _plane_basis(n: int, p) -> list[Monomial]:
-    """The weight-n plane monomial basis, in `monomial_basis` order.  Its
-    size is read from the series first, and a basis of more than MAX_BASIS
-    monomials raises ValueError instead of being built."""
+def _plane_basis(n: int, p) -> dict[int, list[Monomial]]:
+    """The weight-n plane monomial basis as the enumeration walk groups it:
+    {degree: monomials sorted by text}, degrees ascending.  Its size is read
+    from the series first, and a basis of more than MAX_BASIS monomials
+    raises ValueError instead of being built."""
     if n >= 0:
         _refuse_large_bases([range(n, n + 1)], p)
-    return monomial_basis(plane_config_generators(p, max(n, 1)), n, p)
+    return next(_monomial_bases(plane_config_generators(p, max(n, 1)), range(n, n + 1), p))
 
 
 def _refuse_large_bases(spans: list[range], p) -> None:
@@ -197,7 +198,7 @@ def punctured_plane_basis(q: int, p) -> list[Monomial]:
     out: list[Monomial] = []
     for j in range(q + 1):
         w = _white_bracket(j, prime)
-        for m in _plane_basis(q - j, prime):
+        for m in chain.from_iterable(_plane_basis(q - j, prime).values()):
             out.append(Monomial(m.factors + ((w, 1),)))
     out.sort(key=Monomial.sort_key)
     return out

@@ -22,12 +22,12 @@ flat dicts sharing one key order) from precomputed indents, handing any
 other value back to the stdlib.
 
 The two longest listings hold no row of their own.  `basis` answers with
-a `_BasisRows` (each degree's monomial texts and the weight), which
-writes JSON, table and csv with one join per degree, since a degree's
-rows differ only in their text; a degree whose texts `csv.writer` would
-quote goes through the writer.  The S1 tensor JSON lists its (monomial,
-circle degree) pairs through a `_TensorPairs`, which encodes each
-monomial's row once and adds only the circle degree per pair.
+a `_BasisRows` (the texts of each degree group of the basis, and the
+weight), which writes JSON, table and csv with one join per degree, since
+a degree's rows differ only in their text; a degree whose texts
+`csv.writer` would quote goes through the writer.  The S1 tensor JSON
+lists its (monomial, circle degree) pairs through a `_TensorPairs`, which
+encodes each monomial's row once and adds only the circle degree per pair.
 `_render` reads either only in its last, fallback branch.
 """
 
@@ -59,7 +59,7 @@ from .bv import (
     gravity_op_degree,
 )
 from .catalog import UnsupportedCaseError, _plane_basis, plane_config_generators
-from .enumeration import _by_degree, series_coefficient
+from .enumeration import series_coefficient
 from .signhom import sign_rep_homology
 from .verify import VERIFY_TARGETS, run_verifications
 
@@ -125,14 +125,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_basis(args) -> _Answer:
-    rows = _BasisRows(_texts_by_degree(_plane_basis(args.n, args.p)), args.n)
+    rows = _BasisRows(_texts_by_degree(_plane_basis(args.n, args.p).items()), args.n)
     return {"rows": rows}, rows, ["monomial", "degree", "weight"]
 
 
-def _texts_by_degree(mons: list) -> list[tuple[int, list[str]]]:
-    """The texts of `mons`, which are sorted by degree, one list per degree."""
-    return [(d, list(map(Monomial.text, ms)))
-            for d, ms in itertools.groupby(mons, attrgetter("degree"))]
+def _texts_by_degree(groups) -> list[tuple[int, list[str]]]:
+    """Each (degree, monomials) of `groups` as (degree, their texts)."""
+    return [(d, list(map(Monomial.text, ms))) for d, ms in groups]
 
 
 @dataclass(frozen=True)
@@ -207,8 +206,8 @@ def _cmd_delta(args) -> _Answer:
     if args.format != "json":
         return None, _delta_counts(args.n, args.p, args.degree), header
     prime = as_prime(args.p)
-    by_deg = _by_degree(_plane_basis(args.n, prime))
-    degrees = [args.degree] if args.degree is not None else sorted(by_deg)
+    by_deg = _plane_basis(args.n, prime)
+    degrees = [args.degree] if args.degree is not None else by_deg
     maps = []
     for d in degrees:
         source = by_deg.get(d, [])
@@ -240,7 +239,8 @@ def _cmd_equivariant(args) -> _Answer:
         return None, dims.to_pairs(), ["degree", "dim"]
     answer = equivariant_s1(args.n, prime, dmax)
     if answer.regime == REGIME_TENSOR_BS1:
-        basis = _TensorPairs(_texts_by_degree(answer.basis), dmax)
+        groups = itertools.groupby(answer.basis, attrgetter("degree"))
+        basis = _TensorPairs(_texts_by_degree(groups), dmax)
     else:
         basis = [{"monomial": m.text()} for m in answer.basis]
     result = {

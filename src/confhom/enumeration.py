@@ -9,20 +9,20 @@ every dimension-only command reads its answer from one decoded row;
 `total_dim` reads the one-variable series in weight alone.  Both take the
 generators heaviest first, each sweep strided by the gcd of the weights so
 far: rows off the stride stay 0, and the table is the same in any order.
-`monomial_basis` enumerates the canonical monomials of a fixed weight, for
-callers that need the monomials themselves.  It is the one-weight case of
-one walk, `_monomial_bases`, which hands out the basis of each weight of a
-range in turn, for the verification sweep: one loop takes the generators
+The monomials themselves come from one walk, `_monomial_bases`, which
+hands out the basis of each weight of a range in turn, grouped by degree:
+{degree: monomials sorted by text}, degrees ascending, the shape every
+reader that goes by degree takes a basis in.  One loop takes the generators
 down by rank over partial products grouped by the weight they use, built
 once up to the top weight; for each weight the two lowest-rank generators
 close the groups without storing another level (each power of the second
 that fits, then the one exponent of the lowest that fills the rest), each
 monomial's text is written on the way, and the monomials are built through
 the trusted `Monomial._canonical` into a list per degree, each sorted by
-the text in its slot, so no `text()` is called.
-`poincare` counts the monomials by degree, the enumeration side of the
-series in the demos and tests; the verification suite counts the plane
-basis it has already swept.
+the text in its slot, so no `text()` is called.  `monomial_basis`, the
+public one-weight case, flattens its groups in that order, and `poincare`
+counts them, the enumeration side of the series in the demos and tests;
+the verification suite counts the plane basis it has already swept.
 
 Every count is a Python int, so the series is exact at any size or it is
 refused: its size in bits is worked out from the weight totals and the
@@ -34,7 +34,7 @@ than `MAX_SERIES_BITS` raises ValueError instead of exhausting memory;
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd
 from operator import attrgetter
 
@@ -192,16 +192,17 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
     Exterior generators contribute exponent at most one.  The result is
     sorted by (degree, canonical text).  A generator of weight < 1 is
     refused: the basis would not be finite.  This is the one-weight case of
-    the walk `_monomial_bases`, which a sweep over every weight up to some
-    bound reads instead.
+    the walk `_monomial_bases`, its degree groups joined in order; a
+    reader in the package that goes by degree takes the groups instead.
     """
-    (basis,) = _monomial_bases(gens, range(n, n + 1), p)
-    return basis
+    (groups,) = _monomial_bases(gens, range(n, n + 1), p)
+    return list(chain.from_iterable(groups.values()))
 
 
 def _monomial_bases(gens, weights: range, p):
-    """Yield `monomial_basis(gens, n, p)` for each n of the ascending range
-    `weights` in turn, from one walk.
+    """Yield the weight-n basis over `gens` for each n of the ascending
+    range `weights` in turn, from one walk, grouped by degree: {degree:
+    monomials sorted by text}, degrees ascending, with no empty group.
 
     One loop takes the generators from the highest rank down to the third
     lowest and keeps the partial products grouped by the weight they use:
@@ -247,7 +248,7 @@ def _monomial_bases(gens, weights: range, p):
     for n in weights:
         if n == 0 or not ordered:
             # the empty product alone at weight 0, and nothing above it without generators
-            yield [Monomial()] if n == 0 else []
+            yield {0: [Monomial()]} if n == 0 else {}
             continue
         pending = list(groups.items())
         if n == top:
@@ -255,8 +256,8 @@ def _monomial_bases(gens, weights: range, p):
         yield _close(pending, n, ordered[0], second_powers)
 
 
-def _close(pending: list, n: int, low: Generator, second_powers: list) -> list[Monomial]:
-    """The weight-n basis from the groups `pending` (weight used, partial
+def _close(pending: list, n: int, low: Generator, second_powers: list) -> dict[int, list]:
+    """The weight-n basis by degree from the groups `pending` (weight used, partial
     products) of the walk, popped last-inserted first, and emptied: in that
     order each degree's list arrives closer to sorted than in the order of
     insertion, which leaves its sort more work.
@@ -268,9 +269,9 @@ def _close(pending: list, n: int, low: Generator, second_powers: list) -> list[M
     arrive in canonical order, and each product carries its canonical text
     followed by a space: the new factor's text, a space, then the old text.
     Each monomial is built with that text by the trusted
-    `Monomial._canonical` and filed in a list for its degree; the degrees
-    are joined in ascending order, each list sorted by the text in its
-    slot, which is distinct within a weight.
+    `Monomial._canonical` and filed in a list for its degree; each list is
+    sorted by the text in its slot, which is distinct within a weight, and
+    the degrees are handed out in ascending order.
     """
     canonical = Monomial._canonical
     by_degree: dict[int, list[Monomial]] = {}
@@ -292,13 +293,9 @@ def _close(pending: list, n: int, low: Generator, second_powers: list) -> list[M
                 if same is None:
                     same = by_degree[degree] = []
                 same.append(canonical(factor + tail, n, degree, (name + text)[:-1]))
-    out: list[Monomial] = []
-    for d in sorted(by_degree):
-        same = by_degree[d]
-        if len(same) > 1:
-            same.sort(key=_TEXT)
-        out += same
-    return out
+    for same in by_degree.values():
+        same.sort(key=_TEXT)
+    return dict(sorted(by_degree.items()))
 
 
 def _powers(g: Generator, n: int) -> list[tuple]:
@@ -314,17 +311,11 @@ def _power(g: Generator, e: int) -> str:
     return g.name + " " if e == 1 else f"{g.name}^{e} "
 
 
-def _by_degree(monomials) -> dict[int, list[Monomial]]:
-    out: dict[int, list[Monomial]] = {}
-    for m in monomials:
-        out.setdefault(m.degree, []).append(m)
-    return out
-
-
 def poincare(gens, n: int, p) -> GradedDims:
     """Degree-indexed dimensions of the weight-n monomial basis, by
     enumeration; the oracle for `series_coefficient`."""
-    return GradedDims.of_degrees(m.degree for m in monomial_basis(gens, n, p))
+    (groups,) = _monomial_bases(gens, range(n, n + 1), p)
+    return GradedDims({d: len(same) for d, same in groups.items()})
 
 
 def total_dim(n: int, p) -> int:

@@ -100,8 +100,8 @@ def verify_bijection(p, q: int) -> VerifyReport:
     invariant of the substitution is a failure of this q, listed under
     `failures` (a key only a failed report has)."""
     prime = as_prime(p)
-    src_pq = _plane_basis(prime.p * q, prime)
-    src_q1 = _plane_basis(q + 1, prime)
+    src_pq = [m for ms in _plane_basis(prime.p * q, prime).values() for m in ms]
+    src_q1 = [m for ms in _plane_basis(q + 1, prime).values() for m in ms]
     return _bijection(prime, q, src_pq, src_q1, total_dim(prime.p * (q + 1), prime))
 
 

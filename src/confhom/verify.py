@@ -8,17 +8,17 @@ against explicit enumeration, and the two mod-2 routes against each other.
 Checks report failures instead of raising.
 
 The checks that read the weight-n plane basis are steps of one sweep:
-`run_verifications` walks n = 0..max_n once, takes each weight's basis from
-one enumeration walk over the weights (`_monomial_bases`, which builds the
-products of the heavier generators once and keeps only those), groups it by
-degree once, and hands both to every step that reads weight n, then drops
-them, so no basis outlives its weight.  Sharing the list merges no oracle:
-each step still compares its own two routes (the matrix rank against the
-u-free count, the page against the dispatcher's series, the enumerated
-degrees against the series; the sign slices that check enumerates come
-from a walk of its own over the 1-sphere catalog).  Each step carries its
-own report (name, work counters and failure list), and one method,
-`_Step.report`, writes every swept report.
+`run_verifications` walks n = 0..max_n once, takes each weight's basis,
+grouped by degree, from one enumeration walk over the weights
+(`_monomial_bases`, which builds the products of the heavier generators
+once and keeps only those), hands it to every step that reads weight n,
+then drops it, so no basis outlives its weight.  Sharing it merges no
+oracle: each step still compares its own two routes (the matrix rank
+against the u-free count, the page against the dispatcher's series, the
+enumerated degrees against the series; the sign slices that check counts
+come from a walk of its own over the 1-sphere catalog).  Each step
+carries its own report (name, work counters and failure list), and one
+method, `_Step.report`, writes every swept report.
 Each public `verify_*` function of a swept check is a sweep with that one
 step.  Outside the sweep, the bijection enumerates each distinct source
 weight (p * q or q + 1) once and hands that list to every q that reads it.
@@ -29,14 +29,15 @@ The count side is built once per run too: each Hilbert-series table (the
 plane, each sphere dimension of the sign and mod-2 routes, each q of the
 q-stability check, the dispatcher's tensor and cokernel tables) is expanded
 once up to its step's largest weight, and weight n reads row n.  Every
-table belongs to one step and lives as long as the run; each oracle still
-builds its own, so no route reads another's numbers.
+table lives as long as the run; each oracle still builds its own, so no
+route reads another's numbers (at p = 2 the serre and mod-2 steps share
+the dispatcher's, the one answer both compare their routes with).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable
 
 from .algebra import KIND_U, as_prime
@@ -50,7 +51,7 @@ from .bv import (
 )
 from .catalog import MAX_BASIS, _refuse_large_bases
 from .catalog import plane_config_generators, sphere_labelled_generators
-from .enumeration import GradedDims, _by_degree, _check_total_weight, _complete_table
+from .enumeration import GradedDims, _check_total_weight, _complete_table
 from .enumeration import _monomial_bases, _plane_totals, monomial_basis
 from .identities import _bijection, classify_monomial, verify_dimension_identity
 from .reports import VerifyReport
@@ -69,14 +70,15 @@ VERIFY_TARGETS = (
 
 @dataclass
 class _Step:
-    """One swept check and its report.  `visit(step, n, mons, by_deg)` is fed
-    the weight-n plane basis and its degree grouping for each n <= bound; it
-    appends to `failures` and adds to the work `counters`.  The report lists
-    the counters, then the first `listed` failures (all of them when None)."""
+    """One swept check and its report.  `visit(step, n, by_deg)` is fed the
+    weight-n plane basis, grouped by degree as the walk hands it out, for
+    each n <= bound; it appends to `failures` and adds to the work
+    `counters`.  The report lists the counters, then the first `listed`
+    failures (all of them when None)."""
 
     name: str
     bound: int
-    visit: Callable[["_Step", int, list, dict], None]
+    visit: Callable[["_Step", int, dict], None]
     listed: int | None = None
     counters: dict[str, int] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
@@ -88,13 +90,17 @@ class _Step:
 
 def _sweep(prime, steps: list[_Step]) -> None:
     """Feed each weight's plane basis, from one walk over the weights, to
-    every step bounded at or above it; the caller has sized every swept
-    basis."""
+    every step bounded at or above it, and drop it before the next weight
+    is built; the caller has sized every swept basis."""
     top = max((s.bound for s in steps), default=-1)
     gens = plane_config_generators(prime, max(top, 1))
     bases = _monomial_bases(gens, range(top + 1), prime)
     for n in range(top + 1):
-        _visit(n, next(bases), [s for s in steps if n <= s.bound])
+        by_deg = next(bases)
+        for s in steps:
+            if n <= s.bound:
+                s.visit(s, n, by_deg)
+        del by_deg
 
 
 def _sweep_one(p, check: Callable[..., _Step], max_n: int) -> VerifyReport:
@@ -107,16 +113,9 @@ def _sweep_one(p, check: Callable[..., _Step], max_n: int) -> VerifyReport:
     return step.report()
 
 
-def _visit(n: int, mons: list, steps: list[_Step]) -> None:
-    # The basis lives in this frame only: it is freed before weight n + 1 is built.
-    by_deg = _by_degree(mons)
-    for s in steps:
-        s.visit(s, n, mons, by_deg)
-
-
 def _delta_squared(prime, max_n: int) -> _Step:
-    def visit(step, n, mons, by_deg):
-        for m in mons:
+    def visit(step, n, by_deg):
+        for m in chain.from_iterable(by_deg.values()):
             image = delta(m, prime)
             step.counters["monomials_checked"] += 1
             for mm in image.terms:
@@ -145,7 +144,7 @@ def _coker_dims_by_rank(by_deg: dict[int, list], mats: dict) -> GradedDims:
 
 
 def _regime_dichotomy(prime, max_n: int) -> _Step:
-    def visit(step, n, mons, by_deg):
+    def visit(step, n, by_deg):
         mats = {d: delta_matrix(n, prime, d, by_deg) for d in by_deg}
         all_zero = all(mat.is_zero() for mat in mats.values())
         expect_zero = n % prime.p in (0, 1)
@@ -154,11 +153,11 @@ def _regime_dichotomy(prime, max_n: int) -> _Step:
             return
         if expect_zero:
             return
-        u_free = [m for m in mons if not m.contains_kind(KIND_U)]
-        u_carrying = [m for m in mons if m.contains_kind(KIND_U)]
-        if len(u_free) != len(u_carrying):
-            step.failures.append(f"n={n}: u-free {len(u_free)} != u-carrying {len(u_carrying)}")
-        if _coker_dims_by_rank(by_deg, mats) != GradedDims.of_degrees(m.degree for m in u_free):
+        u_free = {d: sum(not m.contains_kind(KIND_U) for m in ms) for d, ms in by_deg.items()}
+        free, total = sum(u_free.values()), sum(map(len, by_deg.values()))
+        if 2 * free != total:
+            step.failures.append(f"n={n}: u-free {free} != u-carrying {total - free}")
+        if _coker_dims_by_rank(by_deg, mats) != GradedDims(u_free):
             step.failures.append(f"n={n}: rank cokernel != u-free counts")
 
     return _Step(f"regime-dichotomy p={prime.p} n<={max_n}", max_n, visit, 10)
@@ -171,10 +170,11 @@ def verify_regime_dichotomy(p, max_n: int) -> VerifyReport:
     return _sweep_one(p, _regime_dichotomy, max_n)
 
 
-def _serre_agreement(prime, max_n: int) -> _Step:
-    dispatcher = _equivariant_s1_dims(range(max_n + 1), prime, None)
+def _serre_agreement(prime, max_n: int, dispatcher: dict | None = None) -> _Step:
+    # the dispatcher's dims of each n <= max_n, read here unless the run shares them
+    dispatcher = dispatcher or _equivariant_s1_dims(range(max_n + 1), prime, None)
 
-    def visit(step, n, mons, by_deg):
+    def visit(step, n, by_deg):
         e3 = _serre_e3(n, prime, by_deg, None)
         try:
             page = collapse_total_degree(e3)
@@ -202,11 +202,11 @@ def _series_agreement(prime, max_n: int) -> _Step:
     labelled = sphere_labelled_generators(prime, 1, max(top, 1))
     labelled_bases = _monomial_bases(labelled, range(top + 1), prime)
 
-    def visit(step, n, mons, by_deg):
+    def visit(step, n, by_deg):
         counted = GradedDims({d: len(ms) for d, ms in by_deg.items()})
         if counted != plane.weight_slice(n):
             step.failures.append(f"n={n}")
-        enumerated = GradedDims.of_degrees(m.degree - n for m in next(labelled_bases))
+        enumerated = GradedDims({d - n: len(ms) for d, ms in next(labelled_bases).items()})
         if sign.weight_slice(n) != enumerated:
             step.failures.append(f"n={n} sign slice")
 
@@ -223,8 +223,8 @@ def verify_series_agreement(p, max_n: int) -> VerifyReport:
 
 
 def _classify_total(prime, max_n: int) -> _Step:
-    def visit(step, n, mons, by_deg):
-        for m in mons:
+    def visit(step, n, by_deg):
+        for m in chain.from_iterable(by_deg.values()):
             try:
                 classify_monomial(m, prime, n)
                 step.counters["monomials_checked"] += 1
@@ -257,14 +257,14 @@ def verify_fixed_points(p, max_n: int) -> VerifyReport:
     )
 
 
-def _p2_routes(prime, max_n: int) -> _Step:
+def _p2_routes(prime, max_n: int, dispatcher: dict | None = None) -> _Step:
     # `trivial_rep_homology_p2(n, q)` for every n, over sphere labels of dimension 2q
     routes = {q: _answers_by_weight(prime, 2 * q, range(max(max_n, 0) + 1)) for q in (1, 2)}
-    expected = _equivariant_s1_dims(range(max_n + 1), prime, None)
+    dispatcher = dispatcher or _equivariant_s1_dims(range(max_n + 1), prime, None)
 
-    def visit(step, n, mons, by_deg):
+    def visit(step, n, by_deg):
         for q, answers in routes.items():
-            if answers[n] != expected[n]:
+            if answers[n] != dispatcher[n]:
                 step.failures.append(f"n={n} q={q}")
 
     return _Step(f"p2-cross-route n<={max_n}", max_n, visit)
@@ -337,10 +337,12 @@ def run_verifications(target: str, p, max_n: int = 24, max_q: int = 4) -> list[V
     if want("stability"):
         plan += _q_stability(stable_ns, prime, list(range(max_q + 1)))
     if want("cross-route"):
+        low = min(max_n, 16)
+        dispatcher = _equivariant_s1_dims(range(low + 1), prime, None)
         plan.append(_regime_dichotomy(prime, max_n))
-        plan.append(_serre_agreement(prime, min(max_n, 16)))
+        plan.append(_serre_agreement(prime, low, dispatcher))
         plan.append(_series_agreement(prime, max_n))
         if prime.p == 2:
-            plan.append(_p2_routes(prime, min(max_n, 16)))
+            plan.append(_p2_routes(prime, low, dispatcher))
     _sweep(prime, [s for s in plan if isinstance(s, _Step)])
     return [s.report() if isinstance(s, _Step) else s for s in plan]

@@ -145,6 +145,16 @@ def monomial_basis_bruteforce(gens, n):
     return out
 
 
+def group_by_degree(monomials):
+    """A flat basis as {degree: its monomials of that degree, in the order
+    given}, degrees ascending: the grouping a test compares the package's
+    own with."""
+    out = {}
+    for m in sorted(monomials, key=lambda m: m.degree):
+        out.setdefault(m.degree, []).append(m)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Tower degrees by naive iteration of d -> p*d + p - 1.
 

@@ -24,8 +24,14 @@ from confhom import (
 )
 from confhom.algebra import alpha_gen, as_prime, beta_gen, iota, q_iota, u_class
 from confhom.bv import _delta_rank
-from confhom.catalog import _plane_basis, _split_plane_monomial
-from confhom.enumeration import _by_degree
+from confhom.catalog import _split_plane_monomial
+
+from oracles import group_by_degree
+
+
+def _flat_basis(n, p):
+    """The weight-n plane basis as the public `monomial_basis` lists it."""
+    return monomial_basis(plane_config_generators(p, max(n, 1)), n, p)
 
 
 def mono(*pairs):
@@ -128,7 +134,7 @@ def test_tensor_basis_is_the_plane_monomials_through_the_bound(p):
     for n in range(25):
         if n % p not in (0, 1):
             continue
-        mons = _plane_basis(n, p)
+        mons = _flat_basis(n, p)
         for dmax in (0, 3, 7, default_degree_bound(n)):
             ans = equivariant_s1(n, p, dmax)
             assert ans.regime == REGIME_TENSOR_BS1
@@ -231,7 +237,7 @@ def test_gravity_op_degree():
 def test_delta_rank_is_count_of_nonzero_images(p):
     # the closed-form rank behind serre_e3, against the matrix rank
     for n in range(31):
-        by_deg = _by_degree(_plane_basis(n, p))
+        by_deg = group_by_degree(_flat_basis(n, p))
         for d in range(max(by_deg) + 2):
             nonzero = sum(not delta(m, p).is_zero() for m in by_deg.get(d, []))
             rank = delta_matrix(n, p, d, by_deg).rank()
@@ -242,7 +248,7 @@ def test_delta_rank_is_count_of_nonzero_images(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_delta_matrix_from_grouped_basis_matches_enumerated(p):
     for n in range(16):
-        by_deg = _by_degree(_plane_basis(n, p))
+        by_deg = group_by_degree(_flat_basis(n, p))
         for d in range(-1, max(by_deg) + 2):
             grouped = delta_matrix(n, p, d, by_deg)
             enumerated = delta_matrix(n, p, d)
@@ -276,7 +282,7 @@ def _validated_delta(m, p):
 def test_delta_matches_the_validating_construction(p):
     prime = as_prime(p)
     for n in range(31):
-        for m in _plane_basis(n, p):
+        for m in _flat_basis(n, p):
             k, eps, rest = _scanned(m)
             assert _split_plane_monomial(m, prime) == (k, eps, tuple(rest))
             image, expected = delta(m, p), _validated_delta(m, p)
@@ -306,7 +312,7 @@ def test_delta_rejects_a_foreign_factor_anywhere(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_delta_matrix_matches_the_validating_constructor(p):
     for n in range(31):
-        by_deg = _by_degree(_plane_basis(n, p))
+        by_deg = group_by_degree(_flat_basis(n, p))
         for d in range(-1, max(by_deg) + 2):
             source, target = by_deg.get(d, []), by_deg.get(d + 1, [])
             rows = [[_validated_delta(m, p).terms.get(t, 0) for m in source] for t in target]

@@ -17,7 +17,9 @@ from confhom import FpMatrix, bv, catalog, cli, enumeration, identities, verify
 from confhom.algebra import Monomial
 from confhom.catalog import MAX_BASIS, plane_config_generators
 from confhom.cli import _render_json, build_parser, main
-from confhom.enumeration import GradedDims, _plane_totals, poincare
+from confhom.enumeration import GradedDims, _plane_totals, monomial_basis, poincare
+
+from oracles import group_by_degree
 
 
 def run_cli(capsys, *argv):
@@ -651,15 +653,16 @@ def _plain_rows(listing) -> list[dict]:
 
 def _basis_rows_oracle(n: int, p: int) -> list[dict]:
     """The `basis` JSON rows, one dict per monomial of the weight-n basis."""
+    gens = plane_config_generators(p, max(n, 1))
     return [{"monomial": m.text(), "degree": m.degree, "weight": m.weight}
-            for m in catalog._plane_basis(n, p)]
+            for m in monomial_basis(gens, n, p)]
 
 
 def _tensor_pairs_oracle(mons: list, dmax: int) -> list[dict]:
     """Each monomial of `mons`, sorted by (degree, text), times the even circle
     degrees through dmax, by total degree D and then text: the monomials of
     degree <= D and D's parity, each degree merged in as a sorted run."""
-    by_deg = enumeration._by_degree(mons)
+    by_deg = group_by_degree(mons)
     runs: tuple[list, list] = ([], [])
     pairs = []
     for total in range(dmax + 1):

@@ -21,6 +21,7 @@ from confhom import (
     bv,
     cli,
     default_degree_bound,
+    enumeration,
     equivariant_zp,
     monomial_basis,
     plane_config_generators,
@@ -30,9 +31,10 @@ from confhom import (
     sphere_labelled_generators,
 )
 from confhom.algebra import KIND_U
-from confhom.catalog import MAX_BASIS, _plane_basis
+from confhom.catalog import MAX_BASIS
 from confhom.cli import main
-from confhom.enumeration import _by_degree
+
+from oracles import group_by_degree
 
 WEIGHTS = range(41)
 
@@ -162,6 +164,17 @@ COUNT_COMMANDS = [
 ]
 
 
+def _refuse_enumeration(monkeypatch, refuse):
+    """Replace the enumeration walk in every module that holds it;
+    `monomial_basis` reads the enumeration module's own."""
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("confhom") and hasattr(module, "_monomial_bases"):
+            monkeypatch.setattr(module, "_monomial_bases", refuse)
+            patched.add(name)
+    assert {"confhom.enumeration", "confhom.catalog", "confhom.bv"} <= patched
+
+
 def test_count_commands_do_not_enumerate(capsys, monkeypatch):
     expected = []
     for argv in COUNT_COMMANDS:
@@ -171,12 +184,7 @@ def test_count_commands_do_not_enumerate(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a count-only command enumerated a basis")
 
-    patched = set()
-    for name, module in list(sys.modules.items()):
-        if name.startswith("confhom") and hasattr(module, "monomial_basis"):
-            monkeypatch.setattr(module, "monomial_basis", refuse)
-            patched.add(name)
-    assert {"confhom.enumeration", "confhom.catalog"} <= patched
+    _refuse_enumeration(monkeypatch, refuse)
     for argv, out in zip(COUNT_COMMANDS, expected):
         assert main(argv) == 0
         assert capsys.readouterr().out == out
@@ -208,12 +216,7 @@ def test_listing_counts_do_not_enumerate(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a table or csv listing enumerated a basis")
 
-    patched = set()
-    for name, module in list(sys.modules.items()):
-        if name.startswith("confhom") and hasattr(module, "monomial_basis"):
-            monkeypatch.setattr(module, "monomial_basis", refuse)
-            patched.add(name)
-    assert {"confhom.enumeration", "confhom.catalog"} <= patched
+    _refuse_enumeration(monkeypatch, refuse)
     monkeypatch.setattr(bv, "delta", refuse)
     monkeypatch.setattr(cli, "delta", refuse)
     for argv, out in zip(LISTING_COUNTS, expected):
@@ -231,9 +234,7 @@ def test_json_s1_pair_count_refused_before_enumerating(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the pair count was read from an enumerated basis")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("confhom") and hasattr(module, "monomial_basis"):
-            monkeypatch.setattr(module, "monomial_basis", refuse)
+    _refuse_enumeration(monkeypatch, refuse)
     started = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - started < 1.0
@@ -250,8 +251,8 @@ def _csv_rows(capsys, argv) -> list[list[int]]:
 def test_listing_counts_match_enumeration(capsys, p):
     # beyond the weights 0..20 where the csv rows are checked against the JSON listing
     for n in [*range(41), 66, 143]:
-        basis = _plane_basis(n, p)
-        by_deg = _by_degree(basis)
+        basis = monomial_basis(plane_config_generators(p, max(n, 1)), n, p)
+        by_deg = group_by_degree(basis)
         want = {d: [d, len(mons), len(by_deg.get(d + 1, [])),
                     bv._delta_rank(bv.delta(m, p) for m in mons)]
                 for d, mons in by_deg.items()}
@@ -261,7 +262,7 @@ def test_listing_counts_match_enumeration(capsys, p):
             empty = [d, 0, len(by_deg.get(d + 1, [])), 0]
             assert _csv_rows(capsys, argv + ["--degree", str(d)]) == [want.get(d, empty)]
         # every format prints the series; the S1 dims counted here from the basis
-        u_free = _by_degree([m for m in basis if not m.contains_kind(KIND_U)])
+        u_free = group_by_degree([m for m in basis if not m.contains_kind(KIND_U)])
         for bound, flag in ((default_degree_bound(n), []), (5, ["--dmax", "5"])):
             if n % p in (0, 1):
                 plane = [[d, len(by_deg[d])] for d in sorted(by_deg) if d <= bound]
@@ -349,3 +350,21 @@ def test_huge_prime_answers_quickly(capsys):
 def test_prime_beyond_certified_range_exits_2(capsys):
     assert main(["poincare", "--p", str(2**89 - 1), "--n", "3"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_delta_counts_read_only_the_rows_the_table_holds(monkeypatch):
+    # past weight n / 2 no plane generator but the point and odd classes fits,
+    # so the table without them holds one row, and no other weight is read
+    real = enumeration.BigradedDims.weight_slice
+    rows = []
+
+    def counted(self, w):
+        rows.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(enumeration.BigradedDims, "weight_slice", counted)
+    n, p = 100000, 1000000007
+    # i^n and i^(n-2) u, with Delta(i^n) = n(n-1) i^(n-2) u != 0 mod p
+    assert bv._delta_counts(n, p, None) == [(0, 1, 1, 1), (1, 1, 0, 0)]
+    # the plane slice and the one row of the table without the two classes
+    assert sorted(rows) == [0, n]

@@ -272,7 +272,11 @@ def test_the_walk_yields_each_one_weight_basis(factors, max_n, seed):
     seed.shuffle(gens)
     walked = list(_monomial_bases(gens, range(max_n + 1), 3))
     assert len(walked) == max_n + 1
-    for n, basis in enumerate(walked):
+    for n, groups in enumerate(walked):
+        # degrees ascend, and each nonempty group holds only its own degree
+        assert list(groups) == sorted(groups)
+        assert all(ms and {m.degree for m in ms} == {d} for d, ms in groups.items())
+        basis = [m for ms in groups.values() for m in ms]
         assert _basis_fields(basis) == _basis_fields(monomial_basis(gens, n, 3))
         if n <= 12:
             assert _basis_fields(basis) == _basis_fields(monomial_basis_bruteforce(gens, n))

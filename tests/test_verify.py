@@ -226,10 +226,10 @@ def test_each_count_table_is_built_once_per_run(monkeypatch, p):
     calls.clear()
     run_verifications("all", p, 24, 3)
     # the plane and sign tables, one per q <= 3, and at p = 2 one per mod-2 sphere;
-    # then the dispatcher's: its tensor and cokernel tables in the serre step, and
-    # at p = 2, where every weight is in the tensor regime, one each in the serre
-    # and mod-2 steps
-    dispatcher = 2
+    # then the dispatcher's, which the serre and mod-2 steps share: its tensor and
+    # cokernel tables, and at p = 2, where every weight is in the tensor regime,
+    # its tensor table alone
+    dispatcher = 1 if p == 2 else 2
     assert len(calls) == at_12 == 2 + 4 + (2 if p == 2 else 0) + dispatcher
 
 
