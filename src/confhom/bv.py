@@ -176,10 +176,11 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
     n = 0, 1 mod p: the plane homology tensored with the homology of the
     circle classifying space, truncated at dmax, with the plane monomials of
     degree <= dmax as basis.  Otherwise: the cokernel of the BV operator,
-    whose basis is the u-free monomials, and dmax is not read.  The dims
-    are read from the series, the basis from the degree groups of weight n,
-    sized once.  ValueError is raised before any monomial is built, in
-    this order, for a basis of more than MAX_BASIS monomials, a
+    whose basis is the u-free monomials, walked over the generators without
+    the odd class, and dmax is not read.  The dims are read from the
+    series, the basis from the degree groups of weight n, after the whole
+    plane basis is sized.  ValueError is raised before any monomial is
+    built, in this order, for a basis of more than MAX_BASIS monomials, a
     dmax above MAX_BASIS, or more than MAX_BASIS (monomial, circle degree)
     pairs (`dims.total()`), counted from the weight-n slice of the series.
     """
@@ -199,9 +200,10 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
         basis = [m for d, same in groups.items() if d <= dmax for m in same]
         return EquivariantAnswer(REGIME_TENSOR_BS1, plane.convolve_geometric(2, dmax), basis)
     dims = _equivariant_s1_dims([n], prime, None)[n]
+    gens = [g for g in gens if g.kind != KIND_U]
     (groups,) = _monomial_bases(gens, range(n, n + 1), prime)
-    u_free = [m for same in groups.values() for m in same if not m.contains_kind(KIND_U)]
-    return EquivariantAnswer(REGIME_COKER_DELTA, dims, u_free)
+    basis = [m for same in groups.values() for m in same]
+    return EquivariantAnswer(REGIME_COKER_DELTA, dims, basis)
 
 
 def _equivariant_s1_dims(ns, p, dmax: int | None) -> dict[int, GradedDims]:

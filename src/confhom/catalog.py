@@ -11,7 +11,8 @@ its point-class power, its odd-class exponent and the rest.  Other modules
 build plane monomials from that split (`bv.delta` its images, through
 `Monomial._canonical`; `identities.bijection_image`, through `Monomial`),
 and a caller that needs only whether the odd class is present reads it with
-`Monomial.contains_kind` (`bv.equivariant_s1`, `verify._regime_dichotomy`).
+`Monomial.contains_kind` (`verify._regime_dichotomy`); `bv.equivariant_s1`
+lists the u-free monomials by walking the generators without the odd class.
 Sphere catalogs come from closed forms, which
 `signhom.verify_q_stability` checks against the bracket tower.
 """
@@ -103,14 +104,16 @@ def plane_config_generators(p, weight_bound: int) -> list[Generator]:
     return gens
 
 
-def _plane_basis(n: int, p) -> dict[int, list[Monomial]]:
+def _plane_basis(n: int, p, texts: bool = False) -> dict[int, list]:
     """The weight-n plane monomial basis as the enumeration walk groups it:
-    {degree: monomials sorted by text}, degrees ascending.  Its size is read
-    from the series first, and a basis of more than MAX_BASIS monomials
-    raises ValueError instead of being built."""
+    {degree: monomials sorted by text}, degrees ascending, each monomial
+    its text if `texts`.  Its size is read from the series first, and a
+    basis of more than MAX_BASIS monomials raises ValueError instead of
+    being built."""
     if n >= 0:
         _refuse_large_bases([range(n, n + 1)], p)
-    return next(_monomial_bases(plane_config_generators(p, max(n, 1)), range(n, n + 1), p))
+    gens = plane_config_generators(p, max(n, 1))
+    return next(_monomial_bases(gens, range(n, n + 1), p, texts))
 
 
 def _refuse_large_bases(spans: list[range], p) -> None:

@@ -25,7 +25,10 @@ The two longest listings hold no row of their own.  `basis` answers with
 a `_BasisRows` (the texts of each degree group of the basis, and the
 weight), which writes JSON, table and csv with one join per degree, since
 a degree's rows differ only in their text; a degree whose texts
-`csv.writer` would quote goes through the writer.  The S1 tensor JSON
+`csv.writer` would quote goes through the writer.  It takes those texts
+straight from the enumeration walk, which builds no Monomial for a row
+that is only printed; the readers that need factors (the `delta` JSON and
+the S1 listings, through `bv`) take Monomials.  The S1 tensor JSON
 lists its (monomial, circle degree) pairs through a `_TensorPairs`, which
 encodes each monomial's row once and adds only the circle degree per pair.
 `_render` reads either only in its last, fallback branch.
@@ -125,7 +128,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_basis(args) -> _Answer:
-    rows = _BasisRows(_texts_by_degree(_plane_basis(args.n, args.p).items()), args.n)
+    rows = _BasisRows(list(_plane_basis(args.n, args.p, texts=True).items()), args.n)
     return {"rows": rows}, rows, ["monomial", "degree", "weight"]
 
 

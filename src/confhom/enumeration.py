@@ -16,13 +16,18 @@ reader that goes by degree takes a basis in.  One loop takes the generators
 down by rank over partial products grouped by the weight they use, built
 once up to the top weight; for each weight the two lowest-rank generators
 close the groups without storing another level (each power of the second
-that fits, then the one exponent of the lowest that fills the rest), each
-monomial's text is written on the way, and the monomials are built through
-the trusted `Monomial._canonical` into a list per degree, each sorted by
-the text in its slot, so no `text()` is called.  `monomial_basis`, the
-public one-weight case, flattens its groups in that order, and `poincare`
-counts them, the enumeration side of the series in the demos and tests;
-the verification suite counts the plane basis it has already swept.
+that fits, then the one exponent of the lowest that fills the rest), and
+each product's text is written on the way.  The last step files each
+product in a list per degree, sorted by text, as one of two things: a
+reader that needs factors (`monomial_basis`, `bv`, the verification sweep)
+takes Monomials, built through the trusted `Monomial._canonical` with that
+text, so no `text()` is called; a reader that only prints or counts (the
+`basis` listing, `poincare`, the sign-slice check) takes the texts
+themselves, and the last step then joins no factors and builds no
+Monomial.  `monomial_basis`, the public one-weight case, flattens its
+groups in that order, and `poincare` counts them, the enumeration side of
+the series in the demos and tests; the verification suite counts the plane
+basis it has already swept.
 
 Every count is a Python int, so the series is exact at any size or it is
 refused: its size in bits is worked out from the weight totals and the
@@ -199,10 +204,13 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
     return list(chain.from_iterable(groups.values()))
 
 
-def _monomial_bases(gens, weights: range, p):
+def _monomial_bases(gens, weights: range, p, texts: bool = False):
     """Yield the weight-n basis over `gens` for each n of the ascending
     range `weights` in turn, from one walk, grouped by degree: {degree:
     monomials sorted by text}, degrees ascending, with no empty group.
+    With `texts`, each monomial is its canonical text instead ("1" for the
+    empty product), in the same groups and order: a listing or a count
+    reads no more, and no Monomial is built.
 
     One loop takes the generators from the highest rank down to the third
     lowest and keeps the partial products grouped by the weight they use:
@@ -248,15 +256,17 @@ def _monomial_bases(gens, weights: range, p):
     for n in weights:
         if n == 0 or not ordered:
             # the empty product alone at weight 0, and nothing above it without generators
-            yield {0: [Monomial()]} if n == 0 else {}
+            yield {0: ["1" if texts else Monomial()]} if n == 0 else {}
             continue
         pending = list(groups.items())
         if n == top:
             groups.clear()
-        yield _close(pending, n, ordered[0], second_powers)
+        yield _close(pending, n, ordered[0], second_powers, texts)
 
 
-def _close(pending: list, n: int, low: Generator, second_powers: list) -> dict[int, list]:
+def _close(
+    pending: list, n: int, low: Generator, second_powers: list, texts: bool
+) -> dict[int, list]:
     """The weight-n basis by degree from the groups `pending` (weight used, partial
     products) of the walk, popped last-inserted first, and emptied: in that
     order each degree's list arrives closer to sorted than in the order of
@@ -268,13 +278,14 @@ def _close(pending: list, n: int, low: Generator, second_powers: list) -> dict[i
     closes nothing.  Factors are prepended as the rank falls, so they
     arrive in canonical order, and each product carries its canonical text
     followed by a space: the new factor's text, a space, then the old text.
-    Each monomial is built with that text by the trusted
-    `Monomial._canonical` and filed in a list for its degree; each list is
-    sorted by the text in its slot, which is distinct within a weight, and
-    the degrees are handed out in ascending order.
+    Each product is filed in a list for its degree as that text if `texts`,
+    and otherwise as a Monomial built with it by the trusted
+    `Monomial._canonical`; each list is sorted by the text, which is
+    distinct within a weight, and the degrees are handed out in ascending
+    order.
     """
     canonical = Monomial._canonical
-    by_degree: dict[int, list[Monomial]] = {}
+    by_degree: dict[int, list] = {}
     while pending:
         # rebinding `group` drops this frame's reference to a popped group
         used, group = pending.pop()
@@ -292,9 +303,11 @@ def _close(pending: list, n: int, low: Generator, second_powers: list) -> dict[i
                 same = by_degree.get(degree)
                 if same is None:
                     same = by_degree[degree] = []
-                same.append(canonical(factor + tail, n, degree, (name + text)[:-1]))
+                text = (name + text)[:-1]
+                same.append(text if texts else canonical(factor + tail, n, degree, text))
+    key = None if texts else _TEXT
     for same in by_degree.values():
-        same.sort(key=_TEXT)
+        same.sort(key=key)
     return dict(sorted(by_degree.items()))
 
 
@@ -313,8 +326,8 @@ def _power(g: Generator, e: int) -> str:
 
 def poincare(gens, n: int, p) -> GradedDims:
     """Degree-indexed dimensions of the weight-n monomial basis, by
-    enumeration; the oracle for `series_coefficient`."""
-    (groups,) = _monomial_bases(gens, range(n, n + 1), p)
+    enumeration, over the walk's texts; the oracle for `series_coefficient`."""
+    (groups,) = _monomial_bases(gens, range(n, n + 1), p, texts=True)
     return GradedDims({d: len(same) for d, same in groups.items()})
 
 

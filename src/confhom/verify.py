@@ -16,7 +16,8 @@ then drops it, so no basis outlives its weight.  Sharing it merges no
 oracle: each step still compares its own two routes (the matrix rank
 against the u-free count, the page against the dispatcher's series, the
 enumerated degrees against the series; the sign slices that check counts
-come from a walk of its own over the 1-sphere catalog).  Each step
+come from a walk of its own over the 1-sphere catalog, which files only
+texts, as counting reads no more).  Each step
 carries its own report (name, work counters and failure list), and one
 method, `_Step.report`, writes every swept report.
 Each public `verify_*` function of a swept check is a sweep with that one
@@ -200,7 +201,7 @@ def _series_agreement(prime, max_n: int) -> _Step:
     sign = _shifted_table(prime, 1, top)
     # the sweep visits n = 0..max_n in turn, each reading the walk's next basis
     labelled = sphere_labelled_generators(prime, 1, max(top, 1))
-    labelled_bases = _monomial_bases(labelled, range(top + 1), prime)
+    labelled_bases = _monomial_bases(labelled, range(top + 1), prime, texts=True)
 
     def visit(step, n, by_deg):
         counted = GradedDims({d: len(ms) for d, ms in by_deg.items()})

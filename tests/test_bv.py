@@ -153,6 +153,20 @@ def test_equivariant_s1_coker_regime():
             assert not m.contains_kind("u")
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_equivariant_s1_coker_basis_is_the_filtered_plane_basis(p):
+    # the listing walks the generators without the odd class; the oracle filters the plane basis
+    for n in range(2, 60):
+        if n % p > 1:
+            mons = monomial_basis(plane_config_generators(p, n), n, p)
+            u_free = [m for m in mons if not m.contains_kind("u")]
+            basis = equivariant_s1(n, p).basis
+            assert [m.factors for m in basis] == [m.factors for m in u_free]
+            assert [(m.text(), m.degree, m.weight) for m in basis] == [
+                (m.text(), m.degree, m.weight) for m in u_free
+            ]
+
+
 def test_equivariant_zp():
     assert equivariant_zp(3, 3, 6) == GradedDims({0: 1, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2})
     assert equivariant_zp(0, 5, 5) == GradedDims({d: 1 for d in range(6)})

@@ -589,6 +589,22 @@ def test_tensor_pairs_render_as_the_old_pair_builder(degrees, dmax):
     assert _render_json({"basis": pairs}) == json.dumps({"basis": old}, indent=2)
 
 
+@pytest.mark.parametrize("p, n", [("2", "0"), ("2", "23"), ("3", "1"), ("3", "31"),
+                                  ("5", "2"), ("5", "40")])
+def test_basis_listing_builds_no_monomial(monkeypatch, p, n):
+    # the listing prints the walk's texts: no Monomial is built for any row
+    argvs = [["basis", "--p", p, "--n", n, "--format", fmt] for fmt in ("json", "table", "csv")]
+    expected = [_capture(argv)[:2] for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the basis listing built a Monomial")
+
+    monkeypatch.setattr(Monomial, "_canonical", staticmethod(refuse))
+    monkeypatch.setattr(Monomial, "__init__", refuse)
+    assert all(code == 0 and out for code, out in expected)
+    assert [_capture(argv)[:2] for argv in argvs] == expected
+
+
 def _capture(argv) -> tuple[int, str, str]:
     """Run `main` with stdout and stderr captured; a usage error gives its exit code."""
     out, err = io.StringIO(), io.StringIO()

@@ -280,6 +280,35 @@ def test_the_walk_yields_each_one_weight_basis(factors, max_n, seed):
         assert _basis_fields(basis) == _basis_fields(monomial_basis(gens, n, 3))
         if n <= 12:
             assert _basis_fields(basis) == _basis_fields(monomial_basis_bruteforce(gens, n))
+    texts = _monomial_bases(gens, range(max_n + 1), 3, texts=True)
+    assert list(texts) == [_texts_of(groups) for groups in walked]
+
+
+def _texts_of(groups: dict) -> dict:
+    """The walk's Monomial groups as the texts of each monomial."""
+    return {d: [m.text() for m in ms] for d, ms in groups.items()}
+
+
+@pytest.mark.parametrize(("p", "gens", "max_n"), [
+    *((p, plane_config_generators(p, 40), 40) for p in (2, 3, 5, 7)),
+    (3, sphere_labelled_generators(3, 1, 30), 30),
+    (5, sphere_labelled_generators(5, 3, 30), 30),
+    (2, sphere_labelled_generators(2, 2, 30), 30),
+    (3, [], 0),
+], ids=["plane-2", "plane-3", "plane-5", "plane-7", "sphere-3-1", "sphere-5-3", "sphere-2-2",
+        "empty"])
+def test_the_walk_files_texts_as_the_monomials_it_builds(p, gens, max_n):
+    walked = list(_monomial_bases(gens, range(max_n + 1), p))
+    texts = list(_monomial_bases(gens, range(max_n + 1), p, texts=True))
+    assert len(texts) == max_n + 1
+    for n, (groups, text_groups) in enumerate(zip(walked, texts)):
+        assert text_groups == _texts_of(groups)
+        assert list(text_groups) == list(groups)
+        if n <= 12:
+            brute = [m.text() for m in monomial_basis_bruteforce(gens, n)]
+            assert [t for ts in text_groups.values() for t in ts] == brute
+    if not gens:
+        assert texts == [{0: ["1"]}]
 
 
 def test_the_walk_refuses_as_monomial_basis_does():

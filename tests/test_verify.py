@@ -182,13 +182,13 @@ def test_the_sweep_enumerates_each_plane_weight_once(monkeypatch, p):
     real = enumeration._monomial_bases
     weights, walks = [], []
 
-    def counted(gens, span, prime):
+    def counted(gens, span, prime, texts=False):
         # a plane catalog is the one its heaviest generator bounds
         gens = list(gens)
         plane = bool(gens) and gens == plane_config_generators(prime, gens[-1].weight)
         if plane:
             walks.append(span)
-        for n, basis in zip(span, real(gens, span, prime)):
+        for n, basis in zip(span, real(gens, span, prime, texts)):
             if plane:
                 weights.append(n)
             yield basis
