@@ -261,12 +261,6 @@ class Monomial:
         self.degree = sum(g.degree * e for g, e in items)
         self._hash = self._text = None
 
-    def exponent(self, gen: Generator) -> int:
-        for g, e in self.factors:
-            if g == gen:
-                return e
-        return 0
-
     def contains_kind(self, kind: str) -> bool:
         return any(g.kind == kind for g, _ in self.factors)
 

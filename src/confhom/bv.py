@@ -27,9 +27,10 @@ outside.
 
 The equivariant dispatcher returns the tensor answer with the circle
 classifying space when n is 0 or 1 mod p, and the cokernel of the operator
-otherwise; its basis is plane monomials in both.  An independently computed
-spectral-sequence page (`serre_e3`), a table of Python-int counts, serves
-as the oracle for both regimes.
+otherwise, from `_equivariant_s1`, whose basis is the walk's degree groups:
+texts for the S1 JSON listing, plane monomials for `equivariant_s1`.  An
+independently computed spectral-sequence page (`serre_e3`), a table of
+Python-int counts, serves as the oracle for both regimes.
 
 Every dimension of these answers comes from the Hilbert series; only the
 JSON listings enumerate a basis and share its limits.
@@ -44,6 +45,7 @@ classes, as the operator is injective on the sources it does not kill.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .algebra import KIND_IOTA, KIND_U, Element, Monomial, as_prime, iota, u_class
 from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _refuse_large_bases
@@ -176,34 +178,41 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
     n = 0, 1 mod p: the plane homology tensored with the homology of the
     circle classifying space, truncated at dmax, with the plane monomials of
     degree <= dmax as basis.  Otherwise: the cokernel of the BV operator,
-    whose basis is the u-free monomials, walked over the generators without
-    the odd class, and dmax is not read.  The dims are read from the
-    series, the basis from the degree groups of weight n, after the whole
-    plane basis is sized.  ValueError is raised before any monomial is
-    built, in this order, for a basis of more than MAX_BASIS monomials, a
-    dmax above MAX_BASIS, or more than MAX_BASIS (monomial, circle degree)
-    pairs (`dims.total()`), counted from the weight-n slice of the series.
+    whose basis is the u-free monomials, and dmax is not read.  The answer
+    and its refusals are `_equivariant_s1`'s, its degree groups joined.
     """
-    prime = as_prime(p)
+    regime, dims, groups = _equivariant_s1(n, as_prime(p), dmax)
+    return EquivariantAnswer(regime, dims, list(chain.from_iterable(groups.values())))
+
+
+def _equivariant_s1(n: int, prime, dmax: int | None, texts: bool = False):
+    """(regime, dims, basis) of `equivariant_s1`: the dims from the series,
+    the basis the walk's degree groups of weight n, texts if `texts`, in
+    the tensor regime those of degree <= dmax, in the cokernel regime over
+    the generators without the odd class.  ValueError is raised before any
+    monomial is built, in this order, for a negative n, a plane basis of
+    more than MAX_BASIS monomials and, in the tensor regime, a dmax above
+    MAX_BASIS or more than MAX_BASIS (monomial, circle degree) pairs
+    (`dims.total()`), counted from the weight-n slice of the series.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     _refuse_large_bases([range(n, n + 1)], prime)
     gens = plane_config_generators(prime, max(n, 1))
-    if n % prime.p in (0, 1):
-        dmax = _degree_bound(n, dmax)
-        plane = series_coefficient(gens, n, max(dmax, 0), prime)
-        # a plane degree d <= dmax pairs with the circle degrees that keep the total within dmax
-        pairs = sum(c * ((dmax - d) // 2 + 1) for d, c in plane.dims.items() if d <= dmax)
-        if pairs > MAX_BASIS:
-            raise ValueError(f"tensor basis of {pairs} pairs exceeds the limit of {MAX_BASIS}")
-        (groups,) = _monomial_bases(gens, range(n, n + 1), prime)
-        basis = [m for d, same in groups.items() if d <= dmax for m in same]
-        return EquivariantAnswer(REGIME_TENSOR_BS1, plane.convolve_geometric(2, dmax), basis)
-    dims = _equivariant_s1_dims([n], prime, None)[n]
-    gens = [g for g in gens if g.kind != KIND_U]
-    (groups,) = _monomial_bases(gens, range(n, n + 1), prime)
-    basis = [m for same in groups.values() for m in same]
-    return EquivariantAnswer(REGIME_COKER_DELTA, dims, basis)
+    if n % prime.p > 1:
+        dims = _equivariant_s1_dims([n], prime, None)[n]
+        gens = [g for g in gens if g.kind != KIND_U]
+        (groups,) = _monomial_bases(gens, range(n, n + 1), prime, texts)
+        return REGIME_COKER_DELTA, dims, groups
+    dmax = _degree_bound(n, dmax)
+    plane = series_coefficient(gens, n, max(dmax, 0), prime)
+    # a plane degree d <= dmax pairs with the circle degrees that keep the total within dmax
+    pairs = sum(c * ((dmax - d) // 2 + 1) for d, c in plane.dims.items() if d <= dmax)
+    if pairs > MAX_BASIS:
+        raise ValueError(f"tensor basis of {pairs} pairs exceeds the limit of {MAX_BASIS}")
+    (groups,) = _monomial_bases(gens, range(n, n + 1), prime, texts)
+    groups = {d: same for d, same in groups.items() if d <= dmax}
+    return REGIME_TENSOR_BS1, plane.convolve_geometric(2, dmax), groups
 
 
 def _equivariant_s1_dims(ns, p, dmax: int | None) -> dict[int, GradedDims]:

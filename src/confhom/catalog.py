@@ -11,8 +11,9 @@ its point-class power, its odd-class exponent and the rest.  Other modules
 build plane monomials from that split (`bv.delta` its images, through
 `Monomial._canonical`; `identities.bijection_image`, through `Monomial`),
 and a caller that needs only whether the odd class is present reads it with
-`Monomial.contains_kind` (`verify._regime_dichotomy`); `bv.equivariant_s1`
-lists the u-free monomials by walking the generators without the odd class.
+`Monomial.contains_kind` (`verify._regime_dichotomy`); `bv._equivariant_s1`
+lists the u-free monomials, as texts for the S1 JSON, by walking the
+generators without the odd class.
 Sphere catalogs come from closed forms, which
 `signhom.verify_q_stability` checks against the bracket tower.
 """

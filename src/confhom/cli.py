@@ -25,13 +25,14 @@ The two longest listings hold no row of their own.  `basis` answers with
 a `_BasisRows` (the texts of each degree group of the basis, and the
 weight), which writes JSON, table and csv with one join per degree, since
 a degree's rows differ only in their text; a degree whose texts
-`csv.writer` would quote goes through the writer.  It takes those texts
-straight from the enumeration walk, which builds no Monomial for a row
-that is only printed; the readers that need factors (the `delta` JSON and
-the S1 listings, through `bv`) take Monomials.  The S1 tensor JSON
+`csv.writer` would quote goes through the writer.  The S1 tensor JSON
 lists its (monomial, circle degree) pairs through a `_TensorPairs`, which
 encodes each monomial's row once and adds only the circle degree per pair.
-`_render` reads either only in its last, fallback branch.
+`_render` reads either only in its last, fallback branch.  Both, and the
+S1 cokernel rows, take each degree's texts straight from the enumeration
+walk, which builds no Monomial for a row that is only printed: `basis`
+through `catalog._plane_basis`, the S1 JSON through `bv._equivariant_s1`;
+the `delta` JSON, which needs factors, takes Monomials.
 """
 
 from __future__ import annotations
@@ -46,18 +47,17 @@ import sys
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import attrgetter
 
-from .algebra import Monomial, as_prime
+from .algebra import as_prime
 from .bv import (
     REGIME_TENSOR_BS1,
     _delta_counts,
     _delta_rank,
+    _equivariant_s1,
     _equivariant_s1_dims,
     _image_rows,
     default_degree_bound,
     delta,
-    equivariant_s1,
     equivariant_zp,
     gravity_op_degree,
 )
@@ -130,11 +130,6 @@ def _parser() -> argparse.ArgumentParser:
 def _cmd_basis(args) -> _Answer:
     rows = _BasisRows(list(_plane_basis(args.n, args.p, texts=True).items()), args.n)
     return {"rows": rows}, rows, ["monomial", "degree", "weight"]
-
-
-def _texts_by_degree(groups) -> list[tuple[int, list[str]]]:
-    """Each (degree, monomials) of `groups` as (degree, their texts)."""
-    return [(d, list(map(Monomial.text, ms))) for d, ms in groups]
 
 
 @dataclass(frozen=True)
@@ -240,16 +235,15 @@ def _cmd_equivariant(args) -> _Answer:
     if args.format != "json":
         dims = _equivariant_s1_dims([args.n], prime, dmax)[args.n]
         return None, dims.to_pairs(), ["degree", "dim"]
-    answer = equivariant_s1(args.n, prime, dmax)
-    if answer.regime == REGIME_TENSOR_BS1:
-        groups = itertools.groupby(answer.basis, attrgetter("degree"))
-        basis = _TensorPairs(_texts_by_degree(groups), dmax)
+    regime, dims, groups = _equivariant_s1(args.n, prime, dmax, texts=True)
+    if regime == REGIME_TENSOR_BS1:
+        basis = _TensorPairs(list(groups.items()), dmax)
     else:
-        basis = [{"monomial": m.text()} for m in answer.basis]
+        basis = [{"monomial": t} for texts in groups.values() for t in texts]
     result = {
         "group": "S1",
-        "regime": answer.regime,
-        "dims": answer.dims.to_pairs(),
+        "regime": regime,
+        "dims": dims.to_pairs(),
         "basis": basis,
         "degree_bound": dmax,
     }

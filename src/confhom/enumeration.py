@@ -22,9 +22,9 @@ product in a list per degree, sorted by text, as one of two things: a
 reader that needs factors (`monomial_basis`, `bv`, the verification sweep)
 takes Monomials, built through the trusted `Monomial._canonical` with that
 text, so no `text()` is called; a reader that only prints or counts (the
-`basis` listing, `poincare`, the sign-slice check) takes the texts
-themselves, and the last step then joins no factors and builds no
-Monomial.  `monomial_basis`, the public one-weight case, flattens its
+`basis` listing, the S1 JSON through `bv._equivariant_s1`, `poincare`, the
+sign-slice check) takes the texts themselves, and the last step then joins
+no factors and builds no Monomial.  `monomial_basis`, the public one-weight case, flattens its
 groups in that order, and `poincare` counts them, the enumeration side of
 the series in the demos and tests; the verification suite counts the plane
 basis it has already swept.
@@ -73,13 +73,6 @@ class GradedDims:
         g = object.__new__(cls)
         g.dims = dims
         return g
-
-    @classmethod
-    def of_degrees(cls, degrees) -> "GradedDims":
-        out: dict[int, int] = {}
-        for d in degrees:
-            out[d] = out.get(d, 0) + 1
-        return cls(out)
 
     def total(self) -> int:
         return sum(self.dims.values())
@@ -209,8 +202,9 @@ def _monomial_bases(gens, weights: range, p, texts: bool = False):
     range `weights` in turn, from one walk, grouped by degree: {degree:
     monomials sorted by text}, degrees ascending, with no empty group.
     With `texts`, each monomial is its canonical text instead ("1" for the
-    empty product), in the same groups and order: a listing or a count
-    reads no more, and no Monomial is built.
+    empty product), in the same groups and order: a listing (`basis`, and
+    the S1 JSON through `bv._equivariant_s1`) or a count reads no more, and
+    no Monomial is built.
 
     One loop takes the generators from the highest rank down to the third
     lowest and keeps the partial products grouped by the weight they use:
@@ -278,11 +272,11 @@ def _close(
     closes nothing.  Factors are prepended as the rank falls, so they
     arrive in canonical order, and each product carries its canonical text
     followed by a space: the new factor's text, a space, then the old text.
-    Each product is filed in a list for its degree as that text if `texts`,
-    and otherwise as a Monomial built with it by the trusted
-    `Monomial._canonical`; each list is sorted by the text, which is
-    distinct within a weight, and the degrees are handed out in ascending
-    order.
+    Each product is filed in a list for its degree as that text if `texts`
+    (a listing or a count), and otherwise as a Monomial built with it by
+    the trusted `Monomial._canonical`; each list is sorted by the text,
+    which is distinct within a weight, and the degrees are handed out in
+    ascending order.
     """
     canonical = Monomial._canonical
     by_degree: dict[int, list] = {}

@@ -309,6 +309,43 @@ def braid_quotient_homology_dims(n, p):
 
 
 # ---------------------------------------------------------------------------
+# The p = 2 root of the full twist.  G_2 = <B_n, t | t central, t^2 = Delta^2>
+# is B_n x| Z/2, with s = t Delta^-1 acting by sigma_i -> sigma_(n-i): the
+# Garside flip, which sends a Salvetti cell S to {n - i : i in S} and fixes
+# the one vertex.  So H_*(G_2; F_2) is the homology of the total complex
+# Tot_k = sum over a + b = k of C_a, with D = d + (1 + flip) (the periodic
+# resolution of Z/2 is 1 + s in every degree mod 2, and no sign survives).
+# Pulling back along BZ/2 -> BS^1 kills the Euler class mod 2, so this is
+# h_k + h_(k-1) for the circle-equivariant answer h.
+
+def garside_flip_homology_dims(n, dmax):
+    """dim H_k(B_n x| Z/2; F_2) for k = 0..dmax, the flip acting as above."""
+    flip = lambda cell: frozenset(n - i for i in cell)
+    cells = [
+        [frozenset(c) for c in itertools.combinations(range(1, n), a)] for a in range(max(n, 1))
+    ]
+    # Tot_k: each cell c of dimension a <= k, in resolution degree k - a
+    index = [
+        {(a, c): j for j, (a, c) in enumerate((a, c) for a in range(min(k, n - 1) + 1)
+                                               for c in cells[a])}
+        for k in range(dmax + 2)
+    ]
+    ranks = [0] * (dmax + 2)  # ranks[k]: rank of D from Tot_k to Tot_(k-1)
+    for k in range(1, dmax + 2):
+        rows = []
+        for a, c in index[k]:
+            faces = salvetti_boundary(c, -1) if a else ()
+            row = {index[k - 1][a - 1, face]: 1 for face, coeff in faces if coeff % 2}
+            if a < k:
+                for image in (c, flip(c)):
+                    col = index[k - 1][a, image]
+                    row[col] = row.get(col, 0) + 1
+            rows.append(row)
+        ranks[k] = rank_mod_p(rows, 2)
+    return [len(index[k]) - ranks[k] - ranks[k + 1] for k in range(dmax + 1)]
+
+
+# ---------------------------------------------------------------------------
 # Misc small helpers.
 
 def dims_to_pairs(dims_list):

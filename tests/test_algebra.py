@@ -123,7 +123,7 @@ def test_monomial_canonical_form():
     i, u, b1 = iota(), u_class(3), beta_gen(1, 3)
     m = Monomial([(b1, 1), (i, 2), (u, 1), (i, 1)])
     assert [g.name for g, _ in m.factors] == ["i", "u", "b1"]
-    assert m.exponent(i) == 3
+    assert dict(m.factors)[i] == 3
     assert (m.weight, m.degree) == (3 + 2 + 6, 0 + 1 + 4)
     assert m.text() == "i^3 u b1"
     # re-canonicalizing a canonical monomial is the identity

@@ -605,6 +605,23 @@ def test_basis_listing_builds_no_monomial(monkeypatch, p, n):
     assert [_capture(argv)[:2] for argv in argvs] == expected
 
 
+@pytest.mark.parametrize("p, n", [("2", "0"), ("2", "23"), ("3", "9"), ("3", "17"),
+                                  ("5", "10"), ("5", "33")])
+def test_s1_json_listing_builds_no_monomial(monkeypatch, p, n):
+    # the tensor pairs and the cokernel rows print the walk's texts
+    argvs = [["equivariant", "--group", "S1", "--p", p, "--n", n, *bound]
+             for bound in ([], ["--dmax", "5"])]
+    expected = [_capture(argv)[:2] for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the S1 listing built a Monomial")
+
+    monkeypatch.setattr(Monomial, "_canonical", staticmethod(refuse))
+    monkeypatch.setattr(Monomial, "__init__", refuse)
+    assert all(code == 0 and '"basis": [' in out for code, out in expected)
+    assert [_capture(argv)[:2] for argv in argvs] == expected
+
+
 def _capture(argv) -> tuple[int, str, str]:
     """Run `main` with stdout and stderr captured; a usage error gives its exit code."""
     out, err = io.StringIO(), io.StringIO()

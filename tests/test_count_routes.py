@@ -13,6 +13,7 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -49,7 +50,7 @@ def test_poincare_series_matches_enumeration(p):
 def _enumerated_shifted_slice(n, p, q):
     m = 2 * q + 1
     gens = sphere_labelled_generators(p, m, max(n, 1))
-    return GradedDims.of_degrees(mono.degree - n * m for mono in monomial_basis(gens, n, p))
+    return GradedDims(Counter(mono.degree - n * m for mono in monomial_basis(gens, n, p)))
 
 
 def _bounds(n):

@@ -459,6 +459,30 @@ def test_plane_totals_match_outside_recurrences():
         assert _plane_totals(3000, p) == odd_plane_totals(p, 3000)
 
 
+def test_every_prime_slice_deconvolves_to_simple_torsion():
+    # H_*(B_n; Q) is Q in degrees 0 and 1 for n >= 2 (Arnold), and all torsion
+    # of H_*(B_n; Z) has prime order (Vainshtein 1978; F. Cohen, LNM 533).  So
+    # the mod-p slice is b_k = r_k + t_k + t_(k-1), with r the rational Betti
+    # numbers and t_k the count of Z/p summands in degree k: the deconvolution
+    # t_k = b_k - r_k - t_(k-1) stays >= 0 and ends at 0, at every prime at
+    # once, and a prime above n/2 gives no torsion
+    pairs = 0
+    for n in range(2, 151):
+        for p in range(2, n + 1):
+            if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+                continue
+            b = series_coefficient(plane_config_generators(p, n), n, None, p)
+            t = 0
+            for k in range(max(b.dims) + 1):
+                t = b[k] - (k < 2) - t
+                assert t >= 0, (n, p, k)
+            assert t == 0, (n, p)
+            if 2 * p > n:
+                assert b.dims == {0: 1, 1: 1}, (n, p)
+            pairs += 1
+    assert pairs == 3009
+
+
 def _binary_partitions(n):
     """b(0) = 1, b(2m+1) = b(2m), b(2m) = b(2m-1) + b(m): the p = 2 plane
     algebra is polynomial on generators of weight 1, 2, 4, ..."""

@@ -7,6 +7,7 @@ weight-3 quotient is the free product of cyclic groups of orders 2 and 3,
 where only the order-2 factor sees the sign.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -122,9 +123,9 @@ def test_splitting_consistency():
     table = series_table(gens, nmax, dmax, p)
     total_from_slices: dict[int, int] = {}
     for n in range(nmax + 1):
-        slice_dims = GradedDims.of_degrees(
+        slice_dims = GradedDims(Counter(
             mm.degree for mm in monomial_basis(gens, n, p)
-        ).convolve_geometric(2, dmax)
+        )).convolve_geometric(2, dmax)
         for d, v in slice_dims.dims.items():
             total_from_slices[d] = total_from_slices.get(d, 0) + v
     series_total: dict[int, int] = {}
