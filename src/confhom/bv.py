@@ -13,8 +13,9 @@ cokernel computed here is normalization-independent.
 
 The operator's rank in each degree is the count of nonzero images
 (`_delta_rank`, used by `serre_e3` and the `delta` command); its matrix is
-int rows (`_image_rows`), and `delta_matrix` wraps them in the `FpMatrix`
-whose rank is the oracle in `verify`.
+int rows (`_image_rows`), which only `delta_matrix` reads, wrapping them in
+the `FpMatrix` whose rank is the oracle in `verify` (the `delta` command
+writes its matrix rows from the images' texts).
 
 `delta` validates its input once, through `_split_plane_monomial`, and
 builds its output with the trusted constructors: the image monomial with

@@ -17,22 +17,24 @@ namespace each time, and a usage error only raises SystemExit), while
 by `_render_json`, whose output is byte-identical to
 `json.dumps(payload, indent=2)` with each listing below expanded to its
 rows: the stdlib serves `indent` with its pure-Python encoder, and the
-renderer joins the rows the commands emit (integer pairs and matrix rows,
-flat dicts sharing one key order) from precomputed indents, handing any
-other value back to the stdlib.
+renderer writes lists of integer rows (dims pairs) with one format of a
+joined row template, from precomputed indents, handing any other value
+back to the stdlib.
 
-The two longest listings hold no row of their own.  `basis` answers with
-a `_BasisRows` (the texts of each degree group of the basis, and the
-weight), which writes JSON, table and csv with one join per degree, since
-a degree's rows differ only in their text; a degree whose texts
-`csv.writer` would quote goes through the writer.  The S1 tensor JSON
-lists its (monomial, circle degree) pairs through a `_TensorPairs`, which
-encodes each monomial's row once and adds only the circle degree per pair.
-`_render` reads either only in its last, fallback branch.  Both, and the
-S1 cokernel rows, take each degree's texts straight from the enumeration
-walk, which builds no Monomial for a row that is only printed: `basis`
-through `catalog._plane_basis`, the S1 JSON through `bv._equivariant_s1`;
-the `delta` JSON, which needs factors, takes Monomials.
+No listing holds a row of its own.  `basis` answers with a `_BasisRows`
+(the texts of each degree group of the basis, and the weight), which
+writes JSON, table and csv with one join per degree, since a degree's rows
+differ only in their text; a degree whose texts `csv.writer` would quote
+goes through the writer.  The S1 JSON lists its (monomial, circle degree)
+pairs through a `_TensorPairs`, which encodes each monomial's row once and
+adds only the circle degree per pair, and its cokernel rows through a
+`_CokernelRows`, one join.  The three take each degree's texts straight
+from the enumeration walk, which builds no Monomial for a row that is only
+printed: `basis` through `catalog._plane_basis`, the S1 JSON through
+`bv._equivariant_s1`.  The `delta` JSON, which needs factors, takes the
+walk's Monomials and the image of each, and its `_DeltaMaps` writes each
+map in one pass from their texts, with no dense int row and no dict per
+image.  `_render` reads any listing only in its last, fallback branch.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .bv import (
     _delta_rank,
     _equivariant_s1,
     _equivariant_s1_dims,
-    _image_rows,
     default_degree_bound,
     delta,
     equivariant_zp,
@@ -209,21 +210,65 @@ def _cmd_delta(args) -> _Answer:
     maps = []
     for d in degrees:
         source = by_deg.get(d, [])
-        target = by_deg.get(d + 1, [])
         images = [delta(m, prime) for m in source]
-        maps.append(
-            {
-                "degree": d,
-                "source": [m.text() for m in source],
-                "target": [m.text() for m in target],
-                "matrix": _image_rows(images, target),
-                "rank": _delta_rank(images),
-                "images": [
-                    {"monomial": m.text(), "image": im.text()} for m, im in zip(source, images)
-                ],
-            }
-        )
-    return {"maps": maps}, None, header
+        maps.append((d, source, by_deg.get(d + 1, []), images, _delta_rank(images)))
+    return {"maps": _DeltaMaps(maps)}, None, header
+
+
+@dataclass(frozen=True)
+class _DeltaMaps:
+    """The operator's maps, one (degree, source, target, images, rank) per
+    degree: the walk's monomials of the degree and the next, the image of
+    each source and the rank, listed as JSON by `json`."""
+
+    maps: list[tuple[int, list, list, list, int]]
+
+    def json(self, nl: str) -> str:
+        """The maps as `_render` writes a list of dicts {"degree", "source",
+        "target", "matrix", "rank", "images"} closing at `nl`, in one pass
+        over the monomials' texts: the matrix rows with no nonzero entry are
+        one string per degree, a row with entries is a copy of the zero cells
+        with those set, and a target's row is found by its text, which is
+        distinct within a weight."""
+        inner = nl + "  "
+        cell = inner + "  "
+        item = cell + "  "
+        entry = item + "  "
+        head = "{" + entry + '"monomial": '
+        middle = "," + entry + '"image": '
+        close = item + "}"
+        items = []
+        for d, source, target, images, rank in self.maps:
+            sources = [_encode_str(m.text()) for m in source]
+            targets = [m.text() for m in target]
+            index = {t: i for i, t in enumerate(targets)}
+            zero = ["0"] * len(sources)
+            filled: dict[int, list[str]] = {}
+            image_rows = []
+            for j, (s, image) in enumerate(zip(sources, images)):
+                for m, c in image.terms.items():
+                    i = index[m.text()]
+                    if i not in filled:
+                        filled[i] = zero.copy()
+                    filled[i][j] = int.__repr__(c)
+                image_rows.append(head + s + middle + _encode_str(image.text()) + close)
+            rows = [_joined(zero, entry, item)] * len(targets)
+            for i, cells in filled.items():
+                rows[i] = _joined(cells, entry, item)
+            items.append(
+                f"{{{cell}\"degree\": {d},"
+                f"{cell}\"source\": {_joined(sources, item, cell)},"
+                f"{cell}\"target\": {_joined(list(map(_encode_str, targets)), item, cell)},"
+                f"{cell}\"matrix\": {_joined(rows, item, cell)},"
+                f"{cell}\"rank\": {rank},"
+                f"{cell}\"images\": {_joined(image_rows, item, cell)}{inner}}}"
+            )
+        return _joined(items, inner, nl)
+
+
+def _joined(items: list[str], indent: str, nl: str) -> str:
+    """A JSON list of the encoded `items`, each on a line at `indent`, closing at `nl`."""
+    return "[" + indent + ("," + indent).join(items) + nl + "]" if items else "[]"
 
 
 def _cmd_equivariant(args) -> _Answer:
@@ -239,7 +284,7 @@ def _cmd_equivariant(args) -> _Answer:
     if regime == REGIME_TENSOR_BS1:
         basis = _TensorPairs(list(groups.items()), dmax)
     else:
-        basis = [{"monomial": t} for texts in groups.values() for t in texts]
+        basis = _CokernelRows(list(groups.items()))
     result = {
         "group": "S1",
         "regime": regime,
@@ -279,6 +324,23 @@ class _TensorPairs:
         if not items:
             return "[]"
         return "[" + inner + (inner + "}," + inner).join(items) + inner + "}" + nl + "]"
+
+
+@dataclass(frozen=True)
+class _CokernelRows:
+    """The cokernel regime's rows {"monomial"}: the texts of `groups`
+    (degree, texts) in turn, listed as JSON by `json`."""
+
+    groups: list[tuple[int, list[str]]]
+
+    def json(self, nl: str) -> str:
+        """The rows as `_render` writes a list of flat dicts closing at `nl`,
+        in one join."""
+        inner = nl + "  "
+        opener = "{" + inner + '  "monomial": '
+        texts = itertools.chain.from_iterable(group for _, group in self.groups)
+        rows = (inner + "}," + inner + opener).join(map(_encode_str, texts))
+        return "[" + inner + opener + rows + inner + "}" + nl + "]" if rows else "[]"
 
 
 def _cmd_sign(args) -> _Answer:
@@ -344,58 +406,34 @@ def _render(x, nl: str) -> str:
     inner = nl + "  "
     if t is list:
         kinds = set(map(type, x))
-        items = None
+        sep = "," + inner
         if kinds == {str}:
-            items = map(_encode_str, x)
+            body = sep.join(map(_encode_str, x))
         elif kinds == {int}:
-            items = map(int.__repr__, x)
-        elif kinds == {list}:
-            items = _int_rows(x, inner)
-        elif kinds == {dict}:
-            items = _flat_rows(x, inner)
-        if items is None:
-            items = [_render(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+            body = sep.join(map(int.__repr__, x))
+        elif kinds != {list} or (body := _int_rows(x, inner)) is None:
+            body = sep.join([_render(v, inner) for v in x])
+        return "[" + inner + body + nl + "]"
     if t is dict and all(type(k) is str for k in x):
         items = [_encode_str(k) + ": " + _render(v, inner) for k, v in x.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if t is _BasisRows or t is _TensorPairs:
+    if t is _BasisRows or t is _TensorPairs or t is _CokernelRows or t is _DeltaMaps:
         return x.json(nl)
     # Encoded JSON holds no raw newline, so re-indenting the stdlib's output is exact.
     return json.dumps(x, indent=2).replace("\n", nl)
 
 
-def _int_rows(rows: list, nl: str):
+def _int_rows(rows: list, nl: str) -> str | None:
     """Lists of ints (not bools), all of one nonzero length, one per line at
-    indent `nl`; None for any other list of lists."""
+    indent `nl` and comma-joined, from one format of a joined row template;
+    None for any other list of lists."""
     lengths = set(map(len, rows))
-    if len(lengths) > 1 or set(map(type, itertools.chain.from_iterable(rows))) != {int}:
+    cells = tuple(itertools.chain.from_iterable(rows))
+    if len(lengths) > 1 or set(map(type, cells)) != {int}:
         return None
     cell = nl + "  "
     row = "[" + cell + ("," + cell).join(["%d"] * lengths.pop()) + nl + "]"
-    return list(map(row.__mod__, map(tuple, rows)))
-
-
-def _flat_rows(rows: list, nl: str):
-    """Dicts with the same str keys in the same order and str or int values,
-    one per line at indent `nl`, or None for any other list of dicts."""
-    keys = tuple(rows[0])
-    if not keys or not all(type(k) is str for k in keys):
-        return None
-    if not all(map(keys.__eq__, map(tuple, rows))):
-        return None
-    columns = []
-    for col in zip(*map(dict.values, rows)):
-        kinds = set(map(type, col))
-        if kinds == {str}:
-            columns.append(map(_encode_str, col))
-        elif kinds == {int}:
-            columns.append(map(int.__repr__, col))
-        else:
-            return None
-    cell = nl + "  "
-    fields = ("," + cell).join(_encode_str(k).replace("%", "%%") + ": %s" for k in keys)
-    return list(map(("{" + cell + fields + nl + "}").__mod__, zip(*columns)))
+    return ("," + nl).join([row] * len(rows)) % cells
 
 
 def _render_table(table: list, header: list[str]) -> str:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confhom import FpMatrix, bv, catalog, cli, enumeration, identities, verify
-from confhom.algebra import Monomial
+from confhom.algebra import Element, Monomial, as_prime
 from confhom.catalog import MAX_BASIS, plane_config_generators
 from confhom.cli import _render_json, build_parser, main
 from confhom.enumeration import GradedDims, _plane_totals, monomial_basis, poincare
@@ -292,7 +292,6 @@ def test_table_formats_build_only_what_they_print(monkeypatch, fmt):
         raise AssertionError("a table or csv listing built what only JSON prints")
 
     monkeypatch.setattr(bv, "_image_rows", refused)
-    monkeypatch.setattr(cli, "_image_rows", refused)
     monkeypatch.setattr(Monomial, "text", refused)
     for argv, (code, out) in zip(argvs, expected):
         assert code == 0 and out
@@ -589,6 +588,47 @@ def test_tensor_pairs_render_as_the_old_pair_builder(degrees, dmax):
     assert _render_json({"basis": pairs}) == json.dumps({"basis": old}, indent=2)
 
 
+@st.composite
+def _delta_maps(draw):
+    """Maps (degree, source, target, images, rank) over stand-in monomials:
+    empty sources and targets, escaped texts, distinct texts within a target
+    as a basis's are, and images of any number of terms in the target."""
+    maps = []
+    for d in draw(st.lists(st.integers(-1, 40), max_size=4)):
+        source = [_TextMonomial(t, d) for t in draw(st.lists(_LISTING_TEXT, max_size=4))]
+        target = [_TextMonomial(t, d + 1)
+                  for t in draw(st.lists(_LISTING_TEXT, max_size=4, unique=True))]
+        terms = st.lists(st.sampled_from(target), max_size=3, unique_by=id) if target else st.just([])
+        images = [Element._trusted({m: draw(st.integers(1, 6)) for m in draw(terms)}, as_prime(7))
+                  for _ in source]
+        maps.append((d, source, target, images, draw(st.integers(0, 5))))
+    return maps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_delta_maps())
+def test_delta_maps_render_as_the_dict_maps(maps):
+    listing = cli._DeltaMaps(maps)
+    dicts = _delta_map_dicts(maps)
+    assert _render_json({"maps": listing}) == json.dumps({"maps": dicts}, indent=2)
+    assert _render_json([listing, 1]) == json.dumps([dicts, 1], indent=2)
+
+
+def test_delta_json_builds_no_dense_rows(monkeypatch):
+    # the listing writes its matrix rows from the images' texts
+    argvs = [["delta", "--p", p, "--n", n, *degree]
+             for p, n in (("2", "9"), ("3", "8"), ("5", "12"), ("7", "16"))
+             for degree in ([], ["--degree", "4"])]
+    expected = [_capture(argv)[:2] for argv in argvs]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the delta JSON built the dense int rows")
+
+    monkeypatch.setattr(bv, "_image_rows", refused)
+    assert all(code == 0 and '"matrix": [' in out for code, out in expected)
+    assert [_capture(argv)[:2] for argv in argvs] == expected
+
+
 @pytest.mark.parametrize("p, n", [("2", "0"), ("2", "23"), ("3", "1"), ("3", "31"),
                                   ("5", "2"), ("5", "40")])
 def test_basis_listing_builds_no_monomial(monkeypatch, p, n):
@@ -646,6 +686,9 @@ _RENDERED_COMMANDS = [
     # no source monomial in degree 3: the matrix has a row and no columns
     ["delta", "--p", "3", "--n", "6", "--degree", "3"],
     ["delta", "--p", "3", "--n", "6", "--degree", "40"],
+    # the cokernel regime: nonzero entries, and a degree with no target
+    ["delta", "--p", "3", "--n", "8"],
+    ["delta", "--p", "5", "--n", "12"],
     ["equivariant", "--group", "S1", "--p", "3", "--n", "6", "--dmax", "12"],
     ["equivariant", "--group", "S1", "--p", "3", "--n", "8"],
     ["equivariant", "--group", "S1", "--p", "3", "--n", "9"],
@@ -673,7 +716,7 @@ def _rendered_payloads(monkeypatch, argv) -> tuple[list, str]:
 
 
 def _plain_rows(listing) -> list[dict]:
-    """`json.dumps` default: a `basis` or S1 tensor listing as its rows."""
+    """`json.dumps` default: a `basis`, S1 or `delta` listing as its rows."""
     if type(listing) is cli._BasisRows:
         return [{"monomial": t, "degree": d, "weight": listing.weight}
                 for d, texts in listing.groups for t in texts]
@@ -681,7 +724,24 @@ def _plain_rows(listing) -> list[dict]:
         pairs = sorted((d + c, t, c) for d, texts in listing.groups for t in texts
                        for c in range(0, listing.dmax - d + 1, 2))
         return [{"monomial": t, "circle_degree": c} for _, t, c in pairs]
+    if type(listing) is cli._CokernelRows:
+        return [{"monomial": t} for _, texts in listing.groups for t in texts]
+    if type(listing) is cli._DeltaMaps:
+        return _delta_map_dicts(listing.maps)
     raise TypeError(f"{type(listing).__name__} is not a listing")
+
+
+def _delta_map_dicts(maps) -> list[dict]:
+    """The `delta` maps (degree, source, target, images, rank) as dicts, the
+    matrix from `bv._image_rows` and each image written by `Element.text`."""
+    return [{"degree": d,
+             "source": [m.text() for m in source],
+             "target": [m.text() for m in target],
+             "matrix": bv._image_rows(images, target),
+             "rank": rank,
+             "images": [{"monomial": m.text(), "image": im.text()}
+                        for m, im in zip(source, images)]}
+            for d, source, target, images, rank in maps]
 
 
 def _basis_rows_oracle(n: int, p: int) -> list[dict]:
@@ -707,22 +767,39 @@ def _tensor_pairs_oracle(mons: list, dmax: int) -> list[dict]:
     return pairs
 
 
+def _delta_maps_oracle(n: int, p: int, degree: int | None) -> list[dict]:
+    """The `delta` JSON maps, rebuilt from the weight-n basis, `bv.delta` and
+    `bv._delta_rank`, one dict per map and per image."""
+    by_deg = catalog._plane_basis(n, p)
+    maps = []
+    for d in [degree] if degree is not None else by_deg:
+        source = by_deg.get(d, [])
+        images = [bv.delta(m, p) for m in source]
+        maps.append((d, source, by_deg.get(d + 1, []), images, bv._delta_rank(images)))
+    return _delta_map_dicts(maps)
+
+
 def _oracle_payload(payload: dict) -> dict:
-    """`payload` with a `basis` or S1 tensor listing rebuilt, one dict per row,
-    by the row builders above; any other payload as it is."""
+    """`payload` with a `basis`, S1 or `delta` listing rebuilt, one dict per
+    row, by the row builders above; any other payload as it is."""
     result, params = dict(payload["result"]), payload["params"]
     if payload["command"] == "basis" and payload["status"] == "ok":
         result["rows"] = _basis_rows_oracle(params["n"], params["p"])
+    elif payload["command"] == "delta" and payload["status"] == "ok":
+        result["maps"] = _delta_maps_oracle(params["n"], params["p"], params.get("degree"))
     elif result.get("regime") == bv.REGIME_TENSOR_BS1:
         dmax = result["degree_bound"]
         basis = bv.equivariant_s1(params["n"], params["p"], dmax).basis
         result["basis"] = _tensor_pairs_oracle(basis, dmax)
+    elif result.get("regime") == bv.REGIME_COKER_DELTA:
+        basis = bv.equivariant_s1(params["n"], params["p"]).basis
+        result["basis"] = [{"monomial": m.text()} for m in basis]
     return {**payload, "result": result}
 
 
 @pytest.mark.parametrize("argv", _RENDERED_COMMANDS, ids=" ".join)
 def test_renderer_matches_json_dumps_on_command_payloads(monkeypatch, argv):
-    # a `basis` or S1 tensor payload holds its listing, which json.dumps
+    # a `basis`, S1 or `delta` payload holds its listing, which json.dumps
     # reads as its rows; every other payload is plain JSON
     seen, out = _rendered_payloads(monkeypatch, argv)
     assert len(seen) == 1
@@ -785,7 +862,7 @@ def _int_row_lists(draw):
 @st.composite
 def _dict_row_lists(draw):
     """Lists of flat dicts sharing one key tuple and one type per column,
-    as basis rows and images are, sometimes with one row changed."""
+    sometimes with one row changed."""
     keys = draw(st.lists(st.sampled_from(["a", "b", "%s", "%%", "\u00e9", '"q"', 0]),
                          min_size=1, max_size=3, unique=True))
     row = st.fixed_dictionaries(
