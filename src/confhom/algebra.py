@@ -113,6 +113,10 @@ class Generator:
     def parity(self) -> int:
         return self.degree % 2
 
+    def __hash__(self) -> int:
+        # equal generators share their rank; the generated hash would cover every field
+        return hash(self.rank)
+
     def __str__(self) -> str:
         return self.name
 

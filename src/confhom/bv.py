@@ -38,9 +38,10 @@ JSON listings enumerate a basis and share its limits.
 `_equivariant_s1_dims` gives the S1 dims of a range of weights to every
 format and to `verify`, and every "row n of a series table times
 1/(1 - t^step)" answer (S1 and Zp here, sign and mod-2 in `signhom`) goes
-through `_rows_times_circle`.  `_delta_counts` reads the rank in each
-degree off one table over the plane generators without the point and odd
-classes, as the operator is injective on the sources it does not kill.
+through `_rows_times_circle`.  `_delta_counts` reads the plane slice and
+the rank in each degree off rows n - 2 and n of one table over the plane
+generators without the odd class, as the operator is injective on the
+sources it does not kill.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .algebra import KIND_IOTA, KIND_U, Element, Monomial, as_prime, iota, u_class
+from .algebra import KIND_U, Element, Monomial, as_prime, iota, u_class
 from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _refuse_large_bases
 from .catalog import _split_plane_monomial
 from .catalog import plane_config_generators
@@ -152,25 +153,29 @@ def _image_rows(images, target) -> list[list[int]]:
 
 def _delta_counts(n: int, p, degree: int | None) -> list[tuple[int, int, int, int]]:
     """(degree, source dim, target dim, rank) of the operator in weight n,
-    from the series, for `degree` or else every degree of the basis.  The
-    dims are the plane slice in d and d + 1.  At odd p the rank in degree d
-    is the count of sources iota^k x with x free of the point and odd
-    classes and k(k-1) != 0 mod p, that is the sum over k >= 2 with
-    k mod p not 0 or 1 of T'(n - k, d), T' the series over the plane
-    generators without those two classes; at p = 2 it is 0.  Only the rows
-    the table of T' holds are read (k mod p > 1 needs k >= 2)."""
+    from rows n - 2 and n of one series table, S, over the plane generators
+    without the odd class, for `degree` or else every degree of the basis.
+    The plane slice is S(n) + t S(n - 2), the monomials without and with u.
+    At odd p the operator is injective on the sources it does not kill,
+    iota^k x with x free of the point and odd classes and k(k-1) != 0 mod p;
+    every generator in x has weight divisible by 2p, so k = n mod p, and
+    when n mod p > 1 these sources are iota^2 times the monomials S(n - 2)
+    counts, so the rank in degree d is S(n - 2, d).  Otherwise, and at
+    p = 2, it is 0."""
     prime = as_prime(p)
-    gens = plane_config_generators(prime, max(n, 1))
-    plane = series_coefficient(gens, n, None, prime)
+    gens = [g for g in plane_config_generators(prime, max(n, 1)) if g.kind != KIND_U]
+    ns = [n - 2, n] if prime.p != 2 and n >= 2 else [n]
+    table = _complete_table(gens, ns, prime)
+    plane = dict(table.weight_slice(n).dims)
     ranks: dict[int, int] = {}
-    if prime.p != 2:
-        rest = _complete_table([g for g in gens if g.kind not in (KIND_IOTA, KIND_U)], n, prime)
-        for w in range(len(rest._rows)):
-            if (n - w) % prime.p > 1:
-                for d, c in rest.weight_slice(w).dims.items():
-                    ranks[d] = ranks.get(d, 0) + c
-    degrees = sorted(plane.dims) if degree is None else [degree]
-    return [(d, plane[d], plane[d + 1], ranks.get(d, 0)) for d in degrees]
+    if len(ns) == 2:
+        below = table.weight_slice(n - 2).dims
+        for d, c in below.items():
+            plane[d + 1] = plane.get(d + 1, 0) + c
+        if n % prime.p > 1:
+            ranks = below
+    degrees = sorted(plane) if degree is None else [degree]
+    return [(d, plane.get(d, 0), plane.get(d + 1, 0), ranks.get(d, 0)) for d in degrees]
 
 
 def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
@@ -211,7 +216,7 @@ def _equivariant_s1(n: int, prime, dmax: int | None, texts: bool = False):
     pairs = sum(c * ((dmax - d) // 2 + 1) for d, c in plane.dims.items() if d <= dmax)
     if pairs > MAX_BASIS:
         raise ValueError(f"tensor basis of {pairs} pairs exceeds the limit of {MAX_BASIS}")
-    (groups,) = _monomial_bases(gens, range(n, n + 1), prime, texts)
+    (groups,) = _monomial_bases(gens, range(n, n + 1), prime, texts, dmax)
     groups = {d: same for d, same in groups.items() if d <= dmax}
     return REGIME_TENSOR_BS1, plane.convolve_geometric(2, dmax), groups
 
@@ -234,7 +239,7 @@ def _equivariant_s1_dims(ns, p, dmax: int | None) -> dict[int, GradedDims]:
         dims = _rows_times_circle(gens, tensor, prime, dmax, 2)
     if coker:
         gens = [g for g in plane_config_generators(prime, coker[-1]) if g.kind != KIND_U]
-        table = _complete_table(gens, coker[-1], prime)
+        table = _complete_table(gens, coker, prime)
         dims.update((n, table.weight_slice(n)) for n in coker)
     return dims
 
@@ -263,7 +268,7 @@ def _rows_times_circle(gens, ns, prime, dmax: int | None, step: int) -> dict[int
     through the largest bound, built after every bound is checked."""
     bounds = {n: _degree_bound(n, dmax) for n in ns}
     # a negative bound reads no degree, and the table's least bound is 0
-    table = _complete_table(gens, ns[-1], prime, max(0, *bounds.values()))
+    table = _complete_table(gens, ns, prime, max(0, *bounds.values()))
     return {n: table.weight_slice(n).convolve_geometric(step, bounds[n]) for n in ns}
 
 

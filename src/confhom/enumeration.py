@@ -1,14 +1,22 @@
 """Monomial bases by weight, and their dimension counts two independent ways.
 
-Counts come from the Hilbert series: `series_coefficient` expands the
-two-variable series of the free graded-commutative algebra (a geometric
-factor per polynomial generator, `1 + t^d s^w` per exterior one) in place
-on a weight x degree table whose rows are Python ints, one per weight,
-holding that weight's counts at a fixed number of bits per degree, and
-every dimension-only command reads its answer from one decoded row;
-`total_dim` reads the one-variable series in weight alone.  Both take the
-generators heaviest first, each sweep strided by the gcd of the weights so
-far: rows off the stride stay 0, and the table is the same in any order.
+Counts come from the Hilbert series: the two-variable series of the free
+graded-commutative algebra (a geometric factor per polynomial generator,
+`1 + t^d s^w` per exterior one), on a weight x degree table whose rows
+are Python ints, one per weight, holding that weight's counts at a fixed
+number of bits per degree.  Every dimension-only command reads its answer
+from rows of `_complete_table` (`series_coefficient` reads one): the table
+of every generator but the two lightest is expanded in place on its own
+stride, and those two are folded in only at the weights the rows read, a
+polynomial one as running sums or a recurrence along a residue class of
+the table's rows, an exterior one as two terms, so a one-row read costs
+about n / (the stride) steps where a sweep of every weight costs n per
+generator.  `series_table` sweeps every factor over every weight, for a
+reader of a range of rows and as the fold's oracle; `total_dim` reads the
+one-variable series in weight alone.
+Both take the generators heaviest first, each sweep strided by the gcd of
+the weights so far: rows off the stride stay 0, and the table is the same
+in any order.
 The monomials themselves come from one walk, `_monomial_bases`, which
 hands out the basis of each weight of a range in turn, grouped by degree:
 {degree: monomials sorted by text}, degrees ascending, the shape every
@@ -17,29 +25,30 @@ down by rank over partial products grouped by the weight they use, built
 once up to the top weight; for each weight the two lowest-rank generators
 close the groups without storing another level (each power of the second
 that fits, then the one exponent of the lowest that fills the rest), and
-each product's text is written on the way.  The last step files each
-product in a list per degree, sorted by text, as one of two things: a
-reader that needs factors (`monomial_basis`, `bv`, the verification sweep)
-takes Monomials, built through the trusted `Monomial._canonical` with that
-text, so no `text()` is called; a reader that only prints or counts (the
-`basis` listing, the S1 JSON through `bv._equivariant_s1`, `poincare`, the
-sign-slice check) takes the texts themselves, and the last step then joins
-no factors and builds no Monomial.  `monomial_basis`, the public one-weight case, flattens its
+each product's text is written on the way; given a degree bound (the S1
+tensor listing), the loop keeps no partial product above it.  The last
+step files each product in a list per degree, sorted by text, as one of
+two things: a reader that needs factors (`monomial_basis`, `bv`, the
+verification sweep) takes Monomials, built through the trusted
+`Monomial._canonical` with that text, so no `text()` is called; a reader
+that only prints or counts (the `basis` listing, the S1 JSON through
+`bv._equivariant_s1`, `poincare`, the sign-slice check) takes the texts
+themselves, and the last step then joins no factors and builds no
+Monomial.  `monomial_basis`, the public one-weight case, flattens its
 groups in that order, and `poincare` counts them, the enumeration side of
 the series in the demos and tests; the verification suite counts the plane
 basis it has already swept.
 
 Every count is a Python int, so the series is exact at any size or it is
-refused: its size in bits is worked out from the weight totals and the
-highest degree of each weight before anything is built, and a table larger
-than `MAX_SERIES_BITS` raises ValueError instead of exhausting memory;
-`total_dim` refuses weights past 2^20.
+refused: the size in bits of the rows built and read is worked out from
+the weight totals and highest degrees of the table before anything is
+built, and more than `MAX_SERIES_BITS` raises ValueError instead of
+exhausting memory; `total_dim` refuses weights past 2^20.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import gcd
 from operator import attrgetter
 
@@ -159,24 +168,26 @@ class BigradedDims:
 
 
 class _PackedRows:
-    """The rows of a series table, each one Python int holding its counts
-    at `width` bits per degree (degree d at bit d * width), decoded to a
-    list when indexed."""
+    """The rows of a series table by weight, each one Python int holding its
+    counts at `width` bits per degree (degree d at bit d * width), decoded
+    to a list when indexed; a weight below `length` that `ints` lacks is an
+    empty row."""
 
-    __slots__ = ("_ints", "_width")
+    __slots__ = ("_ints", "_length", "_width")
 
-    def __init__(self, ints: list[int], width: int):
+    def __init__(self, ints: dict[int, int], length: int, width: int):
         self._ints = ints
+        self._length = length
         self._width = width
 
     def __len__(self) -> int:
-        return len(self._ints)
+        return self._length
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self._ints)))
+        return map(self.__getitem__, range(self._length))
 
     def __getitem__(self, w: int) -> list[int]:
-        row, b = self._ints[w], self._width
+        row, b = self._ints.get(w, 0), self._width
         if not row:
             return []
         bits = format(row, "b")
@@ -197,14 +208,16 @@ def monomial_basis(gens, n: int, p) -> list[Monomial]:
     return list(chain.from_iterable(groups.values()))
 
 
-def _monomial_bases(gens, weights: range, p, texts: bool = False):
+def _monomial_bases(gens, weights: range, p, texts: bool = False, dmax: int | None = None):
     """Yield the weight-n basis over `gens` for each n of the ascending
     range `weights` in turn, from one walk, grouped by degree: {degree:
     monomials sorted by text}, degrees ascending, with no empty group.
     With `texts`, each monomial is its canonical text instead ("1" for the
     empty product), in the same groups and order: a listing (`basis`, and
     the S1 JSON through `bv._equivariant_s1`) or a count reads no more, and
-    no Monomial is built.
+    no Monomial is built.  With `dmax`, no partial product of degree above
+    it is kept, as degrees never fall when factors are added (the closing
+    step checks no product, so a basis may still hold degrees above dmax).
 
     One loop takes the generators from the highest rank down to the third
     lowest and keeps the partial products grouped by the weight they use:
@@ -238,6 +251,11 @@ def _monomial_bases(gens, weights: range, p, texts: bool = False):
             for w, factor, dd, name in powers:
                 if w > room:
                     break
+                if dmax is not None:
+                    # the powers' degrees ascend, so each keeps fewer parents
+                    parents = [q for q in parents if q[1] <= dmax - dd]
+                    if not parents:
+                        break
                 group = groups.get(used + w)
                 if group is None:
                     group = groups[used + w] = []
@@ -246,7 +264,7 @@ def _monomial_bases(gens, weights: range, p, texts: bool = False):
                     append((factor + tail, degree + dd, name + text))
     second_powers = [(0, (), 0, "")]
     for g in ordered[1:2]:
-        second_powers += _powers(g, top)
+        second_powers += [q for q in _powers(g, top) if dmax is None or q[2] <= dmax]
     for n in weights:
         if n == 0 or not ordered:
             # the empty product alone at weight 0, and nothing above it without generators
@@ -392,7 +410,9 @@ def _weight_sizes(gens, max_weight: int) -> tuple[list[int], list[int]]:
 
 def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     """The two-variable Hilbert series of the free algebra on `gens`,
-    truncated to weight <= max_weight and degree <= dmax.
+    truncated to weight <= max_weight and degree <= dmax, every factor
+    expanded over every weight: what a reader of many rows takes, and the
+    oracle of the fold a reader of one or two takes (`_complete_table`).
 
     Each weight's row is one Python int holding its degrees at B bits each,
     B the bit length of the largest weight total: that total bounds every
@@ -412,23 +432,52 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
         raise ValueError("bounds must be >= 0")
     _check_series_generators(gens)
     gens = [g for g in gens if g.weight <= max_weight and g.degree <= dmax]
-    if all(g.exterior for g in gens if not g.degree):
-        # no monomial of degree <= dmax holds a polynomial g more than dmax // g.degree times
-        heaviest = sum(g.weight * (1 if g.exterior else dmax // g.degree) for g in gens)
-        max_weight = min(max_weight, heaviest)
+    max_weight = _reach(gens, max_weight, dmax)
     bits = _WORD_BITS * (max_weight + 1)
     if bits <= MAX_SERIES_BITS:
         totals, tops = _weight_sizes(gens, max_weight)
         width = max(totals).bit_length()
-        rows_by_top = Counter(tops).items()
-        del totals, tops
-        bits = sum(k * max(width * (min(t, dmax) + 1), _WORD_BITS) for t, k in rows_by_top)
+        del totals
+        bits = _rows_bits(tops, width, dmax)
+    _check_series_bits(bits)
+    rows = _expand(gens, max_weight, width, (1 << (dmax + 1) * width) - 1)
+    nonzero = {w: row for w, row in enumerate(rows) if row}
+    return BigradedDims(_PackedRows(nonzero, len(rows), width))
+
+
+def _reach(gens, max_weight: int, dmax: int) -> int:
+    """max_weight, or if lower, when every generator of degree 0 is
+    exterior, the heaviest weight a monomial of degree <= dmax reaches:
+    none holds a polynomial g more than dmax // g.degree times."""
+    if any(not (g.degree or g.exterior) for g in gens):
+        return max_weight
+    return min(max_weight, sum(g.weight * (1 if g.exterior else dmax // g.degree) for g in gens))
+
+
+def _rows_bits(tops: list[int], width: int, dmax: int) -> int:
+    """The size of rows with the highest degrees `tops` (-1: empty),
+    truncated at dmax: `width` bits per degree, each row at least
+    _WORD_BITS."""
+    least = -(-_WORD_BITS // width) - 1  # a row whose top is below it takes one word
+    if dmax < least:
+        return _WORD_BITS * len(tops)
+    short = [t for t in tops if t < least]
+    cells = sum(map(min, tops, repeat(dmax))) - sum(short) + len(tops) - len(short)
+    return width * cells + _WORD_BITS * len(short)
+
+
+def _check_series_bits(bits: int) -> None:
     if bits > MAX_SERIES_BITS:
         raise ValueError(
             f"series table of at least {bits} bits exceeds the limit of {MAX_SERIES_BITS}"
         )
-    cap = (dmax + 1) * width
-    keep = (1 << cap) - 1
+
+
+def _expand(gens, max_weight: int, width: int, keep: int) -> list[int]:
+    """The rows 0..max_weight of the series over `gens` at `width` bits per
+    degree, masked by `keep`, each factor expanded in place by its strided
+    sweep."""
+    cap = keep.bit_length()
     rows = [0] * (max_weight + 1)
     rows[0] = 1
     for g, sweep in _strided_sweeps(gens, max_weight):
@@ -438,7 +487,7 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
             if below:
                 row = rows[w] + (below << shift)
                 rows[w] = row & keep if row.bit_length() > cap else row
-    return BigradedDims(_PackedRows(rows, width))
+    return rows
 
 
 def series_coefficient(gens, n: int, dmax: int | None, p) -> GradedDims:
@@ -446,22 +495,221 @@ def series_coefficient(gens, n: int, dmax: int | None, p) -> GradedDims:
 
     With dmax None the bound is n times the largest degree-to-weight ratio
     of the generators, which no weight-n monomial exceeds, so the slice is
-    complete: the dimensions `poincare` counts by enumeration.
+    complete: the dimensions `poincare` counts by enumeration.  It is row n
+    of `_complete_table`, which folds in the two lightest generators only
+    at the weights row n reads.
     """
-    return _complete_table(gens, n, p, dmax).weight_slice(n)
+    return _complete_table(gens, [n], p, dmax).weight_slice(n)
 
 
-def _complete_table(gens, max_weight: int, p, dmax: int | None = None) -> BigradedDims:
-    """The series to weight max_weight, truncated at dmax or, if lower, at
-    max_weight times the largest degree-to-weight ratio of the generators:
-    no monomial of weight n <= max_weight passes n times that ratio, and
-    generators heavier than n never reach row n, so row n is
-    `series_coefficient(gens, n, dmax, p)`."""
-    if max_weight < 0:
-        raise ValueError(f"weight must be >= 0, got {max_weight}")
+def _complete_table(gens, ns, p, dmax: int | None = None) -> BigradedDims:
+    """Rows ns (ascending, nonempty) of the series, truncated at dmax or, if
+    lower, at ns[-1] times the largest degree-to-weight ratio of the
+    generators: no monomial of weight n <= ns[-1] passes n times that ratio,
+    and generators heavier than n never reach row n, so row n is
+    `series_coefficient(gens, n, dmax, p)`.
+
+    One or two rows (`poincare`, `sign`, Zp, the S1 and `delta` counts)
+    come from the fold, `_folded_rows`, which keeps no other row.  A reader
+    of more, a range of weights (the verification tables,
+    `bv._equivariant_s1_dims` over a range), reads most rows of the table
+    anyway, and takes `series_table`, which sweeps every factor over every
+    weight in one tight loop each."""
+    if ns[0] < 0:
+        raise ValueError(f"weight must be >= 0, got {ns[0]}")
     _check_series_generators(gens)
-    bound = max((g.degree * max_weight // g.weight for g in gens), default=0)
-    return series_table(gens, max_weight, bound if dmax is None else min(dmax, bound), p)
+    bound = _top_degree(_steepest(gens), ns[-1])
+    dmax = bound if dmax is None else min(dmax, bound)
+    if len(ns) > 2:
+        return series_table(gens, ns[-1], dmax, p)
+    return _folded_rows(gens, ns, dmax, p)
+
+
+def _steepest(gens) -> Generator | None:
+    """The first generator of largest degree-to-weight ratio, None for none."""
+    steepest = None
+    for g in gens:
+        if steepest is None or g.degree * steepest.weight > steepest.degree * g.weight:
+            steepest = g
+    return steepest
+
+
+def _top_degree(steepest: Generator | None, n: int) -> int:
+    """n times the steepest generator's degree-to-weight ratio, rounded
+    down: no weight-n monomial has a higher degree."""
+    return steepest.degree * n // steepest.weight if steepest else 0
+
+
+class _Factor:
+    """A generator's factor with its weight counted in a table's stride."""
+
+    __slots__ = ("weight", "degree", "exterior")
+
+    def __init__(self, g: Generator, stride: int):
+        self.weight, self.degree, self.exterior = g.weight // stride, g.degree, g.exterior
+
+
+def _folded_rows(gens, ns, dmax: int, p) -> BigradedDims:
+    """Rows ns of the series over `gens`, truncated at dmax: the table H of
+    every generator but the two lightest, times one of those two (the inner
+    one) on H's rows, times the other (the outer one) at each row read.
+
+    H is expanded by the strided sweeps on its own stride, the gcd of its
+    weights, and, when its generators of degree 0 are all exterior, only up
+    to the heaviest weight a monomial of degree <= dmax reaches (`_reach`):
+    past it row n is a sum of the rows below, homological stability.  The
+    inner generator is a polynomial one if either is, of degree 0 if either
+    is, so that it is a running sum over H's rows (`_inner_rows`), and the
+    outer one adds the terms below each row read (`_outer_rows`).
+
+    Every int built is a row, at a weight <= ns[-1], of a product of these
+    factors, and a monomial counted in one of its cells is its H part times
+    powers of the light generators, which the cell's weight and degree fix
+    unless their degree-to-weight ratios are equal (`_fillings`).  So the
+    count of H's monomials of weight <= ns[-1] times `_fillings` bounds
+    every cell, and its bit length is the width.  H, the inner generator's
+    rows on H's stride and the rows read are sized, each row at least
+    _WORD_BITS, before anything is built, and more than MAX_SERIES_BITS
+    bits raises ValueError.
+    """
+    as_prime(p)
+    if dmax < 0:
+        raise ValueError("bounds must be >= 0")
+    top_weight = ns[-1]
+    gens = [g for g in gens if g.weight <= top_weight and g.degree <= dmax]
+    gens.sort(key=attrgetter("weight"))
+    light, heavy = gens[:2], gens[2:]
+    # polynomial before exterior, degree 0 first among them: inner, then outer
+    light.sort(key=lambda g: (g.exterior, g.degree > 0))
+    step = 0
+    for g in heavy:
+        step = gcd(step, g.weight)
+    # H's row k is its weight k * step; with no heavy generator, weight 0 alone
+    last = _reach(heavy, top_weight, dmax) // step if step else 0
+    step = step or 1
+    scaled = [_Factor(g, step) for g in heavy]
+    inner_rows = last + 1 if light and not light[0].exterior else 0
+    bits = _WORD_BITS * (last + 1 + inner_rows + len(ns))
+    if bits <= MAX_SERIES_BITS:
+        totals, tops = _weight_sizes(scaled, last)
+        width = (sum(totals) * _fillings(light, top_weight)).bit_length()
+        del totals
+        # no weight-x row of a product passes x times its steepest factor's ratio
+        steepest = _steepest(heavy + light[:1])
+        inner_tops = [_top_degree(steepest, k * step) for k in range(inner_rows)]
+        steepest = _steepest(gens)
+        read_tops = [_top_degree(steepest, n) for n in ns]
+        bits = sum(_rows_bits(t, width, dmax) for t in (tops, inner_tops, read_tops))
+    _check_series_bits(bits)
+    keep = (1 << (dmax + 1) * width) - 1
+    hrows = _expand(scaled, last, width, keep)
+    rows_at = _inner_rows(hrows, step, light[:1], width, keep)
+    del hrows
+    rows = _outer_rows(rows_at, ns, light[1:], width, dmax, keep)
+    return BigradedDims(_PackedRows(rows, top_weight + 1, width))
+
+
+def _fillings(light, max_weight: int) -> int:
+    """The most ways powers of the light generators fill one weight <=
+    max_weight at one degree: one, unless their degree-to-weight ratios are
+    equal; then two if either is exterior, as its exponent fixes the other's,
+    and otherwise one per exponent of the heavier one."""
+    if len(light) < 2 or light[0].weight * light[1].degree != light[1].weight * light[0].degree:
+        return 1
+    if light[0].exterior or light[1].exterior:
+        return 2
+    return max_weight // max(g.weight for g in light) + 1
+
+
+def _forward(row: int, bits: int, keep: int) -> int:
+    """row times t^j, `bits` the shift j * width, masked by keep."""
+    if not bits:
+        return row
+    return (row << bits) & keep if bits < keep.bit_length() else 0
+
+
+def _inner_rows(hrows: list, step: int, inner: list, width: int, keep: int):
+    """The function taking a range of weights to the rows there of H times
+    the inner generator's factor, H given by its rows `hrows` on the
+    multiples of `step`; H itself with no inner generator.
+
+    With w and d the generator's weight and degree, an exterior factor adds
+    two of H's rows, F(x) = H(x) + t^d H(x - w).  A polynomial one is T(x) =
+    H(x) + t^d T(x - w): the rows of H that reach weight x are those at k *
+    step = x - j w, j >= 0, one residue class of k modulo c = w / gcd(step,
+    w), each j = step / gcd(step, w) past the one before.  So T is kept on
+    H's rows, each class its running sum (in C, for d = 0) or its
+    recurrence, and T(x) is the class's last row below x times t^(j d).
+    """
+    last = len(hrows) - 1
+
+    def h(x: int) -> int:
+        k, off = divmod(x, step)
+        return hrows[k] if not off and 0 <= k <= last else 0
+
+    if not inner:
+        return lambda xs: [h(x) for x in xs]
+    (g,) = inner
+    w, shift = g.weight, g.degree * width
+    if g.exterior:
+        return lambda xs: [h(x) + _forward(h(x - w), shift, keep) for x in xs]
+    f = gcd(step, w)
+    c, advance, cap = w // f, shift * (step // f), keep.bit_length()
+    classes = []
+    for r in range(min(c, last + 1)):
+        if not shift:
+            classes.append(list(accumulate(hrows[r::c])))
+            continue
+        acc, running = 0, []
+        for row in hrows[r::c]:
+            acc = (acc << advance & keep if advance < cap else 0) + row
+            running.append(acc)
+        classes.append(running)
+    if c == 1 and not shift:
+        # the point class: T(x) is the running sum of H's rows up to x
+        (running,) = classes
+        return lambda xs: [running[min(x // step, last)] if not x % f else 0 for x in xs]
+    # k * step = x (mod w) for k in the class of (x / f) / (step / f) mod c
+    inverse = pow(step // f, -1, c)
+
+    def t(x: int) -> int:
+        if x % f:
+            return 0
+        r = x // f * inverse % c
+        k = min(x // step, last)
+        if k < r:
+            return 0
+        i = (k - r) // c
+        return _forward(classes[r][i], shift * ((x - (r + i * c) * step) // w), keep)
+
+    return lambda xs: [t(x) for x in xs]
+
+
+def _outer_rows(rows_at, ns, outer: list, width: int, dmax: int, keep: int) -> dict[int, int]:
+    """Row n of F times the outer generator's factor for each n of ns, F's
+    rows at a range of weights given by `rows_at`; F's own rows with none.
+
+    With w and d its weight and degree, row n is the sum of t^(j d) F(n - j
+    w) over j <= 1 for an exterior factor and every j for a polynomial one,
+    but the terms with j d > dmax pass the mask: Horner's rule along n's
+    residue class mod w, from the lowest term that reaches row n.
+    """
+    if not outer:
+        steps, w, shift = 0, 1, 0
+    else:
+        (g,) = outer
+        w, shift = g.weight, g.degree * width
+        steps = 1 if g.exterior else dmax // g.degree if g.degree else None
+    cap = keep.bit_length()
+    rows = {}
+    for n in ns:
+        acc = 0
+        for row in rows_at(range(n % w if steps is None else max(n % w, n - steps * w), n + 1, w)):
+            if shift:
+                acc = acc << shift & keep if shift < cap else 0
+            acc += row
+        rows[n] = acc
+    return rows
 
 
 def _check_series_generators(gens) -> None:

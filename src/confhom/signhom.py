@@ -18,8 +18,8 @@ Squaring rules in the shifted slice follow the unshifted degrees (the
 generators keep their exterior flags): the shift is bookkeeping, not an
 algebra map.
 
-One series table built to weight N holds every slice of weight n <= N as
-its row n, expanded by `bv._rows_times_circle` (shared with S1 and Zp) only
+One series table holds the slice of each weight n it is read at as its
+row n, expanded by `bv._rows_times_circle` (shared with S1 and Zp) only
 through the highest degree bound read.  So the verification suite builds
 one table per sphere dimension and run, and the q-stability check builds
 one table, one closed-form catalog and one bracket tower per q for all its
@@ -49,16 +49,16 @@ def _shifted_generators(prime, sphere_dim: int, max_n: int) -> list:
     return [replace(g, degree=g.degree - sphere_dim * g.weight) for g in gens]
 
 
-def _shifted_table(prime, sphere_dim: int, max_n: int) -> BigradedDims:
-    """Their series to weight max_n: row n is `shifted_weight_slice(n, prime, sphere_dim)`."""
-    return _complete_table(_shifted_generators(prime, sphere_dim, max_n), max_n, prime)
+def _shifted_table(prime, sphere_dim: int, ns: range) -> BigradedDims:
+    """Rows ns of their series: row n is `shifted_weight_slice(n, prime, sphere_dim)`."""
+    return _complete_table(_shifted_generators(prime, sphere_dim, ns[-1]), ns, prime)
 
 
 def shifted_weight_slice(n: int, p, sphere_dim: int) -> GradedDims:
     """Weight-n slice of the algebra over labels in a sphere of dimension
     sphere_dim (2q+1 for sign coefficients, 2q for the mod-2 trivial route),
     degrees shifted down by n * sphere_dim."""
-    return _shifted_table(as_prime(p), sphere_dim, n).weight_slice(n)
+    return _shifted_table(as_prime(p), sphere_dim, range(n, n + 1)).weight_slice(n)
 
 
 def _answers_by_weight(

@@ -197,8 +197,8 @@ def verify_serre_agreement(p, max_n: int) -> VerifyReport:
 
 def _series_agreement(prime, max_n: int) -> _Step:
     top = max(max_n, 0)
-    plane = _complete_table(plane_config_generators(prime, max(top, 1)), top, prime)
-    sign = _shifted_table(prime, 1, top)
+    plane = _complete_table(plane_config_generators(prime, max(top, 1)), range(top + 1), prime)
+    sign = _shifted_table(prime, 1, range(top + 1))
     # the sweep visits n = 0..max_n in turn, each reading the walk's next basis
     labelled = sphere_labelled_generators(prime, 1, max(top, 1))
     labelled_bases = _monomial_bases(labelled, range(top + 1), prime, texts=True)

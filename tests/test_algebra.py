@@ -93,6 +93,16 @@ def test_generators_are_shared_values():
     assert beta_gen(1, 3) != beta_gen(1, 5) and sphere_q(1, 1, 3) != sphere_q(1, 3, 3)
 
 
+def test_a_generator_hashes_as_its_rank():
+    # equal generators share a rank; sphere generators over different
+    # dimensions share one too, and so collide, but still compare unequal
+    for p in (2, 3, 5):
+        for g in plane_config_generators(p, 60) + sphere_labelled_generators(p, 1, 30):
+            assert hash(g) == hash(g.rank)
+    one, three = sphere_q(1, 1, 3), sphere_q(1, 3, 3)
+    assert hash(one) == hash(three) and one != three and len({one, three}) == 2
+
+
 def test_shared_generators_still_refuse_invalid_arguments():
     for _ in range(2):
         for call in (lambda: u_class(2), lambda: beta_gen(0, 3), lambda: alpha_gen(1, 4),

@@ -125,6 +125,25 @@ def test_large_weight_with_small_degree_bound_answers(argv, dims):
     assert json.loads(proc.stdout)["result"]["dims"] == dims
 
 
+# Each exited 2 while the series swept every weight 0..n: the two lightest
+# generators, the point and odd classes, are now folded in at the rows read,
+# over a table of the others that holds a row per multiple of 2p (none past
+# weight 0 at p = 10^9 + 7) and, truncated at degree 10, stops at weight 18.
+LARGE_WEIGHT_FOLDED = [
+    (["poincare", "--p", "1000000007", "--n", "16000000"], [[0, 1], [1, 1]]),
+    (["equivariant", "--group", "Zp", "--p", "3", "--n", "20000001", "--dmax", "10"],
+     _stable_plane_slice(3, 10).convolve_geometric(1, 10).to_pairs()),
+]
+
+
+@pytest.mark.parametrize("argv, dims", LARGE_WEIGHT_FOLDED, ids=["poincare-p1000000007", "zp-p3"])
+def test_large_weight_answers_from_the_fold(argv, dims):
+    proc = subprocess.run([sys.executable, "-m", "confhom", *argv],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["dims"] == dims
+
+
 def _past_the_degree_cap(p, q, n, bound):
     """The least weight in n's class mod p above every weight a monomial of
     degree <= bound reaches over the shifted generators: each exterior one
@@ -354,8 +373,8 @@ def test_prime_beyond_certified_range_exits_2(capsys):
 
 
 def test_delta_counts_read_only_the_rows_the_table_holds(monkeypatch):
-    # past weight n / 2 no plane generator but the point and odd classes fits,
-    # so the table without them holds one row, and no other weight is read
+    # the plane slice and the ranks are rows n and n - 2 of one table over the
+    # plane generators without the odd class, and no other weight is read
     real = enumeration.BigradedDims.weight_slice
     rows = []
 
@@ -367,5 +386,4 @@ def test_delta_counts_read_only_the_rows_the_table_holds(monkeypatch):
     n, p = 100000, 1000000007
     # i^n and i^(n-2) u, with Delta(i^n) = n(n-1) i^(n-2) u != 0 mod p
     assert bv._delta_counts(n, p, None) == [(0, 1, 1, 1), (1, 1, 0, 0)]
-    # the plane slice and the one row of the table without the two classes
-    assert sorted(rows) == [0, n]
+    assert sorted(rows) == [n - 2, n]

@@ -18,7 +18,8 @@ from confhom import (
     series_table,
     total_dim,
 )
-from confhom.algebra import Generator, Monomial, alpha_gen, iota, u_class
+from confhom import bv
+from confhom.algebra import Generator, Monomial, alpha_gen, as_prime, iota, u_class
 from confhom.catalog import sphere_labelled_generators
 from confhom.enumeration import (
     _MAX_TOTAL_WEIGHT,
@@ -324,6 +325,34 @@ def test_the_walk_refuses_as_monomial_basis_does():
     assert list(_monomial_bases([iota()], range(0), 3)) == []
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_walk_below_dmax_drops_only_higher_degrees(p):
+    n = 40
+    for gens in (plane_config_generators(p, n), sphere_labelled_generators(p, 1, n)):
+        (full,) = _monomial_bases(gens, range(n, n + 1), p, texts=True)
+        for dmax in (-1, 0, 1, 5, 17, 100):
+            (cut,) = _monomial_bases(gens, range(n, n + 1), p, texts=True, dmax=dmax)
+            assert {d: ts for d, ts in cut.items() if d <= dmax} == {
+                d: ts for d, ts in full.items() if d <= dmax
+            }
+
+
+def test_the_s1_listing_below_dmax_closes_only_the_products_below_it(monkeypatch):
+    # the weight-276 basis at p = 2 holds about 1.04M monomials; below degree 0
+    # the walk keeps the empty product alone, and the point class closes it
+    real = enumeration._close
+    parents = []
+
+    def close(pending, n, low, second_powers, texts):
+        parents.append(sum(len(group) for _, group in pending))
+        return real(pending, n, low, second_powers, texts)
+
+    monkeypatch.setattr(enumeration, "_close", close)
+    regime, dims, groups = bv._equivariant_s1(276, as_prime(2), 0, texts=True)
+    assert (dims, groups) == (GradedDims({0: 1}), {0: ["i^276"]})
+    assert parents == [1]
+
+
 def test_monomial_basis_over_no_generators():
     assert [m.text() for m in monomial_basis([], 0, 3)] == ["1"]
     assert monomial_basis_bruteforce([], 0) == monomial_basis([], 0, 3)
@@ -449,6 +478,73 @@ def test_strided_expansion_matches_product_expansion(factors, max_weight, dmax, 
         tops[w] = max(tops[w], d)
     assert _weight_sizes(gens, max_weight) == (totals, tops)
     assert _weight_sizes(shuffled, max_weight) == (totals, tops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors=_factor_lists(), n=st.integers(0, 40), offset=st.integers(-25, 8),
+       more=st.sets(st.integers(0, 40), max_size=6))
+# no weight-1 generator; a weight-1 exterior one; weight-1 polynomials of degree 0 and > 0
+@example(factors=[(2, 1, True), (3, 2, False), (4, 0, True), (6, 5, False)], n=40, offset=0,
+         more=set())
+@example(factors=[(1, 0, True), (3, 1, False), (3, 2, True), (9, 7, False)], n=40, offset=0,
+         more=set())
+@example(factors=[(1, 0, False), (2, 1, True), (6, 4, False), (6, 5, True)], n=40, offset=0,
+         more=set())
+@example(factors=[(1, 2, False), (3, 1, True), (5, 0, True)], n=40, offset=0, more=set())
+# two weight-1 generators, also of one degree-to-weight ratio
+@example(factors=[(1, 0, False), (1, 0, False), (4, 3, False)], n=40, offset=0, more=set())
+@example(factors=[(1, 1, False), (1, 1, True), (2, 2, False)], n=40, offset=0, more=set())
+# an exterior second-lightest (above) and a polynomial one, below, at and above the bound
+@example(factors=[(1, 0, False), (2, 1, False), (4, 3, False), (8, 7, False)], n=40,
+         offset=-25, more=set())
+@example(factors=[(1, 0, False), (2, 1, False), (4, 3, False), (8, 7, False)], n=40,
+         offset=0, more={0, 1, 17, 39})
+@example(factors=[(1, 0, False), (2, 1, False), (4, 3, False), (8, 7, False)], n=40,
+         offset=8, more=set())
+def test_the_fold_reads_the_rows_of_the_swept_table(factors, n, offset, more):
+    # the table of all but the two lightest, with those two folded in at the
+    # rows read, against the table that expands every factor over every weight
+    gens = [Generator("tower", k, f"g{k}", *f, (9, k)) for k, f in enumerate(factors)]
+    bound = max((g.degree * n // g.weight for g in gens), default=0)
+    dmax = max(bound + offset, 0)
+    swept = series_table(gens, n, dmax, 3)
+    assert series_coefficient(gens, n, dmax, 3) == swept.weight_slice(n)
+    if offset >= 0:
+        assert series_coefficient(gens, n, None, 3) == swept.weight_slice(n)
+    # the fold reads any rows at once; `_complete_table` sweeps for more than two
+    ns = sorted({n} | {m for m in more if m <= n})
+    table = enumeration._folded_rows(gens, ns, dmax, 3)
+    for m in ns:
+        assert table.weight_slice(m) == swept.weight_slice(m)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_one_row_read_at_odd_p_touches_n_over_2p_rows(monkeypatch, p):
+    # the table without the point and odd classes has a row per multiple of
+    # 2p; the point class makes its running sums, and the odd class reads two
+    touched = []
+    real_expand, real_inner = enumeration._expand, enumeration._inner_rows
+
+    def expand(gens, max_weight, width, keep):
+        rows = real_expand(gens, max_weight, width, keep)
+        touched.append(len(rows))
+        return rows
+
+    def inner_rows(hrows, step, inner, width, keep):
+        rows_at = real_inner(hrows, step, inner, width, keep)
+
+        def counted(xs):
+            touched.append(len(xs))
+            return rows_at(xs)
+
+        return counted
+
+    monkeypatch.setattr(enumeration, "_expand", expand)
+    monkeypatch.setattr(enumeration, "_inner_rows", inner_rows)
+    n = 3000
+    dims = series_coefficient(plane_config_generators(p, n), n, None, p)
+    assert dims.total() == odd_plane_totals(p, n)[n]
+    assert touched == [n // (2 * p) + 1, 2]
 
 
 def test_plane_totals_match_outside_recurrences():
