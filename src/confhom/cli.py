@@ -16,10 +16,11 @@ namespace each time, and a usage error only raises SystemExit), while
 `build_parser` still returns a new parser on every call.  JSON is written
 by `_render_json`, whose output is byte-identical to
 `json.dumps(payload, indent=2)` with each listing below expanded to its
-rows: the stdlib serves `indent` with its pure-Python encoder, and the
-renderer writes lists of integer rows (dims pairs) with one format of a
-joined row template, from precomputed indents, handing any other value
-back to the stdlib.
+rows and a `GradedDims` (the dims of `poincare`, `sign`, Zp, S1) to its
+pairs: the stdlib serves `indent` with its pure-Python encoder, and the
+renderer writes lists of integer rows, and a `GradedDims` from its sorted
+cells unchecked (the package builds them of ints), with one format of a
+joined row template, handing any other value back to the stdlib.
 
 No listing holds a row of its own.  `basis` answers with a `_BasisRows`
 (the texts of each degree group of the basis, and the weight), which
@@ -63,7 +64,7 @@ from .bv import (
     gravity_op_degree,
 )
 from .catalog import UnsupportedCaseError, _plane_basis, plane_config_generators
-from .enumeration import series_coefficient
+from .enumeration import GradedDims, series_coefficient
 from .signhom import sign_rep_homology
 from .verify import VERIFY_TARGETS, run_verifications
 
@@ -118,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The JSON result, table rows and header; a listing leaves None what its format omits.
+# The JSON result, table rows (or GradedDims) and header; a listing leaves None what it omits.
 _Answer = tuple[dict | None, list | None, list[str]]
 
 
@@ -196,8 +197,7 @@ def _cmd_poincare(args) -> _Answer:
     prime = as_prime(args.p)
     gens = plane_config_generators(prime, max(args.n, 1))
     dims = series_coefficient(gens, args.n, None, prime)
-    pairs = dims.to_pairs()
-    return {"dims": pairs, "total": dims.total()}, pairs, ["degree", "dim"]
+    return {"dims": dims, "total": dims.total()}, dims, ["degree", "dim"]
 
 
 def _cmd_delta(args) -> _Answer:
@@ -275,11 +275,10 @@ def _cmd_equivariant(args) -> _Answer:
     prime = as_prime(args.p)
     dmax = args.dmax if args.dmax is not None else default_degree_bound(args.n)
     if args.group == "Zp":
-        pairs = equivariant_zp(args.n, prime, dmax).to_pairs()
-        return {"group": "Zp", "dims": pairs, "degree_bound": dmax}, pairs, ["degree", "dim"]
+        dims = equivariant_zp(args.n, prime, dmax)
+        return {"group": "Zp", "dims": dims, "degree_bound": dmax}, dims, ["degree", "dim"]
     if args.format != "json":
-        dims = _equivariant_s1_dims([args.n], prime, dmax)[args.n]
-        return None, dims.to_pairs(), ["degree", "dim"]
+        return None, _equivariant_s1_dims([args.n], prime, dmax)[args.n], ["degree", "dim"]
     regime, dims, groups = _equivariant_s1(args.n, prime, dmax, texts=True)
     if regime == REGIME_TENSOR_BS1:
         basis = _TensorPairs(list(groups.items()), dmax)
@@ -288,7 +287,7 @@ def _cmd_equivariant(args) -> _Answer:
     result = {
         "group": "S1",
         "regime": regime,
-        "dims": dims.to_pairs(),
+        "dims": dims,
         "basis": basis,
         "degree_bound": dmax,
     }
@@ -347,9 +346,8 @@ def _cmd_sign(args) -> _Answer:
     prime = as_prime(args.p)
     dmax = args.dmax if args.dmax is not None else default_degree_bound(args.n)
     dims = sign_rep_homology(args.n, prime, args.q, dmax)
-    pairs = dims.to_pairs()
-    result = {"dims": pairs, "total_through_bound": dims.total(), "degree_bound": dmax}
-    return result, pairs, ["degree", "dim"]
+    result = {"dims": dims, "total_through_bound": dims.total(), "degree_bound": dmax}
+    return result, dims, ["degree", "dim"]
 
 
 def _cmd_gravity(args) -> _Answer:
@@ -404,6 +402,10 @@ def _render(x, nl: str) -> str:
     if (t is list or t is dict) and not x:
         return "[]" if t is list else "{}"
     inner = nl + "  "
+    if t is GradedDims:
+        pairs = sorted(x.dims.items())
+        body = _format_rows(tuple(itertools.chain.from_iterable(pairs)), 2, len(pairs), inner)
+        return "[" + inner + body + nl + "]" if pairs else "[]"
     if t is list:
         kinds = set(map(type, x))
         sep = "," + inner
@@ -431,9 +433,14 @@ def _int_rows(rows: list, nl: str) -> str | None:
     cells = tuple(itertools.chain.from_iterable(rows))
     if len(lengths) > 1 or set(map(type, cells)) != {int}:
         return None
+    return _format_rows(cells, lengths.pop(), len(rows), nl)
+
+
+def _format_rows(cells: tuple, length: int, count: int, nl: str) -> str:
+    """`count` rows of `length` ints from the flat `cells`, unchecked."""
     cell = nl + "  "
-    row = "[" + cell + ("," + cell).join(["%d"] * lengths.pop()) + nl + "]"
-    return ("," + nl).join([row] * len(rows)) % cells
+    row = "[" + cell + ("," + cell).join(["%d"] * length) + nl + "]"
+    return ("," + nl).join([row] * count) % cells
 
 
 def _render_table(table: list, header: list[str]) -> str:
@@ -485,10 +492,10 @@ def main(argv=None) -> int:
         print(_render_json(payload))
     elif type(table) is _BasisRows:
         print(table.table(header) if fmt == "table" else table.csv(header))
-    elif fmt == "table":
-        print(_render_table(table, header))
     else:
-        print(_render_csv([header, *table]))
+        if type(table) is GradedDims:
+            table = table.to_pairs()
+        print(_render_table(table, header) if fmt == "table" else _render_csv([header, *table]))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
     return 0 if status == "ok" else 1

@@ -13,7 +13,8 @@ the table's rows, an exterior one as two terms, so a one-row read costs
 about n / (the stride) steps where a sweep of every weight costs n per
 generator.  `series_table` sweeps every factor over every weight, for a
 reader of a range of rows and as the fold's oracle; `total_dim` reads the
-one-variable series in weight alone.
+one-variable series in weight alone.  A row read is decoded by halving
+into its nonzero cells alone (`_PackedRows`).
 Both take the generators heaviest first, each sweep strided by the gcd of
 the weights so far: rows off the stride stay 0, and the table is the same
 in any order.
@@ -87,7 +88,7 @@ class GradedDims:
         return sum(self.dims.values())
 
     def to_pairs(self) -> list[list[int]]:
-        return [[d, self.dims[d]] for d in sorted(self.dims)]
+        return list(map(list, sorted(self.dims.items())))
 
     def truncate(self, dmax: int) -> "GradedDims":
         return GradedDims._trusted({d: n for d, n in self.dims.items() if d <= dmax})
@@ -110,7 +111,8 @@ class GradedDims:
                 acc[d - lo] = n
         for r in range(step):
             acc[r::step] = accumulate(acc[r::step])
-        return GradedDims._trusted({lo + i: n for i, n in enumerate(acc) if n})
+        dims = dict(zip(range(lo, dmax + 1), acc))
+        return GradedDims._trusted({d: n for d, n in dims.items() if n} if 0 in acc else dims)
 
     def __getitem__(self, d: int) -> int:
         return self.dims.get(d, 0)
@@ -128,10 +130,10 @@ class GradedDims:
 class BigradedDims:
     """A finite map (weight, degree) -> dimension over a table of Python
     ints indexed [weight][degree] (the spectral-sequence page indexes it
-    [fiber degree][base column]): any sequence of int rows, ragged or lazy;
-    `dims` is the dict of its nonzero cells, made when first read, and
-    `weight_slice` reads one row of a series table, whose cells are never
-    negative, unchecked."""
+    [fiber degree][base column]): any sequence of int rows, ragged or lazy,
+    or of dicts of their nonzero cells (`_PackedRows`); `dims` is the dict
+    of its nonzero cells, made when first read, and `weight_slice` reads one
+    row of a series table, whose cells are never negative, unchecked."""
 
     __slots__ = ("_dims", "_rows")
 
@@ -143,13 +145,13 @@ class BigradedDims:
     def dims(self) -> dict[tuple[int, int], int]:
         if self._dims is None:
             rows = enumerate(self._rows)
-            self._dims = {(w, d): n for w, row in rows for d, n in enumerate(row) if n}
+            self._dims = {(w, d): n for w, row in rows if row for d, n in _cells(row).items()}
         return self._dims
 
     def weight_slice(self, w: int) -> GradedDims:
         if not 0 <= w < len(self._rows):
             return GradedDims()
-        return GradedDims._trusted({d: n for d, n in enumerate(self._rows[w]) if n})
+        return GradedDims._trusted(_cells(self._rows[w]))
 
     def total(self) -> int:
         return sum(self.dims.values())
@@ -167,11 +169,16 @@ class BigradedDims:
         return f"BigradedDims({self.dims!r})"
 
 
+def _cells(row) -> dict[int, int]:
+    """A row's nonzero cells {degree: count}, degrees ascending."""
+    return row if type(row) is dict else {d: n for d, n in enumerate(row) if n}
+
+
 class _PackedRows:
     """The rows of a series table by weight, each one Python int holding its
     counts at `width` bits per degree (degree d at bit d * width), decoded
-    to a list when indexed; a weight below `length` that `ints` lacks is an
-    empty row."""
+    to its nonzero cells {degree: count} when indexed; a weight below
+    `length` that `ints` lacks is an empty row."""
 
     __slots__ = ("_ints", "_length", "_width")
 
@@ -186,13 +193,26 @@ class _PackedRows:
     def __iter__(self):
         return map(self.__getitem__, range(self._length))
 
-    def __getitem__(self, w: int) -> list[int]:
+    def __getitem__(self, w: int) -> dict[int, int]:
+        """Row w by halving: each level splits every nonzero chunk of cells
+        by one mask and one shift, so k cells cost about log2 k levels of
+        int operations and no step per zero cell."""
         row, b = self._ints.get(w, 0), self._width
-        if not row:
-            return []
-        bits = format(row, "b")
-        bits = bits.zfill(-(-len(bits) // b) * b)
-        return [int(bits[i - b : i], 2) for i in range(len(bits), 0, -b)]
+        cells = {0: row} if row else {}
+        # the largest power of 2 below the row's cell count
+        half = 1 << (-(-row.bit_length() // b) - 1).bit_length() >> 1
+        while half:
+            shift = half * b
+            mask = (1 << shift) - 1
+            split = {}
+            for d, chunk in cells.items():
+                if low := chunk & mask:
+                    split[d] = low
+                if high := chunk >> shift:
+                    split[d + half] = high
+            cells = split
+            half >>= 1
+        return cells
 
 
 def monomial_basis(gens, n: int, p) -> list[Monomial]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import replace
 from operator import attrgetter
 
-from .algebra import as_prime
+from .algebra import _shared, as_prime
 from .brackets import LabelClass, cohen_generators, enumerate_basic_brackets
 from .bv import _rows_times_circle
 from .catalog import sphere_labelled_generators
@@ -46,7 +46,13 @@ def _shifted_generators(prime, sphere_dim: int, max_n: int) -> list:
     """The generators over labels in a sphere of dimension sphere_dim, to
     weight max(max_n, 1), each degree shifted down by sphere_dim * weight."""
     gens = sphere_labelled_generators(prime, sphere_dim, max(max_n, 1))
-    return [replace(g, degree=g.degree - sphere_dim * g.weight) for g in gens]
+    return [_shifted(g, sphere_dim) for g in gens]
+
+
+@_shared
+def _shifted(g, sphere_dim: int):
+    """g with its degree down by sphere_dim * weight, shared as g is."""
+    return replace(g, degree=g.degree - sphere_dim * g.weight)
 
 
 def _shifted_table(prime, sphere_dim: int, ns: range) -> BigradedDims:

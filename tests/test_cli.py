@@ -715,8 +715,11 @@ def _rendered_payloads(monkeypatch, argv) -> tuple[list, str]:
     return seen, out
 
 
-def _plain_rows(listing) -> list[dict]:
-    """`json.dumps` default: a `basis`, S1 or `delta` listing as its rows."""
+def _plain_rows(listing) -> list:
+    """`json.dumps` default: a `basis`, S1 or `delta` listing as its rows, a
+    GradedDims as its pairs."""
+    if type(listing) is GradedDims:
+        return listing.to_pairs()
     if type(listing) is cli._BasisRows:
         return [{"monomial": t, "degree": d, "weight": listing.weight}
                 for d, texts in listing.groups for t in texts]
@@ -781,8 +784,11 @@ def _delta_maps_oracle(n: int, p: int, degree: int | None) -> list[dict]:
 
 def _oracle_payload(payload: dict) -> dict:
     """`payload` with a `basis`, S1 or `delta` listing rebuilt, one dict per
-    row, by the row builders above; any other payload as it is."""
+    row, by the row builders above, and its dims as their pairs; any other
+    payload as it is."""
     result, params = dict(payload["result"]), payload["params"]
+    if type(result.get("dims")) is GradedDims:
+        result["dims"] = result["dims"].to_pairs()
     if payload["command"] == "basis" and payload["status"] == "ok":
         result["rows"] = _basis_rows_oracle(params["n"], params["p"])
     elif payload["command"] == "delta" and payload["status"] == "ok":
@@ -897,6 +903,41 @@ def _nested(children):
 @given(st.recursive(_SCALARS, _nested, max_leaves=40))
 def test_renderer_matches_json_dumps_on_nested_payloads(payload):
     assert _render_json(payload) == json.dumps(payload, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(-50, 10**7),
+                       st.one_of(st.integers(1, 10**6), st.integers(2**63, 2**90)), max_size=30),
+       st.integers(0, 2))
+@example({}, 0)
+@example({}, 2)
+@example({3: 2**63, 0: 1, 1: 2**64 + 1}, 1)
+def test_dims_render_as_their_pairs(cells, depth):
+    # a GradedDims in a payload is written as its [degree, dim] pairs
+    dims = GradedDims(cells)
+    payload, plain = dims, dims.to_pairs()
+    for _ in range(depth):
+        payload, plain = {"dims": payload, "total": 1}, {"dims": plain, "total": 1}
+    assert _render_json(payload) == json.dumps(plain, indent=2)
+    assert _render_json([payload, 1]) == json.dumps([plain, 1], indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--p", "3", "--n", "40"],
+    ["poincare", "--p", "2", "--n", "0"],
+    ["sign", "--p", "5", "--n", "31", "--q", "1"],
+    ["sign", "--p", "2", "--n", "12", "--q", "0", "--dmax", "3"],
+    ["equivariant", "--group", "Zp", "--p", "3", "--n", "28"],
+    ["equivariant", "--group", "S1", "--p", "3", "--n", "27"],
+    ["equivariant", "--group", "S1", "--p", "3", "--n", "29"],
+], ids=" ".join)
+def test_answer_dims_hold_python_ints(monkeypatch, argv):
+    # the renderer writes a GradedDims with %d and checks no cell: every
+    # degree and dim the package puts in one is a Python int
+    seen, _ = _rendered_payloads(monkeypatch, argv)
+    dims = seen[0]["result"]["dims"]
+    assert type(dims) is GradedDims and dims.dims
+    assert {type(k) for k in dims.dims} == {type(v) for v in dims.dims.values()} == {int}
 
 
 def test_main_reuses_one_parser_without_leaking_options(capsys):

@@ -133,10 +133,14 @@ LARGE_WEIGHT_FOLDED = [
     (["poincare", "--p", "1000000007", "--n", "16000000"], [[0, 1], [1, 1]]),
     (["equivariant", "--group", "Zp", "--p", "3", "--n", "20000001", "--dmax", "10"],
      _stable_plane_slice(3, 10).convolve_geometric(1, 10).to_pairs()),
+    # a row of about 14M cells, 23 of them nonzero: only those are decoded
+    (["poincare", "--p", "1000003", "--n", "16000000"],
+     [[0, 1], [1, 1]] + [[k * 2000004 + e, 1 + e % 2] for k in range(1, 8) for e in range(3)]),
 ]
 
 
-@pytest.mark.parametrize("argv, dims", LARGE_WEIGHT_FOLDED, ids=["poincare-p1000000007", "zp-p3"])
+@pytest.mark.parametrize("argv, dims", LARGE_WEIGHT_FOLDED,
+                         ids=["poincare-p1000000007", "zp-p3", "poincare-p1000003"])
 def test_large_weight_answers_from_the_fold(argv, dims):
     proc = subprocess.run([sys.executable, "-m", "confhom", *argv],
                           capture_output=True, text=True, timeout=5)

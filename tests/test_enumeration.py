@@ -18,7 +18,7 @@ from confhom import (
     series_table,
     total_dim,
 )
-from confhom import bv
+from confhom import bv, signhom
 from confhom.algebra import Generator, Monomial, alpha_gen, as_prime, iota, u_class
 from confhom.catalog import sphere_labelled_generators
 from confhom.enumeration import (
@@ -378,6 +378,82 @@ def test_series_table_cells_match_enumeration():
     assert tab == expected
     assert tab.to_pairs() == expected.to_pairs() and tab.total() == expected.total()
     assert tab[(9, 5)] == 2 and tab.weight_slice(13) == GradedDims({})
+
+
+def _decode_by_text(row: int, width: int) -> list[int]:
+    """Every cell of a packed row, zero or not, parsed from one binary
+    string: the per-cell reference of the halving decoder."""
+    if not row:
+        return []
+    bits = format(row, "b")
+    bits = bits.zfill(-(-len(bits) // width) * width)
+    return [int(bits[i - width : i], 2) for i in range(len(bits), 0, -width)]
+
+
+def _nonzero(cells: list[int]) -> dict[int, int]:
+    return {d: n for d, n in enumerate(cells) if n}
+
+
+def _packed(cells: list[int], width: int) -> int:
+    return sum(c << d * width for d, c in enumerate(cells))
+
+
+def _assert_decodes(cells: list[int], width: int) -> None:
+    row = _packed(cells, width)
+    got = enumeration._PackedRows({0: row}, 1, width)[0]
+    assert got == _nonzero(_decode_by_text(row, width)) == _nonzero(cells)
+    assert list(got) == sorted(got)
+
+
+# 1, 2, 2^j and 2^j +- 1 cells
+_EDGE_LENGTHS = sorted({1, 2} | {2**j + e for j in range(1, 11) for e in (-1, 0, 1)})
+
+
+@st.composite
+def _packed_cells(draw):
+    width = draw(st.integers(1, 70))
+    cell = st.integers(1, 2**width - 1)
+    if draw(st.booleans()):
+        # a few nonzero cells between long zero runs
+        length = draw(st.sampled_from(_EDGE_LENGTHS))
+        spots = draw(st.dictionaries(st.integers(0, length - 1), cell, max_size=6))
+        return width, [spots.get(d, 0) for d in range(length)]
+    length = draw(st.one_of(st.integers(0, 40), st.sampled_from(_EDGE_LENGTHS[:20])))
+    return width, draw(st.lists(st.one_of(st.just(0), cell), min_size=length, max_size=length))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_cells())
+@example((1, []))  # the empty row
+@example((70, [0] * 1024 + [2**70 - 1]))  # a lone top cell past a power of two
+@example((3, [0] * 4095 + [5]))  # a lone top cell at 2^12
+def test_halving_decoder_matches_the_per_cell_decoder(packed):
+    width, cells = packed
+    _assert_decodes(cells, width)
+
+
+@pytest.mark.parametrize("width", range(1, 71))
+def test_halving_decoder_at_every_width_and_edge_length(width):
+    top = 2**width - 1
+    for length in _EDGE_LENGTHS:
+        # every cell full, so no mask may take a bit from the next cell
+        _assert_decodes([top] * length, width)
+        _assert_decodes([0] * (length - 1) + [top], width)
+        _assert_decodes([1] + [0] * (length - 2) + [top] * (length > 1), width)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_series_table_rows_read_as_the_per_cell_decoder(p):
+    for gens in (plane_config_generators(p, 60),
+                 sphere_labelled_generators(p, 1, 60),
+                 signhom._shifted_generators(as_prime(p), 1, 60)):
+        table = series_table(gens, 60, 90, p)
+        packed = table._rows
+        want = {w: _nonzero(_decode_by_text(packed._ints.get(w, 0), packed._width))
+                for w in range(len(packed))}
+        for w, cells in want.items():
+            assert table.weight_slice(w).dims == cells
+        assert table.dims == {(w, d): n for w, cells in want.items() for d, n in cells.items()}
 
 
 def test_series_without_degree_bound_is_complete():

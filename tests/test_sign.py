@@ -190,3 +190,15 @@ def test_q_stability_checks_exterior_flags_against_bracket_tower(capsys, monkeyp
     captured = capsys.readouterr()
     assert '"status": "failed"' in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_shifted_generators_are_shared():
+    # one shifted instance per catalog generator and sphere dimension
+    prime = signhom.as_prime(3)
+    small = signhom._shifted_generators(prime, 3, 100)
+    large = signhom._shifted_generators(prime, 3, 270)
+    assert all(a is b for a, b in zip(small, large)) and len(small) < len(large)
+    catalog = sphere_labelled_generators(3, 3, 270)
+    assert [(g.weight, g.degree, g.exterior) for g in large] == [
+        (g.weight, g.degree - 3 * g.weight, g.exterior) for g in catalog]
+    assert signhom._shifted_generators(prime, 5, 270)[0] is not large[0]
