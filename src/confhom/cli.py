@@ -3,7 +3,8 @@
 Every payload is byte-identical across runs for identical arguments: the
 JSON schema is {"command", "params", "result", "status"} with stable key
 order, and timing goes to stderr only.  Exit codes: 0 on success, 1 when a
-verification fails, 2 on usage errors or mathematically unsupported cases.
+verification fails, 2 on usage errors or mathematically unsupported cases,
+141 (128 + SIGPIPE, with no traceback) when the reader closes stdout early.
 
 A listing's handler builds only what the chosen format prints: a `delta` or
 `equivariant --group S1` table or csv reads its counts from the Hilbert
@@ -13,29 +14,30 @@ meets the basis and (monomial, circle degree) pair limits.
 `main` is cheap to call repeatedly in one process: it parses with one
 parser, built on the first call and reused (`parse_args` makes a fresh
 namespace each time, and a usage error only raises SystemExit), while
-`build_parser` still returns a new parser on every call.  JSON is written
-by `_render_json`, whose output is byte-identical to
+`build_parser` still returns a new parser on every call.  The handler
+finishes, refusals included, before the first byte is written.  Then
+`_write_json` hands JSON to stdout as it is formatted, byte-identical to
 `json.dumps(payload, indent=2)` with each listing below expanded to its
 rows and a `GradedDims` (the dims of `poincare`, `sign`, Zp, S1) to its
-pairs: the stdlib serves `indent` with its pure-Python encoder, and the
-renderer writes lists of integer rows, and a `GradedDims` from its sorted
-cells unchecked (the package builds them of ints), with one format of a
-joined row template, handing any other value back to the stdlib.
+pairs: `_render` formats each leaf as one string, a `GradedDims` from its
+sorted cells unchecked (the package builds them of ints) and lists of
+integer rows with one format of a joined row template, handing any value
+it does not know to the stdlib.  A count table or csv is one string.
 
 No listing holds a row of its own.  `basis` answers with a `_BasisRows`
 (the texts of each degree group of the basis, and the weight), which
-writes JSON, table and csv with one join per degree, since a degree's rows
+writes JSON, table and csv one join per degree, since a degree's rows
 differ only in their text; a degree whose texts `csv.writer` would quote
 goes through the writer.  The S1 JSON lists its (monomial, circle degree)
-pairs through a `_TensorPairs`, which encodes each monomial's row once and
-adds only the circle degree per pair, and its cokernel rows through a
-`_CokernelRows`, one join.  The three take each degree's texts straight
-from the enumeration walk, which builds no Monomial for a row that is only
-printed: `basis` through `catalog._plane_basis`, the S1 JSON through
-`bv._equivariant_s1`.  The `delta` JSON, which needs factors, takes the
-walk's Monomials and the image of each, and its `_DeltaMaps` writes each
-map in one pass from their texts, with no dense int row and no dict per
-image.  `_render` reads any listing only in its last, fallback branch.
+pairs through a `_TensorPairs`, one chunk per total degree, which encodes
+each monomial's row once and adds only the circle degree per pair, and its
+cokernel rows through a `_CokernelRows`, one join.  The three take each
+degree's texts straight from the enumeration walk, which builds no
+Monomial for a row that is only printed: `basis` through
+`catalog._plane_basis`, the S1 JSON through `bv._equivariant_s1`.  The
+`delta` JSON, which needs factors, takes the walk's Monomials and the
+image of each, and its `_DeltaMaps` writes each map in one pass from their
+texts, with no dense int row and no dict per image.
 """
 
 from __future__ import annotations
@@ -46,10 +48,12 @@ import functools
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import add, sub
 
 from .algebra import as_prime
 from .bv import (
@@ -143,24 +147,24 @@ class _BasisRows:
     groups: list[tuple[int, list[str]]]
     weight: int
 
-    def json(self, nl: str) -> str:
-        """The rows as `_render` writes a list of flat dicts closing at `nl`."""
+    def write_json(self, write, nl: str) -> None:
+        """The rows as `_write_json` writes a list of flat dicts closing at
+        `nl`, one chunk per degree."""
         inner = nl + "  "
         cell = inner + "  "
         opener = "{" + cell + '"monomial": '
-        parts = ["[" + inner + opener]
+        sep, close = "[" + inner + opener, ""
         for d, texts in self.groups:
             if texts:
                 close = f',{cell}"degree": {d},{cell}"weight": {self.weight}{inner}}}'
                 joint = close + "," + inner + opener
-                parts += (joint.join(map(_encode_str, texts)), joint)
-        if len(parts) == 1:
-            return "[]"
-        parts[-1] = close + nl + "]"
-        return "".join(parts)
+                write(sep)
+                write(joint.join(map(_encode_str, texts)))
+                sep = joint
+        write(close + nl + "]" if close else "[]")
 
-    def table(self, header: list[str]) -> str:
-        """`_render_table` of the rows."""
+    def write_table(self, write, header: list[str]) -> None:
+        """`_render_table` of the rows, one chunk per degree."""
         groups = [(str(d), texts) for d, texts in self.groups if texts]
         weight = str(self.weight)
         widths = (
@@ -168,29 +172,28 @@ class _BasisRows:
             max([len(header[1])] + [len(d) for d, _ in groups]),
             max([len(header[2])] + [len(weight)] * bool(groups)),
         )
-        lines = ["  ".join(map(str.ljust, header, widths)).rstrip(),
-                 "  ".join("-" * w for w in widths)]
+        write("  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
+              + "  ".join("-" * w for w in widths))
         for d, texts in groups:
             # the last column is not padded: `_render_table` strips it
             tail = "  " + d.ljust(widths[1]) + "  " + weight
-            lines.append((tail + "\n").join([t.ljust(widths[0]) for t in texts]) + tail)
-        return "\n".join(lines)
+            write("\n" + (tail + "\n").join([t.ljust(widths[0]) for t in texts]) + tail)
 
-    def csv(self, header: list[str]) -> str:
-        """`_render_csv` of the header and rows: a degree whose texts need no
-        quoting is joined, any other goes through `csv.writer`."""
-        lines = [_render_csv([header])]
+    def write_csv(self, write, header: list[str]) -> None:
+        """`_render_csv` of the header and rows, one chunk per degree: a degree
+        whose texts need no quoting is joined, any other goes through
+        `csv.writer`."""
+        write(_render_csv([header]))
         for d, texts in self.groups:
             if not texts:
                 continue
             blob = "".join(texts)
             if "," in blob or '"' in blob or "\r" in blob or "\n" in blob:
                 rows = zip(texts, itertools.repeat(d), itertools.repeat(self.weight))
-                lines.append(_render_csv(rows))
+                write("\n" + _render_csv(rows))
             else:
                 tail = f",{d},{self.weight}"
-                lines.append((tail + "\n").join(texts) + tail)
-        return "\n".join(lines)
+                write("\n" + (tail + "\n").join(texts) + tail)
 
 
 def _cmd_poincare(args) -> _Answer:
@@ -219,17 +222,17 @@ def _cmd_delta(args) -> _Answer:
 class _DeltaMaps:
     """The operator's maps, one (degree, source, target, images, rank) per
     degree: the walk's monomials of the degree and the next, the image of
-    each source and the rank, listed as JSON by `json`."""
+    each source and the rank, listed as JSON by `write_json`."""
 
     maps: list[tuple[int, list, list, list, int]]
 
-    def json(self, nl: str) -> str:
-        """The maps as `_render` writes a list of dicts {"degree", "source",
-        "target", "matrix", "rank", "images"} closing at `nl`, in one pass
-        over the monomials' texts: the matrix rows with no nonzero entry are
-        one string per degree, a row with entries is a copy of the zero cells
-        with those set, and a target's row is found by its text, which is
-        distinct within a weight."""
+    def write_json(self, write, nl: str) -> None:
+        """The maps as `_write_json` writes a list of dicts {"degree",
+        "source", "target", "matrix", "rank", "images"} closing at `nl`, one
+        chunk per degree in one pass over the monomials' texts: the matrix
+        rows with no nonzero entry are one string per degree, a row with
+        entries is a copy of the zero cells with those set, and a target's
+        row is found by its text, which is distinct within a weight."""
         inner = nl + "  "
         cell = inner + "  "
         item = cell + "  "
@@ -237,7 +240,7 @@ class _DeltaMaps:
         head = "{" + entry + '"monomial": '
         middle = "," + entry + '"image": '
         close = item + "}"
-        items = []
+        sep = "[" + inner
         for d, source, target, images, rank in self.maps:
             sources = [_encode_str(m.text()) for m in source]
             targets = [m.text() for m in target]
@@ -255,15 +258,16 @@ class _DeltaMaps:
             rows = [_joined(zero, entry, item)] * len(targets)
             for i, cells in filled.items():
                 rows[i] = _joined(cells, entry, item)
-            items.append(
-                f"{{{cell}\"degree\": {d},"
+            write(
+                f"{sep}{{{cell}\"degree\": {d},"
                 f"{cell}\"source\": {_joined(sources, item, cell)},"
                 f"{cell}\"target\": {_joined(list(map(_encode_str, targets)), item, cell)},"
                 f"{cell}\"matrix\": {_joined(rows, item, cell)},"
                 f"{cell}\"rank\": {rank},"
                 f"{cell}\"images\": {_joined(image_rows, item, cell)}{inner}}}"
             )
-        return _joined(items, inner, nl)
+            sep = "," + inner
+        write("[]" if sep == "[" + inner else nl + "]")
 
 
 def _joined(items: list[str], indent: str, nl: str) -> str:
@@ -298,48 +302,56 @@ def _cmd_equivariant(args) -> _Answer:
 class _TensorPairs:
     """The tensor regime's (monomial, circle degree) pairs: each monomial of
     `groups` (degree, texts) times the even circle degrees through dmax, by
-    total degree D and then text, listed as JSON by `json`."""
+    total degree D and then text, listed as JSON by `write_json`."""
 
     groups: list[tuple[int, list[str]]]
     dmax: int
 
-    def json(self, nl: str) -> str:
-        """The pairs as `_render` writes a list of flat dicts closing at `nl`:
-        each monomial's row up to its circle degree is encoded once, and the
-        rows of total D are those of degree <= D and D's parity, each degree
-        merged in as a sorted run."""
+    def write_json(self, write, nl: str) -> None:
+        """The pairs as `_write_json` writes a list of flat dicts closing at
+        `nl`: each monomial's row up to its circle degree is encoded once,
+        and the rows of total D, one chunk, are those of degree <= D and D's
+        parity, each degree merged in as a sorted run, whose heads and
+        degrees stay fixed until the next merge."""
         inner = nl + "  "
         cell = inner + "  "
         opener, middle = "{" + cell + '"monomial": ', "," + cell + '"circle_degree": '
+        joint = inner + "}," + inner
         by_deg = dict(self.groups)
+        strs = list(map(str, range(self.dmax + 1)))
         runs: tuple[list, list] = ([], [])
-        items = []
+        columns = [((), ()), ((), ())]
+        sep = "[" + inner
         for total in range(self.dmax + 1):
             run = runs[total % 2]
             if total in by_deg:
                 run += [(t, opener + _encode_str(t) + middle, total) for t in by_deg[total]]
                 run.sort()
-            items += [head + str(total - d) for _, head, d in run]
-        if not items:
-            return "[]"
-        return "[" + inner + (inner + "}," + inner).join(items) + inner + "}" + nl + "]"
+                columns[total % 2] = tuple(zip(*run))[1:]
+            if run:
+                heads, degrees = columns[total % 2]
+                circle = map(strs.__getitem__, map(sub, itertools.repeat(total), degrees))
+                write(sep)
+                write(joint.join(map(add, heads, circle)))
+                sep = joint
+        write("[]" if sep == "[" + inner else inner + "}" + nl + "]")
 
 
 @dataclass(frozen=True)
 class _CokernelRows:
     """The cokernel regime's rows {"monomial"}: the texts of `groups`
-    (degree, texts) in turn, listed as JSON by `json`."""
+    (degree, texts) in turn, listed as JSON by `write_json`."""
 
     groups: list[tuple[int, list[str]]]
 
-    def json(self, nl: str) -> str:
-        """The rows as `_render` writes a list of flat dicts closing at `nl`,
-        in one join."""
+    def write_json(self, write, nl: str) -> None:
+        """The rows as `_write_json` writes a list of flat dicts closing at
+        `nl`, in one join."""
         inner = nl + "  "
         opener = "{" + inner + '  "monomial": '
         texts = itertools.chain.from_iterable(group for _, group in self.groups)
         rows = (inner + "}," + inner + opener).join(map(_encode_str, texts))
-        return "[" + inner + opener + rows + inner + "}" + nl + "]" if rows else "[]"
+        write("[" + inner + opener + rows + inner + "}" + nl + "]" if rows else "[]")
 
 
 def _cmd_sign(args) -> _Answer:
@@ -382,11 +394,38 @@ def _params_of(args) -> dict:
 
 
 def _render_json(payload) -> str:
-    """`json.dumps(payload, indent=2)`, byte for byte."""
-    return _render(payload, "\n")
+    """`json.dumps(payload, indent=2)`, byte for byte: `_write_json`'s chunks, joined."""
+    chunks: list[str] = []
+    _write_json(payload, chunks.append)
+    return "".join(chunks)
 
 
-def _render(x, nl: str) -> str:
+def _write_json(x, write, nl: str = "\n", head: str = "") -> None:
+    """Hand `head` and then `json.dumps(x, indent=2)` closing at `nl` to
+    `write` as it is formatted: a leaf that `_render` formats as one chunk, a
+    listing as its own chunks, a dict or list item by item, each key prefix
+    or separator carried into the item's first chunk."""
+    text = _render(x, nl)
+    t = type(x)
+    if text is not None:
+        write(head + text)
+    elif t is dict or t is list:
+        inner = nl + "  "
+        keys = [_encode_str(k) + ": " for k in x] if t is dict else itertools.repeat("")
+        head += ("{" if t is dict else "[") + inner
+        for key, v in zip(keys, x.values() if t is dict else x):
+            _write_json(v, write, inner, head + key)
+            head = "," + inner
+        write(nl + ("}" if t is dict else "]"))
+    else:
+        write(head)
+        x.write_json(write, nl)
+
+
+def _render(x, nl: str) -> str | None:
+    """The JSON text of a leaf: a scalar, a `GradedDims`, an empty container,
+    a list of strs, of ints or of int rows; None for a listing, a dict with
+    str keys or any other list, which `_write_json` writes item by item."""
     # `nl` is a newline and the indent of the line that closes x.
     t = type(x)
     if t is str:
@@ -414,13 +453,12 @@ def _render(x, nl: str) -> str:
         elif kinds == {int}:
             body = sep.join(map(int.__repr__, x))
         elif kinds != {list} or (body := _int_rows(x, inner)) is None:
-            body = sep.join([_render(v, inner) for v in x])
+            return None
         return "[" + inner + body + nl + "]"
     if t is dict and all(type(k) is str for k in x):
-        items = [_encode_str(k) + ": " + _render(v, inner) for k, v in x.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+        return None
     if t is _BasisRows or t is _TensorPairs or t is _CokernelRows or t is _DeltaMaps:
-        return x.json(nl)
+        return None
     # Encoded JSON holds no raw newline, so re-indenting the stdlib's output is exact.
     return json.dumps(x, indent=2).replace("\n", nl)
 
@@ -462,40 +500,36 @@ def _render_csv(rows) -> str:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
-    status = "ok"
+    fmt = args.format
     try:
         result, table, header = _HANDLERS[args.command](args)
+        status = "failed" if args.command == "verify" and not result["passed"] else "ok"
     except UnsupportedCaseError as exc:
-        payload = {
-            "command": args.command,
-            "params": _params_of(args),
-            "result": {"error": str(exc)},
-            "status": "unsupported",
-        }
-        print(_render_json(payload))
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return 2
+        result, table, fmt, status = {"error": str(exc)}, None, "json", "unsupported"
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "verify" and not result["passed"]:
-        status = "failed"
-    payload = {
-        "command": args.command,
-        "params": _params_of(args),
-        "result": result,
-        "status": status,
-    }
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        print(_render_json(payload))
-    elif type(table) is _BasisRows:
-        print(table.table(header) if fmt == "table" else table.csv(header))
-    else:
-        if type(table) is GradedDims:
-            table = table.to_pairs()
-        print(_render_table(table, header) if fmt == "table" else _render_csv([header, *table]))
+    write = sys.stdout.write
+    try:
+        if fmt == "json":
+            payload = {"command": args.command, "params": _params_of(args),
+                       "result": result, "status": status}
+            _write_json(payload, write)
+        elif type(table) is _BasisRows:
+            (table.write_table if fmt == "table" else table.write_csv)(write, header)
+        else:
+            if type(table) is GradedDims:
+                table = table.to_pairs()
+            write(_render_table(table, header) if fmt == "table" else _render_csv([header, *table]))
+        write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early: what is left, and the flush at exit, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    if status == "unsupported":
+        print(f"unsupported: {result['error']}", file=sys.stderr)
+        return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"elapsed_ms={elapsed_ms:.1f}", file=sys.stderr)
     return 0 if status == "ok" else 1

@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -556,10 +558,13 @@ def test_basis_listing_renders_as_its_rows(groups, weight):
     listing = cli._BasisRows(groups, weight)
     header = ["monomial", "degree", "weight"]
     rows = [(t, d, weight) for d, texts in groups for t in texts]
-    assert listing.table(header) == _ljust_table(rows, header)
+    table, csv_text = io.StringIO(), io.StringIO()
+    listing.write_table(table.write, header)
+    listing.write_csv(csv_text.write, header)
+    assert table.getvalue() == _ljust_table(rows, header)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    assert listing.csv(header) == buf.getvalue().rstrip("\n")
+    assert csv_text.getvalue() == buf.getvalue().rstrip("\n")
     dicts = [{"monomial": t, "degree": d, "weight": w} for t, d, w in rows]
     assert _render_json({"rows": listing}) == json.dumps({"rows": dicts}, indent=2)
     assert _render_json([listing, 1]) == json.dumps([dicts, 1], indent=2)
@@ -709,8 +714,10 @@ _RENDERED_COMMANDS = [
 
 def _rendered_payloads(monkeypatch, argv) -> tuple[list, str]:
     seen = []
-    real = cli._render_json
-    monkeypatch.setattr(cli, "_render_json", lambda payload: seen.append(payload) or real(payload))
+    real = cli._write_json
+    # the writer recurses through the module, and only the payload closes at "\n"
+    monkeypatch.setattr(cli, "_write_json", lambda payload, write, nl="\n", head="":
+                        (nl == "\n" and seen.append(payload)) or real(payload, write, nl, head))
     _, out, _ = _capture(argv)
     return seen, out
 
@@ -1001,3 +1008,96 @@ def test_cli_fuzz_exits_cleanly(argv, fmt):
     assert "Traceback" not in err
     if code in (0, 1) and fmt[1:] in ([], ["json"]):
         assert json.loads(out)["status"] == ("ok" if code == 0 else "failed")
+
+
+class _CountingSink:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_listing_memory_stays_near_the_walk():
+    # written as it is formatted, a listing holds one degree group's text
+    # beside the walk's texts, in every format, and no whole-payload string
+    tracemalloc.start()
+    try:
+        catalog._plane_basis(200, 2, texts=True)
+        walk = tracemalloc.get_traced_memory()[1]
+        peaks, sizes = {}, {}
+        for fmt in ("json", "table", "csv"):
+            tracemalloc.reset_peak()
+            sink = _CountingSink()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["basis", "--p", "2", "--n", "200", "--format", fmt]) == 0
+            peaks[fmt], sizes[fmt] = tracemalloc.get_traced_memory()[1], sink.size
+    finally:
+        tracemalloc.stop()
+    assert sizes == {"json": 23154476, "table": 10694326, "csv": 7318708}
+    assert all(peak <= 1.5 * walk for peak in peaks.values()), (walk, peaks)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["basis", "--p", "2", "--n", "278"], 2),
+    (["basis", "--p", "2", "--n", "278", "--format", "csv"], 2),
+    (["basis", "--p", "4", "--n", "3"], 2),
+    (["delta", "--p", "2", "--n", "400"], 2),
+    (["equivariant", "--group", "S1", "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS)], 2),
+    (["equivariant", "--group", "S1", "--p", "2", "--n", "270"], 2),
+    (["sign", "--p", "3", "--n", "9", "--q", "0", "--dmax", str(MAX_BASIS + 1)], 2),
+    (["poincare", "--p", "2", "--n", "20000"], 2),
+    (["equivariant", "--group", "Zp", "--p", "3", "--n", "5"], 2),
+    (["equivariant", "--group", "Zp", "--p", "3", "--n", "5", "--format", "table"], 2),
+    (["basis", "--p", "3", "--n", "30"], 0),
+    (["basis", "--p", "3", "--n", "30", "--format", "table"], 0),
+    (["equivariant", "--group", "S1", "--p", "3", "--n", "27"], 0),
+    (["delta", "--p", "3", "--n", "12"], 0),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else str(a))
+def test_the_handler_finishes_before_the_first_write(monkeypatch, argv, code):
+    # a refusal writes nothing to stdout, or only the unsupported payload
+    events = []
+    handler = cli._HANDLERS[argv[0]]
+
+    def spied(args):
+        try:
+            return handler(args)
+        finally:
+            events.append(None)
+
+    monkeypatch.setitem(cli._HANDLERS, argv[0], spied)
+    sink = types.SimpleNamespace(write=events.append, flush=lambda: None)
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == code
+    assert events[0] is None and None not in events[1:]
+    out = "".join(events[1:])
+    if code == 0:
+        assert out.endswith("\n")
+    elif "Zp" in argv:
+        payload = json.loads(out)
+        assert payload["status"] == "unsupported"
+        assert out == json.dumps(payload, indent=2) + "\n"
+    else:
+        assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_a_reader_that_closes_early_ends_the_listing_quietly(fmt):
+    # the listing is larger than a pipe's buffer, so a write meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "confhom", "basis", "--p", "2", "--n", "120", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
