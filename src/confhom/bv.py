@@ -25,6 +25,10 @@ degree summed from them, text written on first use) and the image with
 `delta_matrix` hands its rows, ints already in [0, p), to
 `FpMatrix._trusted`.  The validating constructors serve every input from
 outside.
+Zeros (every image at p = 2 and in the tensor regime) cost little: `delta`
+slices its source's other factors only for a nonzero image, `delta_element`
+returns a zero combination itself, and a matrix's zero rows share one list,
+copied when an image lands in it (`FpMatrix.rref` copies rows anyway).
 
 The equivariant dispatcher returns the tensor answer with the circle
 classifying space when n is 0 or 1 mod p, and the cokernel of the operator
@@ -48,12 +52,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import add
 
 from .algebra import KIND_U, Element, Monomial, as_prime, iota, u_class
 from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _refuse_large_bases
 from .catalog import _split_plane_monomial
 from .catalog import plane_config_generators
-from .enumeration import BigradedDims, GradedDims, _complete_table, _monomial_bases
+from .enumeration import BigradedDims, GradedDims, _cells, _complete_table, _monomial_bases
 from .enumeration import series_coefficient
 from .linalg import FpMatrix
 
@@ -97,12 +102,12 @@ class EquivariantAnswer:
 def delta(m: Monomial, p) -> Element:
     """Apply the BV operator to a canonical plane-configuration monomial."""
     prime = as_prime(p)
-    k, eps, rest = _split_plane_monomial(m, prime)
+    k, eps, head = _split_plane_monomial(m, prime)
     coeff = 0 if prime.p == 2 or eps else k * (k - 1) % prime.p
     if not coeff:
         return Element._trusted({}, prime)
     # coeff != 0 needs k >= 2; the point class leaves the image at k = 2
-    factors = (((_POINT, k - 2),) if k > 2 else ()) + ((_ODD, 1),) + rest
+    factors = (((_POINT, k - 2),) if k > 2 else ()) + ((_ODD, 1),) + m.factors[head:]
     weight = degree = 0
     for g, e in factors:
         weight += g.weight * e
@@ -120,8 +125,8 @@ def _delta_rank(images) -> int:
 
 
 def delta_element(el: Element) -> Element:
-    """Linear extension of the operator to F_p combinations."""
-    return el.map_monomials(lambda m: delta(m, el.p))
+    """Linear extension of the operator to F_p combinations; zero is its own image."""
+    return el.map_monomials(lambda m: delta(m, el.p)) if el.terms else el
 
 
 def delta_matrix(n: int, p, degree: int, by_deg=None) -> FpMatrix:
@@ -139,15 +144,20 @@ def delta_matrix(n: int, p, degree: int, by_deg=None) -> FpMatrix:
 
 def _image_rows(images, target) -> list[list[int]]:
     """The operator's matrix as one int row per `target` monomial: column j
-    holds the image of the j-th source monomial.  The index of `target` is
-    built only when some image is nonzero (never at p = 2)."""
-    rows = [[0] * len(images) for _ in target]
+    holds the image of the j-th source monomial.  The rows share one zero
+    list until an image lands in one, and the index of `target` is built
+    only when some image is nonzero (never at p = 2)."""
+    zero = [0] * len(images)
+    rows = [zero] * len(target)
     columns = [(j, image.terms) for j, image in enumerate(images) if image.terms]
     if columns:
         index = {m: i for i, m in enumerate(target)}
         for j, terms in columns:
             for m, c in terms.items():
-                rows[index[m]][j] = c
+                i = index[m]
+                if rows[i] is zero:
+                    rows[i] = zero[:]
+                rows[i][j] = c
     return rows
 
 
@@ -303,12 +313,21 @@ def _serre_e3(n: int, prime, by_deg: dict, degree_bound: int | None) -> Bigraded
 
 
 def collapse_total_degree(page: BigradedDims) -> GradedDims:
-    """Total-degree dimensions of a spectral-sequence page, i + 2j."""
-    out: dict[int, int] = {}
-    for (i, j), v in page.dims.items():
-        d = i + 2 * j
-        out[d] = out.get(d, 0) + v
-    return GradedDims(out)
+    """Total-degree dimensions of a spectral-sequence page, cell (i, j) in
+    degree i + 2j, each row added by one strided slice (a dict row made a
+    list first).  Any negative cell raises ValueError, even one its total
+    degree's other cells would cover."""
+    acc: list[int] = []
+    for i, row in enumerate(page._rows):
+        if type(row) is not list:
+            cells = _cells(row)
+            row = [cells.get(j, 0) for j in range(max(cells, default=-1) + 1)]
+        if min(row, default=0) < 0:
+            raise ValueError("negative dimension")
+        end = i + 2 * len(row) - 1
+        acc.extend([0] * (end - len(acc)))
+        acc[i:end:2] = map(add, acc[i:end:2], row)
+    return GradedDims._trusted({d: v for d, v in enumerate(acc) if v})
 
 
 def gravity_op_degree(op_degree: int, arity: int, input_degree: int, parity: str) -> int:

@@ -7,9 +7,11 @@ degree, every module uses (sized first; the verification suite sizes its
 weights once and enumerates them over this catalog itself), and
 `_split_plane_monomial` the one reader that knows which
 generator kinds a plane monomial may hold at p: it splits a monomial into
-its point-class power, its odd-class exponent and the rest.  Other modules
-build plane monomials from that split (`bv.delta` its images, through
-`Monomial._canonical`; `identities.bijection_image`, through `Monomial`),
+its point-class power, its odd-class exponent and the index where the
+other factors start.  Other modules build plane monomials from that split,
+slicing off the other factors only where they use them (`bv.delta` its
+nonzero images, through `Monomial._canonical`; `identities.bijection_image`,
+through `Monomial`),
 and a caller that needs only whether the odd class is present reads it with
 `Monomial.contains_kind` (`verify._regime_dichotomy`); `bv._equivariant_s1`
 lists the u-free monomials, as texts for the S1 JSON, by walking the
@@ -136,12 +138,12 @@ def _refuse_large_bases(spans: list[range], p) -> None:
             )
 
 
-def _split_plane_monomial(m: Monomial, prime: Prime) -> tuple[int, int, tuple]:
+def _split_plane_monomial(m: Monomial, prime: Prime) -> tuple[int, int, int]:
     """Read a plane monomial as (point-class exponent k, odd-class exponent
-    eps, the other factors); a generator the plane algebra at p lacks
-    raises ValueError.  After one pass over the kinds, k and eps are read
-    off the head of the factors, which the point class and then the odd
-    class lead in the rank order, and the rest is the tail of the tuple."""
+    eps, head), the other factors being `m.factors[head:]`, unsliced; a
+    generator the plane algebra at p lacks raises ValueError.  After one
+    pass over the kinds, k and eps are read off the head of the factors,
+    which the point class and then the odd class lead in the rank order."""
     allowed = _PLANE_KINDS_TWO if prime.p == 2 else _PLANE_KINDS_ODD
     factors = m.factors
     for g, _ in factors:
@@ -153,7 +155,7 @@ def _split_plane_monomial(m: Monomial, prime: Prime) -> tuple[int, int, tuple]:
     if head < len(factors) and factors[head][0].kind == KIND_U:
         eps = factors[head][1]
         head += 1
-    return k, eps, factors[head:]
+    return k, eps, head
 
 
 def sphere_labelled_generators(p, m: int, weight_bound: int) -> list[Generator]:

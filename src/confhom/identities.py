@@ -64,11 +64,11 @@ def bijection_image(m: Monomial, source: str, p, q: int) -> Monomial:
     weight = prime.p * q if source == SOURCE_WEIGHT_PQ else q + 1
     if m.weight != weight:
         raise ValueError(f"expected weight {weight}, got {m.weight}")
-    k, eps, rest = _split_plane_monomial(m, prime)
+    k, eps, head = _split_plane_monomial(m, prime)
     if source == SOURCE_WEIGHT_PQ:
         return Monomial(m.factors + ((iota(), prime.p),))
     factors: list[tuple] = [(alpha_gen(1, prime), eps)] if eps else []
-    for g, e in rest:
+    for g, e in m.factors[head:]:
         if g.kind == KIND_ALPHA:
             factors.append((alpha_gen(g.index + 1, prime), e))
         elif g.kind == KIND_BETA:

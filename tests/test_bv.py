@@ -3,6 +3,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from confhom import (
     Element,
@@ -27,6 +29,7 @@ from confhom import (
 from confhom.algebra import alpha_gen, as_prime, beta_gen, iota, q_iota, u_class
 from confhom.bv import _delta_rank
 from confhom.catalog import _split_plane_monomial
+from confhom.enumeration import BigradedDims
 
 from oracles import group_by_degree
 
@@ -300,7 +303,8 @@ def test_delta_matches_the_validating_construction(p):
     for n in range(31):
         for m in _flat_basis(n, p):
             k, eps, rest = _scanned(m)
-            assert _split_plane_monomial(m, prime) == (k, eps, tuple(rest))
+            split_k, split_eps, head = _split_plane_monomial(m, prime)
+            assert (split_k, split_eps, m.factors[head:]) == (k, eps, tuple(rest))
             image, expected = delta(m, p), _validated_delta(m, p)
             assert image == expected and hash(image) == hash(expected)
             assert image.terms == expected.terms and image.text() == expected.text()
@@ -339,3 +343,71 @@ def test_delta_matrix_matches_the_validating_constructor(p):
             assert got.a == expected.a
             assert got.rank() == expected.rank()
             assert all(type(v) is int and 0 <= v < p for row in got.a for v in row)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_delta_matrix_rows_are_dense_and_survive_the_rank(p):
+    # a row with an entry is a list of its own; the zero rows may share one
+    for n in range(31):
+        by_deg = group_by_degree(_flat_basis(n, p))
+        for d in range(-1, max(by_deg) + 2):
+            images = [_validated_delta(m, p).terms for m in by_deg.get(d, [])]
+            dense = [[image.get(t, 0) for image in images] for t in by_deg.get(d + 1, [])]
+            got = delta_matrix(n, p, d, by_deg)
+            assert got.a == dense
+            got.rank()
+            assert got.a == dense
+            held = [row for row in got.a if any(row)]
+            assert len({id(row) for row in held}) == len(held)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_delta_element_of_zero_is_zero_over_the_same_prime(p):
+    image = delta_element(Element.zero(p))
+    assert image.is_zero() and image.p == as_prime(p) and image == Element.zero(p)
+
+
+# the plane monomials of weight <= 12 at each prime, every regime included
+_SMALL_PLANE = {p: [m for n in range(13) for m in _flat_basis(n, p)] for p in (2, 3, 5, 7)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from(sorted(_SMALL_PLANE)), data=st.data())
+def test_delta_element_is_delta_on_each_monomial(p, data):
+    picks = data.draw(st.lists(
+        st.tuples(st.sampled_from(_SMALL_PLANE[p]), st.integers(0, 2 * p)), max_size=6))
+    terms = Counter()
+    for m, c in picks:
+        terms[m] += c
+    el = Element(terms, p)
+    assert delta_element(el) == el.map_monomials(lambda m: delta(m, el.p))
+
+
+# a page row: a ragged list of cells, possibly empty, or a dict of its nonzero cells
+_CELL = st.integers(-1, 30)
+_PAGE_ROW = st.one_of(
+    st.lists(_CELL, max_size=6),
+    st.dictionaries(st.integers(0, 8), _CELL.filter(bool), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_PAGE_ROW, max_size=7))
+@example(rows=[])
+# the -1 at (2, 0) is refused though the 1 at (0, 1) covers its total degree
+@example(rows=[[1, 1], [], [-1]])
+@example(rows=[[], {}, [0, 0]])
+def test_collapse_is_the_sum_of_cells_by_total_degree(rows):
+    cells = [(i, j, v) for i, row in enumerate(rows)
+             for j, v in (row.items() if isinstance(row, dict) else enumerate(row))]
+    page = BigradedDims(rows)
+    if any(v < 0 for _, _, v in cells):
+        with pytest.raises(ValueError, match="^negative dimension$"):
+            collapse_total_degree(page)
+        return
+    totals = Counter()
+    for i, j, v in cells:
+        totals[i + 2 * j] += v
+    collapsed = collapse_total_degree(page)
+    assert collapsed == GradedDims(dict(totals))
+    assert 0 not in collapsed.dims.values()
