@@ -40,12 +40,15 @@ Python-int counts, serves as the oracle for both regimes.
 Every dimension of these answers comes from the Hilbert series; only the
 JSON listings enumerate a basis and share its limits.
 `_equivariant_s1_dims` gives the S1 dims of a range of weights to every
-format and to `verify`, and every "row n of a series table times
-1/(1 - t^step)" answer (S1 and Zp here, sign and mod-2 in `signhom`) goes
-through `_rows_times_circle`.  `_delta_counts` reads the plane slice and
-the rank in each degree off rows n - 2 and n of one table over the plane
-generators without the odd class, as the operator is injective on the
-sources it does not kill.
+format and to `verify`.  Every "row n of a series table times
+1/(1 - t^step)" answer (the S1 tensor and Zp here, sign and mod-2 in
+`signhom`) is one `_CircleAnswer` of the row, the step and the bound,
+made by `_rows_times_circle` (the S1 listing's by `_equivariant_s1`): the
+public functions return its `expand()`, the CLI writes its JSON pairs
+from the row, and `verify` compares two by their rows.  `_delta_counts`
+reads the plane slice and the rank in each degree off rows n - 2 and n of
+one table over the plane generators without the odd class, as the
+operator is injective on the sources it does not kill.
 """
 
 from __future__ import annotations
@@ -83,6 +86,39 @@ def _degree_bound(n: int, dmax: int | None) -> int:
     if dmax > MAX_BASIS:
         raise ValueError(f"degree bound {dmax} exceeds the limit of {MAX_BASIS}")
     return dmax
+
+
+class _CircleAnswer:
+    """A finite slice times 1/(1 - t^step), truncated at degree `bound`: the
+    numerator is a series row, and the step is 1 for the order-p subgroup, 2
+    for the circle.  Two answers at one step and bound are equal when their
+    numerators are equal through the bound, since multiplying by 1 - t^step
+    undoes the expansion.  A plain class: a dataclass costs its module
+    about half a millisecond at import."""
+
+    __slots__ = ("numerator", "step", "bound")
+
+    def __init__(self, numerator: GradedDims, step: int, bound: int):
+        self.numerator = numerator
+        self.step = step
+        self.bound = bound
+
+    def expand(self) -> GradedDims:
+        return self.numerator.convolve_geometric(self.step, self.bound)
+
+    def total(self) -> int:
+        """`expand().total()`: a cell of degree d <= bound counts once in
+        every step-th degree from d through the bound."""
+        step, bound = self.step, self.bound
+        cells = self.numerator.dims.items()
+        return sum(c * ((bound - d) // step + 1) for d, c in cells if d <= bound)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not _CircleAnswer:
+            return NotImplemented
+        bound = self.bound
+        return (self.step, bound) == (other.step, other.bound) and (
+            self.numerator.truncate(bound) == other.numerator.truncate(bound))
 
 
 @dataclass
@@ -198,14 +234,16 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
     and its refusals are `_equivariant_s1`'s, its degree groups joined.
     """
     regime, dims, groups = _equivariant_s1(n, as_prime(p), dmax)
+    dims = dims.expand() if regime == REGIME_TENSOR_BS1 else dims
     return EquivariantAnswer(regime, dims, list(chain.from_iterable(groups.values())))
 
 
 def _equivariant_s1(n: int, prime, dmax: int | None, texts: bool = False):
-    """(regime, dims, basis) of `equivariant_s1`: the dims from the series,
-    the basis the walk's degree groups of weight n, texts if `texts`, in
-    the tensor regime those of degree <= dmax, in the cokernel regime over
-    the generators without the odd class.  ValueError is raised before any
+    """(regime, dims, basis) of `equivariant_s1`: the dims from the series
+    (a `_CircleAnswer` in the tensor regime), the basis the walk's degree
+    groups of weight n, texts if `texts`, in the tensor regime those of
+    degree <= dmax, in the cokernel regime over the generators without the
+    odd class.  ValueError is raised before any
     monomial is built, in this order, for a negative n, a plane basis of
     more than MAX_BASIS monomials and, in the tensor regime, a dmax above
     MAX_BASIS or more than MAX_BASIS (monomial, circle degree) pairs
@@ -221,20 +259,20 @@ def _equivariant_s1(n: int, prime, dmax: int | None, texts: bool = False):
         (groups,) = _monomial_bases(gens, range(n, n + 1), prime, texts)
         return REGIME_COKER_DELTA, dims, groups
     dmax = _degree_bound(n, dmax)
-    plane = series_coefficient(gens, n, max(dmax, 0), prime)
+    dims = _CircleAnswer(series_coefficient(gens, n, max(dmax, 0), prime), 2, dmax)
     # a plane degree d <= dmax pairs with the circle degrees that keep the total within dmax
-    pairs = sum(c * ((dmax - d) // 2 + 1) for d, c in plane.dims.items() if d <= dmax)
-    if pairs > MAX_BASIS:
+    if (pairs := dims.total()) > MAX_BASIS:
         raise ValueError(f"tensor basis of {pairs} pairs exceeds the limit of {MAX_BASIS}")
     (groups,) = _monomial_bases(gens, range(n, n + 1), prime, texts, dmax)
     groups = {d: same for d, same in groups.items() if d <= dmax}
-    return REGIME_TENSOR_BS1, plane.convolve_geometric(2, dmax), groups
+    return REGIME_TENSOR_BS1, dims, groups
 
 
-def _equivariant_s1_dims(ns, p, dmax: int | None) -> dict[int, GradedDims]:
+def _equivariant_s1_dims(ns, p, dmax: int | None) -> dict:
     """`equivariant_s1(n, p, dmax).dims` for each n of the ascending ns, from
-    one table per regime and no basis: the plane slice times the circle, or
-    row n of the series over the plane generators without the odd class.
+    one table per regime and no basis: the plane slice times the circle, as
+    a `_CircleAnswer`, or row n of the series over the plane generators
+    without the odd class.
     Besides the series' own size limit, only a negative n and, in the tensor
     regime, a dmax above MAX_BASIS are refused: the basis and pair-count
     limits belong to the listing."""
@@ -259,7 +297,11 @@ def equivariant_zp(n: int, p, dmax: int | None = None) -> GradedDims:
     the plane homology tensored with the cyclic-group classifying space.
     Only defined for n = 0, 1 mod p; a dmax above MAX_BASIS raises
     ValueError."""
-    prime = as_prime(p)
+    return _equivariant_zp(n, as_prime(p), dmax).expand()
+
+
+def _equivariant_zp(n: int, prime, dmax: int | None) -> _CircleAnswer:
+    """`equivariant_zp` as the plane slice times 1/(1 - t), with its refusals."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n % prime.p not in (0, 1):
@@ -270,7 +312,7 @@ def equivariant_zp(n: int, p, dmax: int | None = None) -> GradedDims:
     return _rows_times_circle(plane_config_generators(prime, max(n, 1)), [n], prime, dmax, 1)[n]
 
 
-def _rows_times_circle(gens, ns, prime, dmax: int | None, step: int) -> dict[int, GradedDims]:
+def _rows_times_circle(gens, ns, prime, dmax: int | None, step: int) -> dict[int, _CircleAnswer]:
     """Row n of the series over `gens`, truncated at `_degree_bound(n, dmax)`,
     times 1/(1 - t^step), for each n of the nonempty ascending ns: a slice
     tensored with a classifying space with a class every `step` degrees (1
@@ -279,7 +321,7 @@ def _rows_times_circle(gens, ns, prime, dmax: int | None, step: int) -> dict[int
     bounds = {n: _degree_bound(n, dmax) for n in ns}
     # a negative bound reads no degree, and the table's least bound is 0
     table = _complete_table(gens, ns, prime, max(0, *bounds.values()))
-    return {n: table.weight_slice(n).convolve_geometric(step, bounds[n]) for n in ns}
+    return {n: _CircleAnswer(table.weight_slice(n), step, bounds[n]) for n in ns}
 
 
 def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:

@@ -18,11 +18,13 @@ namespace each time, and a usage error only raises SystemExit), while
 finishes, refusals included, before the first byte is written.  Then
 `_write_json` hands JSON to stdout as it is formatted, byte-identical to
 `json.dumps(payload, indent=2)` with each listing below expanded to its
-rows and a `GradedDims` (the dims of `poincare`, `sign`, Zp, S1) to its
-pairs: `_render` formats each leaf as one string, a `GradedDims` from its
-sorted cells unchecked (the package builds them of ints) and lists of
-integer rows with one format of a joined row template, handing any value
-it does not know to the stdlib.  A count table or csv is one string.
+rows and the dims to their pairs: `_render` formats each leaf as one
+string, a `GradedDims` (`poincare`, the S1 cokernel) from its sorted cells
+unchecked (the package builds them of ints), the `bv._CircleAnswer` of
+`sign`, Zp and the S1 tensor regime from its numerator, never expanded
+(`_circle_pairs`), and lists of integer rows with one format of a joined
+row template, handing any value it does not know to the stdlib.  A count
+table or csv is one string, from the expansion.
 
 No listing holds a row of its own.  `basis` answers with a `_BasisRows`
 (the texts of each degree group of the basis, and the weight), which
@@ -58,10 +60,12 @@ from operator import add, sub
 from .algebra import as_prime
 from .bv import (
     REGIME_TENSOR_BS1,
+    _CircleAnswer,
     _delta_counts,
     _delta_rank,
     _equivariant_s1,
     _equivariant_s1_dims,
+    _equivariant_zp,
     default_degree_bound,
     delta,
     equivariant_zp,
@@ -69,7 +73,7 @@ from .bv import (
 )
 from .catalog import UnsupportedCaseError, _plane_basis, plane_config_generators
 from .enumeration import GradedDims, series_coefficient
-from .signhom import sign_rep_homology
+from .signhom import _sign_answer, sign_rep_homology
 from .verify import VERIFY_TARGETS, run_verifications
 
 
@@ -279,10 +283,13 @@ def _cmd_equivariant(args) -> _Answer:
     prime = as_prime(args.p)
     dmax = args.dmax if args.dmax is not None else default_degree_bound(args.n)
     if args.group == "Zp":
-        dims = equivariant_zp(args.n, prime, dmax)
-        return {"group": "Zp", "dims": dims, "degree_bound": dmax}, dims, ["degree", "dim"]
+        if args.format != "json":
+            return None, equivariant_zp(args.n, prime, dmax), ["degree", "dim"]
+        dims = _equivariant_zp(args.n, prime, dmax)
+        return {"group": "Zp", "dims": dims, "degree_bound": dmax}, None, ["degree", "dim"]
     if args.format != "json":
-        return None, _equivariant_s1_dims([args.n], prime, dmax)[args.n], ["degree", "dim"]
+        dims = _equivariant_s1_dims([args.n], prime, dmax)[args.n]
+        return None, dims.expand() if type(dims) is _CircleAnswer else dims, ["degree", "dim"]
     regime, dims, groups = _equivariant_s1(args.n, prime, dmax, texts=True)
     if regime == REGIME_TENSOR_BS1:
         basis = _TensorPairs(list(groups.items()), dmax)
@@ -357,9 +364,11 @@ class _CokernelRows:
 def _cmd_sign(args) -> _Answer:
     prime = as_prime(args.p)
     dmax = args.dmax if args.dmax is not None else default_degree_bound(args.n)
-    dims = sign_rep_homology(args.n, prime, args.q, dmax)
+    if args.format != "json":
+        return None, sign_rep_homology(args.n, prime, args.q, dmax), ["degree", "dim"]
+    dims = _sign_answer(args.n, prime, args.q, dmax)
     result = {"dims": dims, "total_through_bound": dims.total(), "degree_bound": dmax}
-    return result, dims, ["degree", "dim"]
+    return result, None, ["degree", "dim"]
 
 
 def _cmd_gravity(args) -> _Answer:
@@ -423,9 +432,10 @@ def _write_json(x, write, nl: str = "\n", head: str = "") -> None:
 
 
 def _render(x, nl: str) -> str | None:
-    """The JSON text of a leaf: a scalar, a `GradedDims`, an empty container,
-    a list of strs, of ints or of int rows; None for a listing, a dict with
-    str keys or any other list, which `_write_json` writes item by item."""
+    """The JSON text of a leaf: a scalar, a `GradedDims` or `_CircleAnswer`,
+    an empty container, a list of strs, of ints or of int rows; None for a
+    listing, a dict with str keys or any other list, which `_write_json`
+    writes item by item."""
     # `nl` is a newline and the indent of the line that closes x.
     t = type(x)
     if t is str:
@@ -445,6 +455,8 @@ def _render(x, nl: str) -> str | None:
         pairs = sorted(x.dims.items())
         body = _format_rows(tuple(itertools.chain.from_iterable(pairs)), 2, len(pairs), inner)
         return "[" + inner + body + nl + "]" if pairs else "[]"
+    if t is _CircleAnswer:
+        return _circle_pairs(x, nl)
     if t is list:
         kinds = set(map(type, x))
         sep = "," + inner
@@ -461,6 +473,31 @@ def _render(x, nl: str) -> str | None:
         return None
     # Encoded JSON holds no raw newline, so re-indenting the stdlib's output is exact.
     return json.dumps(x, indent=2).replace("\n", nl)
+
+
+def _circle_pairs(x: _CircleAnswer, nl: str) -> str:
+    """The pairs of `x.expand()` closing at `nl`, from the numerator: each
+    residue class mod the step is its running sum through the top degree and
+    its last sum above it, where each class's row template holds that sum."""
+    cells, step, bound = x.numerator.dims, x.step, x.bound
+    lo = min(cells, default=bound + 1)
+    if lo > bound:
+        return "[]"
+    top = min(max(cells), bound)
+    acc = x.numerator._running_sums(lo, step, top)
+    pairs = zip(range(lo, top + 1), acc)
+    pairs = [pair for pair in pairs if pair[1]] if 0 in acc else pairs
+    head = list(itertools.chain.from_iterable(pairs))
+    # degree top + k, for k = 1..step, holds the last sum of its class, and so on above
+    sums = ([0] * step + acc)[-step:]
+    inner = nl + "  "
+    cell = inner + "  "
+    opener = "[" + cell + "%d," + cell
+    rows = [opener + "%d" + inner + "]"] * (len(head) // 2)
+    tails = itertools.cycle([opener + int.__repr__(s) + inner + "]" for s in sums])
+    rows += itertools.compress(itertools.islice(tails, bound - top), itertools.cycle(sums))
+    degrees = itertools.compress(range(top + 1, bound + 1), itertools.cycle(sums))
+    return "[" + inner + ("," + inner).join(rows) % (*head, *degrees) + nl + "]"
 
 
 def _int_rows(rows: list, nl: str) -> str | None:

@@ -104,15 +104,20 @@ class GradedDims:
         lo = min(self.dims, default=dmax + 1)
         if lo > dmax:
             return GradedDims()
-        # Degrees lo..dmax; each residue class mod step becomes its running sum.
-        acc = [0] * (dmax - lo + 1)
+        acc = self._running_sums(lo, step, dmax)
+        dims = dict(zip(range(lo, dmax + 1), acc))
+        return GradedDims._trusted({d: n for d, n in dims.items() if n} if 0 in acc else dims)
+
+    def _running_sums(self, lo: int, step: int, top: int) -> list[int]:
+        """Degrees lo..top of the product with 1/(1 - t^step), zeros kept, for
+        lo the least degree: each residue class mod step is its running sum."""
+        acc = [0] * (top - lo + 1)
         for d, n in self.dims.items():
-            if d <= dmax:
+            if d <= top:
                 acc[d - lo] = n
         for r in range(step):
             acc[r::step] = accumulate(acc[r::step])
-        dims = dict(zip(range(lo, dmax + 1), acc))
-        return GradedDims._trusted({d: n for d, n in dims.items() if n} if 0 in acc else dims)
+        return acc
 
     def __getitem__(self, d: int) -> int:
         return self.dims.get(d, 0)

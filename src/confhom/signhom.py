@@ -19,11 +19,14 @@ generators keep their exterior flags): the shift is bookkeeping, not an
 algebra map.
 
 One series table holds the slice of each weight n it is read at as its
-row n, expanded by `bv._rows_times_circle` (shared with S1 and Zp) only
-through the highest degree bound read.  So the verification suite builds
-one table per sphere dimension and run, and the q-stability check builds
-one table, one closed-form catalog and one bracket tower per q for all its
-weights (`_q_stability`).
+row n, built by `bv._rows_times_circle` (shared with S1 and Zp) only
+through the highest degree bound read.  Each answer is that row times the
+circle, a `bv._CircleAnswer`: the public functions return its expansion,
+and the q-stability and mod-2 checks compare rows through the bound, an
+exact test of the expansions.  So the verification suite builds one table
+per sphere dimension and run, and the q-stability check builds one table,
+one closed-form catalog and one bracket tower per q for all its weights
+(`_q_stability`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from operator import attrgetter
 
 from .algebra import _shared, as_prime
 from .brackets import LabelClass, cohen_generators, enumerate_basic_brackets
-from .bv import _rows_times_circle
+from .bv import _CircleAnswer, _rows_times_circle
 from .catalog import sphere_labelled_generators
 from .enumeration import BigradedDims, GradedDims, _complete_table
 from .reports import VerifyReport
@@ -69,7 +72,7 @@ def shifted_weight_slice(n: int, p, sphere_dim: int) -> GradedDims:
 
 def _answers_by_weight(
     prime, sphere_dim: int, ns: range, degree_bound: int | None = None
-) -> dict[int, GradedDims]:
+) -> dict[int, _CircleAnswer]:
     """The answer of each weight n in ns at degree_bound (the default for
     None) over labels in a sphere of dimension sphere_dim (odd: sign, even:
     mod-2 trivial): row n of the shifted series tensored with the
@@ -87,7 +90,11 @@ def sign_rep_homology(n: int, p, q: int, degree_bound: int | None = None) -> Gra
     at p = 2 the sign representation is the trivial one.  A degree_bound
     above MAX_BASIS raises ValueError.
     """
-    prime = as_prime(p)
+    return _sign_answer(n, as_prime(p), q, degree_bound).expand()
+
+
+def _sign_answer(n: int, prime, q: int, degree_bound: int | None) -> _CircleAnswer:
+    """`sign_rep_homology` as the shifted slice times the circle, with its refusals."""
     if n < 0 or q < 0:
         raise ValueError("n and q must be >= 0")
     return _answers_by_weight(prime, 2 * q + 1, range(n, n + 1), degree_bound)[n]
@@ -105,23 +112,25 @@ def trivial_rep_homology_p2(n: int, q: int, degree_bound: int | None = None) -> 
         raise ValueError(f"n must be >= 0, got {n}")
     if q < 1:
         raise ValueError(f"q must be >= 1 for even sphere labels, got {q}")
-    return _answers_by_weight(as_prime(2), 2 * q, range(n, n + 1), degree_bound)[n]
+    return _answers_by_weight(as_prime(2), 2 * q, range(n, n + 1), degree_bound)[n].expand()
 
 
 def _q_stability(ns: range, p, qs: list) -> list[VerifyReport]:
     """`verify_q_stability(n, p, qs)` for each n in the nonempty range ns,
     in one pass over q: each q's shifted table, closed-form generators and
     bracket tower are built once, at the weight max(ns[-1], 1), compared at
-    every weight with the first q's answers, and dropped.  Weight n reads
-    their weight <= max(n, 1) parts, compared as (weight, degree, exterior)
-    multisets: the same answer and multisets as at bound max(n, 1)."""
+    every weight with the first q's answers (rows through the bound; only
+    the first q's are expanded, for the report), and dropped.  Weight n
+    reads their weight <= max(n, 1) parts, compared as (weight, degree,
+    exterior) multisets: the same answer and multisets as at bound
+    max(n, 1)."""
     if not qs:
         raise ValueError("q_list must be nonempty")
     prime = as_prime(p)
     if ns[0] < 0 or min(qs) < 0:
         raise ValueError("n and q must be >= 0")
     top = max(ns[-1], 1)
-    first: dict[int, GradedDims] = {}
+    first: dict[int, _CircleAnswer] = {}
     mismatching: dict[int, list] = {n: [] for n in ns}
     for q in dict.fromkeys(qs):
         m = 2 * q + 1
@@ -141,7 +150,7 @@ def _q_stability(ns: range, p, qs: list) -> list[VerifyReport]:
         VerifyReport(
             name=f"q-stability n={n} p={prime.p} q={qs}",
             passed=not mismatching[n],
-            details={"dims": first[n].to_pairs(), "mismatching_q": mismatching[n]},
+            details={"dims": first[n].expand().to_pairs(), "mismatching_q": mismatching[n]},
         )
         for n in ns
     ]

@@ -20,6 +20,7 @@ from confhom.algebra import Element, Monomial, as_prime
 from confhom.catalog import MAX_BASIS, plane_config_generators
 from confhom.cli import _render_json, build_parser, main
 from confhom.enumeration import GradedDims, _plane_totals, monomial_basis, poincare
+from confhom.signhom import shifted_weight_slice, sign_rep_homology
 
 from oracles import group_by_degree
 
@@ -535,6 +536,119 @@ def test_tensor_basis_refused_before_its_series_is_built(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: tensor basis of 3145722 pairs")
 
 
+def _unexpandable(self, step, dmax):
+    raise AssertionError("the JSON writes a circle answer from its numerator")
+
+
+# (argv, the public function behind it, the expansion from the series slice)
+_CIRCLE_COMMANDS = [
+    (["sign", "--p", "5", "--n", "40", "--q", "2"], lambda: sign_rep_homology(40, 5, 2),
+     lambda: shifted_weight_slice(40, 5, 5).convolve_geometric(2, 96)),
+    (["sign", "--p", "3", "--n", "25", "--q", "1", "--dmax", "9"],
+     lambda: sign_rep_homology(25, 3, 1, 9),
+     lambda: shifted_weight_slice(25, 3, 3).convolve_geometric(2, 9)),
+    (["equivariant", "--group", "Zp", "--p", "5", "--n", "41"], lambda: bv.equivariant_zp(41, 5),
+     lambda: poincare(plane_config_generators(5, 41), 41, 5).convolve_geometric(1, 98)),
+]
+
+
+@pytest.mark.parametrize("argv, public, expansion", _CIRCLE_COMMANDS,
+                         ids=[" ".join(c[0]) for c in _CIRCLE_COMMANDS])
+def test_circle_answers_expand_only_outside_the_json(monkeypatch, argv, public, expansion):
+    header = ["degree", "dim"]
+    want = expansion()
+    code, out, _ = _capture(argv)
+    assert code == 0 and json.loads(out)["result"]["dims"] == want.to_pairs() != []
+    calls = []
+    real = GradedDims.convolve_geometric
+    monkeypatch.setattr(GradedDims, "convolve_geometric",
+                        lambda self, step, dmax: calls.append(step) or real(self, step, dmax))
+    pairs = want.to_pairs()
+    for fmt, text in (("table", cli._render_table(pairs, header)),
+                      ("csv", cli._render_csv([header, *pairs]))):
+        assert _capture(argv + ["--format", fmt])[:2] == (0, text + "\n")
+    got = public()
+    assert type(got) is GradedDims and got == want
+    # one expansion for each format and for the public function
+    assert calls == [1 if "Zp" in argv else 2] * 3
+    monkeypatch.setattr(GradedDims, "convolve_geometric", _unexpandable)
+    assert _capture(argv)[:2] == (0, out)
+
+
+# (argv, the public call, the exception and its message): the first refusal wins
+_CIRCLE_REFUSALS = [
+    (["sign", "--p", "3", "--n", "-1", "--q", "-1", "--dmax", str(MAX_BASIS + 1)],
+     lambda: sign_rep_homology(-1, 3, -1, MAX_BASIS + 1), ValueError, "n and q must be >= 0"),
+    (["sign", "--p", "3", "--n", "4", "--q", "-1", "--dmax", str(MAX_BASIS + 1)],
+     lambda: sign_rep_homology(4, 3, -1, MAX_BASIS + 1), ValueError, "n and q must be >= 0"),
+    (["sign", "--p", "2", "--n", "100000", "--q", "0", "--dmax", str(MAX_BASIS + 1)],
+     lambda: sign_rep_homology(100000, 2, 0, MAX_BASIS + 1), ValueError,
+     f"degree bound {MAX_BASIS + 1} exceeds the limit of {MAX_BASIS}"),
+    (["sign", "--p", "2", "--n", "100000", "--q", "0", "--dmax", "100000"],
+     lambda: sign_rep_homology(100000, 2, 0, 100000), ValueError, "series table of at least"),
+    (["equivariant", "--group", "Zp", "--p", "3", "--n", "-1", "--dmax", str(MAX_BASIS + 1)],
+     lambda: bv.equivariant_zp(-1, 3, MAX_BASIS + 1), ValueError, "n must be >= 0, got -1"),
+    (["equivariant", "--group", "Zp", "--p", "3", "--n", "5", "--dmax", str(MAX_BASIS + 1)],
+     lambda: bv.equivariant_zp(5, 3, MAX_BASIS + 1), catalog.UnsupportedCaseError,
+     "rotation-equivariant homology is computed only for n = 0, 1 mod p (got n=5, p=3)"),
+    (["equivariant", "--group", "Zp", "--p", "3", "--n", "100000", "--dmax", str(MAX_BASIS + 1)],
+     lambda: bv.equivariant_zp(100000, 3, MAX_BASIS + 1), ValueError,
+     f"degree bound {MAX_BASIS + 1} exceeds the limit of {MAX_BASIS}"),
+    (["equivariant", "--group", "Zp", "--p", "3", "--n", "100000", "--dmax", "100000"],
+     lambda: bv.equivariant_zp(100000, 3, 100000), ValueError, "series table of at least"),
+]
+
+
+@pytest.mark.parametrize("argv, call, error, message", _CIRCLE_REFUSALS,
+                         ids=[" ".join(c[0]) for c in _CIRCLE_REFUSALS])
+def test_circle_answers_refuse_in_order_before_expanding(monkeypatch, argv, call, error, message):
+    monkeypatch.setattr(GradedDims, "convolve_geometric", _unexpandable)
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value).startswith(message)
+    for fmt in ("json", "table", "csv"):
+        code, out, err = _capture(argv + ["--format", fmt])
+        assert code == 2 and "Traceback" not in err
+        if error is ValueError:
+            assert out == "" and err.startswith("error: " + message)
+        else:
+            assert json.loads(out)["result"] == {"error": str(exc.value)}
+            assert err == f"unsupported: {exc.value}\n"
+
+
+_NUMERATORS = st.one_of(
+    st.dictionaries(st.integers(0, 60), st.integers(1, 10**12), max_size=12),
+    # one live parity, and gaps of two or more degrees
+    st.dictionaries(st.integers(0, 20).map(lambda d: 2 * d + 1), st.integers(1, 9), max_size=6),
+    st.dictionaries(st.integers(0, 12).map(lambda d: 3 * d), st.integers(1, 9), max_size=6),
+)
+_BOUNDS = st.one_of(st.integers(-3, 70), st.integers(100, 3000))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_NUMERATORS, st.sampled_from([1, 2]), _BOUNDS)
+@example({}, 2, -3)
+@example({}, 1, 40)
+@example({5: 1}, 2, 4)
+@example({0: 1}, 2, 0)
+@example({0: 1, 2: 3}, 2, 1)
+@example({1: 2, 7: 1}, 1, 7)
+def test_circle_answer_json_is_its_expansion(cells, step, bound):
+    answer = bv._CircleAnswer(GradedDims(cells), step, bound)
+    expanded = answer.numerator.convolve_geometric(step, bound)
+    assert _render_json(answer) == _render_json(expanded)
+    assert _render_json({"dims": [answer]}) == _render_json({"dims": [expanded]})
+    assert answer.total() == expanded.total()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NUMERATORS, _NUMERATORS, st.sampled_from([1, 2]), _BOUNDS)
+def test_circle_answers_are_equal_exactly_when_their_expansions_are(a, b, step, bound):
+    left, right = (bv._CircleAnswer(GradedDims(c), step, bound) for c in (a, {**a, **b}))
+    assert (left == right) == (left.expand() == right.expand())
+    assert left == bv._CircleAnswer(GradedDims({**a, bound + 1: 1}), step, bound)
+
+
 def test_degree_bound_is_unused_in_the_cokernel_regime(capsys):
     # n = 8 is 2 mod 3: the answer is finite and no truncated array is built
     argv = ["equivariant", "--group", "S1", "--p", "3", "--n", "8"]
@@ -724,7 +838,9 @@ def _rendered_payloads(monkeypatch, argv) -> tuple[list, str]:
 
 def _plain_rows(listing) -> list:
     """`json.dumps` default: a `basis`, S1 or `delta` listing as its rows, a
-    GradedDims as its pairs."""
+    GradedDims or a circle answer's expansion as its pairs."""
+    if type(listing) is bv._CircleAnswer:
+        listing = listing.expand()
     if type(listing) is GradedDims:
         return listing.to_pairs()
     if type(listing) is cli._BasisRows:
@@ -791,9 +907,11 @@ def _delta_maps_oracle(n: int, p: int, degree: int | None) -> list[dict]:
 
 def _oracle_payload(payload: dict) -> dict:
     """`payload` with a `basis`, S1 or `delta` listing rebuilt, one dict per
-    row, by the row builders above, and its dims as their pairs; any other
-    payload as it is."""
+    row, by the row builders above, and its dims (a circle answer's
+    expansion) as their pairs; any other payload as it is."""
     result, params = dict(payload["result"]), payload["params"]
+    if type(result.get("dims")) is bv._CircleAnswer:
+        result["dims"] = result["dims"].expand()
     if type(result.get("dims")) is GradedDims:
         result["dims"] = result["dims"].to_pairs()
     if payload["command"] == "basis" and payload["status"] == "ok":
@@ -939,10 +1057,14 @@ def test_dims_render_as_their_pairs(cells, depth):
     ["equivariant", "--group", "S1", "--p", "3", "--n", "29"],
 ], ids=" ".join)
 def test_answer_dims_hold_python_ints(monkeypatch, argv):
-    # the renderer writes a GradedDims with %d and checks no cell: every
-    # degree and dim the package puts in one is a Python int
+    # the renderer writes a GradedDims, or a circle answer's numerator, with
+    # %d and checks no cell: every degree and dim the package puts in one is
+    # a Python int
     seen, _ = _rendered_payloads(monkeypatch, argv)
     dims = seen[0]["result"]["dims"]
+    if type(dims) is bv._CircleAnswer:
+        assert type(dims.step) is type(dims.bound) is int
+        dims = dims.numerator
     assert type(dims) is GradedDims and dims.dims
     assert {type(k) for k in dims.dims} == {type(v) for v in dims.dims.values()} == {int}
 

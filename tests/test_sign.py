@@ -202,3 +202,27 @@ def test_shifted_generators_are_shared():
     assert [(g.weight, g.degree, g.exterior) for g in large] == [
         (g.weight, g.degree - 3 * g.weight, g.exterior) for g in catalog]
     assert signhom._shifted_generators(prime, 5, 270)[0] is not large[0]
+
+
+def test_q_stability_compares_each_q_answer_with_the_first(monkeypatch):
+    real = signhom._shifted_generators
+
+    def planted(prime, sphere_dim, max_n):
+        # bQs1 (weight 3, shifted degree 1) two degrees up for q = 1 only; the
+        # closed forms and the tower do not read these generators, so only the
+        # comparison of the answers, numerators through the bound, can see it
+        gens = real(prime, sphere_dim, max_n)
+        return [replace(g, degree=g.degree + 2) if sphere_dim == 3 and g.name == "bQs1" else g
+                for g in gens]
+
+    expected = verify_q_stability(4, 3, [0, 1, 2])
+    assert expected.passed and [1, 1] in expected.details["dims"]
+    monkeypatch.setattr(signhom, "_shifted_generators", planted)
+    report = verify_q_stability(4, 3, [0, 1, 2])
+    assert not report.passed
+    assert report.details["mismatching_q"] == [1]
+    assert report.details["dims"] == expected.details["dims"]
+    # every nonempty answer from n = 3 on holds bQs1; n = 2 mod 3 has none
+    reports = signhom._q_stability(range(13), 3, [0, 1, 2])
+    assert [r.details["mismatching_q"] for r in reports] == [
+        [1] if n >= 3 and n % 3 != 2 else [] for n in range(13)]
