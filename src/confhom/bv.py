@@ -26,8 +26,9 @@ degree summed from them, text written on first use) and the image with
 `FpMatrix._trusted`.  The validating constructors serve every input from
 outside.
 Zeros (every image at p = 2 and in the tensor regime) cost little: `delta`
-slices its source's other factors only for a nonzero image, `delta_element`
-returns a zero combination itself, and a matrix's zero rows share one list,
+slices its source's other factors only for a nonzero image and returns
+one shared zero `Element` per prime, `delta_element` returns a zero
+combination itself, and a matrix's zero rows share one list,
 copied when an image lands in it (`FpMatrix.rref` copies rows anyway).
 
 The equivariant dispatcher returns the tensor answer with the circle
@@ -67,6 +68,9 @@ from .linalg import FpMatrix
 
 # The point class and the odd class: one generator each, the same at every odd p.
 _POINT, _ODD = iota(), u_class(3)
+
+# One zero image per prime, which every zero `delta` returns: no code writes to an Element's terms.
+_ZEROS: dict[int, Element] = {}
 
 REGIME_TENSOR_BS1 = "tensor_bs1"
 REGIME_COKER_DELTA = "coker_delta"
@@ -141,7 +145,7 @@ def delta(m: Monomial, p) -> Element:
     k, eps, head = _split_plane_monomial(m, prime)
     coeff = 0 if prime.p == 2 or eps else k * (k - 1) % prime.p
     if not coeff:
-        return Element._trusted({}, prime)
+        return _ZEROS.get(prime.p) or _ZEROS.setdefault(prime.p, Element._trusted({}, prime))
     # coeff != 0 needs k >= 2; the point class leaves the image at k = 2
     factors = (((_POINT, k - 2),) if k > 2 else ()) + ((_ODD, 1),) + m.factors[head:]
     weight = degree = 0

@@ -11,11 +11,14 @@ A listing's handler builds only what the chosen format prints: a `delta` or
 series and enumerates no basis; only JSON lists the monomials, and only it
 meets the basis and (monomial, circle degree) pair limits.
 
-`main` is cheap to call repeatedly in one process: it parses with one
-parser, built on the first call and reused (`parse_args` makes a fresh
-namespace each time, and a usage error only raises SystemExit), while
-`build_parser` still returns a new parser on every call.  The handler
-finishes, refusals included, before the first byte is written.  Then
+`main` is cheap to call repeatedly in one process.  `_COMMANDS` declares
+each command once; `build_parser` declares it to argparse, and `main` first
+reads the argv itself against it (`_read_argv`), which takes only the
+well-formed form and gives the namespace argparse would.  Any other argv
+(help, a usage error, `--opt=value`, an abbreviation) goes to one argparse
+parser, built on its first such call and reused, so argparse is imported
+only then; `build_parser` still returns a new parser on every call.  The
+handler finishes, refusals included, before the first byte is written.  Then
 `_write_json` hands JSON to stdout as it is formatted, byte-identical to
 `json.dumps(payload, indent=2)` with each listing below expanded to its
 rows and the dims to their pairs: `_render` formats each leaf as one
@@ -44,7 +47,6 @@ texts, with no dense int row and no dict per image.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
@@ -56,6 +58,8 @@ import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import add, sub
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .algebra import as_prime
 from .bv import (
@@ -76,55 +80,91 @@ from .enumeration import GradedDims, series_coefficient
 from .signhom import _sign_answer, sign_rep_homology
 from .verify import VERIFY_TARGETS, run_verifications
 
+if TYPE_CHECKING:
+    import argparse  # imported by `build_parser`, for the forms `_read_argv` leaves to it
+
+
+# Each command: its help, verify's target choices, and its options in
+# argparse's order, each flag -> (dest, int or its choices, required, default).
+_FORMAT = {"--format": ("format", ("json", "table", "csv"), False, "json")}
+_P, _N = ("p", int, True, None), ("n", int, True, None)
+_COMMANDS = {
+    "basis": ("weight-n monomial basis", None, {**_FORMAT, "--p": _P, "--n": _N}),
+    "poincare": ("degree-indexed dimensions", None, {**_FORMAT, "--p": _P, "--n": _N}),
+    "delta": ("matrix of the BV operator", None,
+              {**_FORMAT, "--p": _P, "--n": _N, "--degree": ("degree", int, False, None)}),
+    "equivariant": ("equivariant homology", None,
+                    {**_FORMAT, "--group": ("group", ("S1", "Zp"), True, None),
+                     "--p": _P, "--n": _N, "--dmax": ("dmax", int, False, None)}),
+    "sign": ("sign-coefficient braid quotient homology", None,
+             {**_FORMAT, "--p": _P, "--n": _N, "--q": ("q", int, True, None),
+              "--dmax": ("dmax", int, False, None)}),
+    "gravity-degree": ("degree of an induced operation", None,
+                       {**_FORMAT, "--op-degree": ("op_degree", int, True, None),
+                        "--arity": ("arity", int, True, None),
+                        "--input": ("input", int, True, None),
+                        "--parity": ("parity", ("even", "odd"), True, None)}),
+    "verify": ("run consistency checks", VERIFY_TARGETS,
+               {**_FORMAT, "--p": _P, "--max-n": ("max_n", int, False, 24),
+                "--max-q": ("max_q", int, False, 4)}),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "table", "csv"), default="json")
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="confhom",
         description="Mod-p homology of planar configuration spaces and braid quotients",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("basis", parents=[fmt], help="weight-n monomial basis")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = sub.add_parser("poincare", parents=[fmt], help="degree-indexed dimensions")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = sub.add_parser("delta", parents=[fmt], help="matrix of the BV operator")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--degree", type=int, default=None)
-
-    sp = sub.add_parser("equivariant", parents=[fmt], help="equivariant homology")
-    sp.add_argument("--group", choices=("S1", "Zp"), required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--dmax", type=int, default=None)
-
-    sp = sub.add_parser("sign", parents=[fmt], help="sign-coefficient braid quotient homology")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--dmax", type=int, default=None)
-
-    sp = sub.add_parser("gravity-degree", parents=[fmt], help="degree of an induced operation")
-    sp.add_argument("--op-degree", type=int, required=True)
-    sp.add_argument("--arity", type=int, required=True)
-    sp.add_argument("--input", type=int, required=True)
-    sp.add_argument("--parity", choices=("even", "odd"), required=True)
-
-    sp = sub.add_parser("verify", parents=[fmt], help="run consistency checks")
-    sp.add_argument("target", choices=VERIFY_TARGETS)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--max-n", type=int, default=24)
-    sp.add_argument("--max-q", type=int, default=4)
-
+    for command, (text, targets, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        if targets is not None:
+            sp.add_argument("target", choices=targets)
+        for flag, (dest, kind, required, default) in options.items():
+            typed = {"type": int} if kind is int else {"choices": kind}
+            sp.add_argument(flag, dest=dest, required=required, default=default, **typed)
     return parser
+
+
+def _read_argv(argv: list) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, for the one
+    form read here: the command, verify's target, then each of its options
+    at most once, each followed by its value, a value starting with "-"
+    only as "-" and ASCII digits, every required option given.  None for
+    anything else, which `main` hands to argparse: help, usage errors and
+    the other forms it accepts (`--opt=value`, abbreviations, repeats)."""
+    if not argv or set(map(type, argv)) != {str} or argv[0] not in _COMMANDS:
+        return None
+    command = argv[0]
+    _, targets, options = _COMMANDS[command]
+    values = {dest: default for dest, _, _, default in options.values()}
+    values["command"], start = command, 1
+    if targets is not None:
+        if len(argv) < 2 or argv[1] not in targets:
+            return None
+        values["target"], start = argv[1], 2
+    flags, given = argv[start::2], argv[start + 1::2]
+    if len(flags) != len(given) or len(set(flags)) != len(flags):
+        return None
+    for flag, value in zip(flags, given):
+        if flag not in options:
+            return None
+        dest, kind, _, _ = options[flag]
+        if value[:1] == "-" and not (value[1:].isdigit() and value[1:].isascii()):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif value not in kind:
+            return None
+        values[dest] = value
+    if not all(flag in flags for flag, spec in options.items() if spec[2]):
+        return None
+    return SimpleNamespace(**values)
 
 
 # The JSON result, table rows (or GradedDims) and header; a listing leaves None what it omits.
@@ -535,7 +575,8 @@ def _render_csv(rows) -> str:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or _parser().parse_args(argv)
     started = time.perf_counter()
     fmt = args.format
     try:

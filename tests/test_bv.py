@@ -367,6 +367,18 @@ def test_delta_element_of_zero_is_zero_over_the_same_prime(p):
     assert image.is_zero() and image.p == as_prime(p) and image == Element.zero(p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_zero_images_of_one_prime_are_one_element(p):
+    # `delta` makes a fresh Prime from the int p on each call, and still
+    # returns its prime's one zero
+    mons = [m for n in range(13) for m in _flat_basis(n, p)]
+    zeros = [im for m in mons if (im := delta(m, p)).is_zero()]
+    assert len(zeros) > 1 and all(z is zeros[0] for z in zeros)
+    assert zeros[0] == Element.zero(p) and zeros[0].is_zero()
+    other = 3 if p == 2 else 2
+    assert delta(_flat_basis(0, other)[0], other) is not zeros[0]
+
+
 # the plane monomials of weight <= 12 at each prime, every regime included
 _SMALL_PLANE = {p: [m for n in range(13) for m in _flat_basis(n, p)] for p in (2, 3, 5, 7)}
 

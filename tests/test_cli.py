@@ -3,8 +3,11 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -23,6 +26,8 @@ from confhom.enumeration import GradedDims, _plane_totals, monomial_basis, poinc
 from confhom.signhom import shifted_weight_slice, sign_rep_homology
 
 from oracles import group_by_degree
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -1085,6 +1090,11 @@ def test_main_reuses_one_parser_without_leaking_options(capsys):
     assert fresh.returncode == 0
     assert out == fresh.stdout
     assert "degree" not in json.loads(out)["params"]
+    # the `=` forms go through the reused argparse parser
+    assert main(["delta", "--p=3", "--n=6", "--degree=2"]) == 0
+    capsys.readouterr()
+    assert main(["delta", "--p=3", "--n=6"]) == 0
+    assert capsys.readouterr().out == out
 
 
 _FUZZ_P = st.sampled_from(["-3", "0", "1", "2", "3", "4", "5", "7", "9"])
@@ -1130,6 +1140,158 @@ def test_cli_fuzz_exits_cleanly(argv, fmt):
     assert "Traceback" not in err
     if code in (0, 1) and fmt[1:] in ([], ["json"]):
         assert json.loads(out)["status"] == ("ok" if code == 0 else "failed")
+
+
+def _parsed(argv) -> dict | None:
+    """vars() of the namespace main's argparse parser reads from argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# Each command's options, and values for each: in and out of range, and
+# int forms argparse reads (with `int`) or takes for an option.
+_ARGV_OPTIONS = {
+    "basis": ["--p", "--n"],
+    "poincare": ["--p", "--n"],
+    "delta": ["--p", "--n", "--degree"],
+    "equivariant": ["--group", "--p", "--n", "--dmax"],
+    "sign": ["--p", "--n", "--q", "--dmax"],
+    "gravity-degree": ["--op-degree", "--arity", "--input", "--parity"],
+    "verify": ["--p", "--max-n", "--max-q"],
+}
+_ARGV_CHOICES = {"--format": ["json", "table", "csv", "xml"], "--group": ["S1", "Zp", "S2"],
+                 "--parity": ["even", "odd", "Even"]}
+_ODD_VALUES = ["-0", "+3", " 4", "-3 ", "-3\t", "1_0", "-1_0", "\u0663", "-\u0663", "007",
+               "2**70", "", "-", "-x", "-3\n", "--p", "-h"]
+
+
+def _argv_values(flag):
+    if flag in _ARGV_CHOICES:
+        return st.one_of(st.sampled_from(_ARGV_CHOICES[flag]), st.sampled_from(_ODD_VALUES))
+    return st.one_of(st.integers(-3, 12).map(str), st.sampled_from(_ODD_VALUES))
+
+
+@st.composite
+def _structured_argvs(draw):
+    """A command with each option kept, dropped, repeated, abbreviated or
+    joined to its value by "=", the options maybe shuffled, verify's target
+    maybe after an option, and maybe one more token or one fewer."""
+    command = draw(st.sampled_from(list(_ARGV_OPTIONS)))
+    pairs = []
+    for flag in ["--format", *_ARGV_OPTIONS[command]]:
+        form = draw(st.sampled_from(["keep"] * 4 + ["drop", "repeat", "abbreviate", "join"]))
+        value = draw(_argv_values(flag))
+        if form == "abbreviate":
+            flag = flag[:draw(st.integers(2, len(flag) - 1))]
+        if form == "join":
+            pairs.append([f"{flag}={value}"])
+        elif form != "drop":
+            pairs.append([flag, value])
+        if form == "repeat":
+            pairs.append([flag, draw(_argv_values(flag))])
+    if draw(st.booleans()):
+        pairs = draw(st.permutations(pairs))
+    if command == "verify":
+        target = draw(st.sampled_from([*verify.VERIFY_TARGETS, "nope"]))
+        pairs.insert(draw(st.one_of(st.just(0), st.integers(0, len(pairs)))), [target])
+    argv = [command, *itertools.chain.from_iterable(pairs)]
+    tail = draw(st.sampled_from([None] * 6 + ["-h", "--help", "--", "extra", "--zz", "drop"]))
+    return argv[:-1] if tail == "drop" else argv + [tail] * (tail is not None)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_FUZZ_COMMANDS, _structured_argvs()))
+@example(["verify", "all", "--p", "3", "--max-n", "-0", "--format", "csv"])
+@example(["sign", "--q", "-1", "--n", "007", "--p", " 4", "--dmax", "1_0"])
+@example(["equivariant", "--p", "3", "--n", "9", "--group", "Zp", "--dmax", "-\u0663"])
+@example(["sign", "--p", "3", "--n", "9", "--q", "-1_0"])
+@example(["basis", "--p", "3", "--n", "-3\t"])
+@example(["gravity-degree", "--op-degree", "+3", "--arity", "2", "--input", "0",
+          "--parity", "even", "--format", "table"])
+def test_reader_gives_the_argparse_namespace_or_none(argv):
+    # anything argparse refuses, the reader leaves to it
+    read = cli._read_argv(argv)
+    assert read is None or vars(read) == _parsed(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--p", 3, "--n", "3"],
+    [b"basis", "--p", "3", "--n", "3"],
+    ["verify", None, "--p", "3"],
+    [],
+])
+def test_reader_leaves_non_str_tokens_to_argparse(argv):
+    assert cli._read_argv(argv) is None
+
+
+def _workflow_commands() -> list[tuple[str, list[str]]]:
+    """(step name, argv) of each `python -m confhom` line of the CI workflow."""
+    step, commands = None, []
+    for line in (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines():
+        if line.strip().startswith("- name:"):
+            step = line.split(":", 1)[1].strip()
+        elif "python -m confhom" in line:
+            tokens = shlex.split(line.split("python -m confhom", 1)[1])
+            argv = itertools.takewhile(lambda t: not t.startswith((">", "2>", "|")), tokens)
+            commands.append((step, list(argv)))
+    return commands
+
+
+def _untimed(err: str) -> str:
+    return re.sub(r"^elapsed_ms=.*\n", "", err, flags=re.M)
+
+
+def test_benchmark_readme_and_ci_commands_skip_argparse(monkeypatch):
+    # the first round of every benchmark stream and the README examples run
+    # with no argparse parser at all, byte for byte as through argparse; the
+    # CI commands, too heavy to run here, read to argparse's namespace, and
+    # the usage smoke step's forms are left to argparse
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    commands = [list(op.argv) for name in workloads.WORKLOADS
+                for op in itertools.takewhile(lambda op: op.round < 1,
+                                              workloads.operations(name, 0))]
+    readme = (ROOT / "README.md").read_text()
+    commands += [line.split()[1:] for line in re.findall(r"^confhom .*$", readme, flags=re.M)]
+    ci = _workflow_commands()
+    usage = [argv for step, argv in ci if step == "Usage smoke"]
+    assert len(usage) >= 5 and all(cli._read_argv(argv) is None for argv in usage)
+    for _, argv in ci:
+        if argv not in usage:
+            assert (read := cli._read_argv(argv)) is not None and vars(read) == _parsed(argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_argv", lambda argv: None)
+        expected = [_capture(argv) for argv in commands]
+
+    def no_parser():
+        raise AssertionError("argparse parser built")
+
+    monkeypatch.setattr(cli, "_parser", no_parser)
+    for argv, (code, out, err) in zip(commands, expected):
+        got_code, got_out, got_err = _capture(argv)
+        assert (got_code, got_out, _untimed(got_err)) == (code, out, _untimed(err)), argv
+    assert len(commands) == 9 + 18 + 21 + 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["verify", "--help"],
+    ["basis", "--p", "3"],  # missing --n
+    ["verify", "--p", "2", "dimension-identity"],  # the target after an option
+], ids=" ".join)
+def test_module_entry_point_leaves_other_forms_to_argparse(monkeypatch, argv):
+    # compared with the parser in process: the help text differs across Python versions
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._read_argv(argv) is None
+    proc = subprocess.run([sys.executable, "-m", "confhom", *argv],
+                          capture_output=True, text=True, timeout=60)
+    code, out, err = _capture(argv)
+    assert (proc.returncode, proc.stdout, _untimed(proc.stderr)) == (code, out, _untimed(err))
+    assert code == (2 if argv[-1] == "3" else 0) and out + err
 
 
 class _CountingSink:
