@@ -164,33 +164,25 @@ def _tower_gen(br: BasicBracket, i: int, bockstein: bool, weight: int, degree: i
 
 
 def cohen_generators(brackets, p, weight_bound: int) -> list[Generator]:
-    """Free graded-commutative algebra generators built from basic brackets.
-
-    p = 2: the tower Q^i(x), i >= 0, over every bracket x, where Q doubles
-    the weight and sends degree d to 2d + 1.  Odd p: even-degree brackets
-    as plain generators, and over every odd-degree bracket x the tower
-    Q^i(x) (weight times p, degree d to p*d + p - 1) for i >= 0 together
-    with its Bockstein (degree one lower) for i >= 1.  Emission stops at
-    `weight_bound`.
+    """Free graded-commutative algebra generators built from basic brackets:
+    the tower Q^i(x), i >= 0, over each bracket x, where Q multiplies the
+    weight by p and sends degree d to p*d + p - 1 (2d + 1 at p = 2).  At odd
+    p an even-degree bracket is a plain generator with no tower, and an
+    odd-degree one's tower comes with its Bockstein (degree one lower) for
+    i >= 1.  Emission stops at `weight_bound`.
     """
     if weight_bound < 1:
         raise ValueError(f"weight_bound must be >= 1, got {weight_bound}")
     prime = as_prime(p)
     out: list[Generator] = []
     for br in brackets:
-        if prime.p == 2:
-            w, d, i = br.weight, br.degree, 0
-            while w <= weight_bound:
-                out.append(_tower_gen(br, i, False, w, d, prime))
-                i, d, w = i + 1, 2 * d + 1, 2 * w
-        elif br.degree % 2 == 0:
-            if br.weight <= weight_bound:
-                out.append(_tower_gen(br, 0, False, br.weight, br.degree, prime))
-        else:
-            w, d, i = br.weight, br.degree, 0
-            while w <= weight_bound:
-                out.append(_tower_gen(br, i, False, w, d, prime))
+        w, d, i = br.weight, br.degree, 0
+        while w <= weight_bound:
+            out.append(_tower_gen(br, i, False, w, d, prime))
+            if prime.p != 2:
+                if br.degree % 2 == 0:
+                    break
                 if i >= 1:
                     out.append(_tower_gen(br, i, True, w, d - 1, prime))
-                i, d, w = i + 1, prime.p * d + prime.p - 1, prime.p * w
+            i, d, w = i + 1, prime.p * d + prime.p - 1, prime.p * w
     return sorted(out, key=lambda g: g.rank)

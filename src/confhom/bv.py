@@ -44,9 +44,9 @@ JSON listings enumerate a basis and share its limits.
 format and to `verify`.  Every "row n of a series table times
 1/(1 - t^step)" answer (the S1 tensor and Zp here, sign and mod-2 in
 `signhom`) is one `_CircleAnswer` of the row, the step and the bound,
-made by `_rows_times_circle` (the S1 listing's by `_equivariant_s1`): the
-public functions return its `expand()`, the CLI writes its JSON pairs
-from the row, and `verify` compares two by their rows.  `_delta_counts`
+made by `_rows_times_circle`: the public functions return its `expand()`,
+the CLI writes its JSON pairs from the row, and `verify` compares two by
+their rows.  `_delta_counts`
 reads the plane slice and the rank in each degree off rows n - 2 and n of
 one table over the plane generators without the odd class, as the
 operator is injective on the sources it does not kill.
@@ -63,7 +63,6 @@ from .catalog import MAX_BASIS, UnsupportedCaseError, _plane_basis, _refuse_larg
 from .catalog import _split_plane_monomial
 from .catalog import plane_config_generators
 from .enumeration import BigradedDims, GradedDims, _cells, _complete_table, _monomial_bases
-from .enumeration import series_coefficient
 from .linalg import FpMatrix
 
 # The point class and the odd class: one generator each, the same at every odd p.
@@ -243,12 +242,12 @@ def equivariant_s1(n: int, p, dmax: int | None = None) -> EquivariantAnswer:
 
 
 def _equivariant_s1(n: int, prime, dmax: int | None, texts: bool = False):
-    """(regime, dims, basis) of `equivariant_s1`: the dims from the series
-    (a `_CircleAnswer` in the tensor regime), the basis the walk's degree
-    groups of weight n, texts if `texts`, in the tensor regime those of
-    degree <= dmax, in the cokernel regime over the generators without the
-    odd class.  ValueError is raised before any
-    monomial is built, in this order, for a negative n, a plane basis of
+    """(regime, dims, basis) of `equivariant_s1`: the dims
+    `_equivariant_s1_dims`'s (a `_CircleAnswer` in the tensor regime), the
+    basis the walk's degree groups of weight n, texts if `texts`, in the
+    tensor regime those of degree <= the dims' bound, in the cokernel regime
+    over the generators without the odd class.  ValueError is raised before
+    any monomial is built, in this order, for a negative n, a plane basis of
     more than MAX_BASIS monomials and, in the tensor regime, a dmax above
     MAX_BASIS or more than MAX_BASIS (monomial, circle degree) pairs
     (`dims.total()`), counted from the weight-n slice of the series.
@@ -256,17 +255,16 @@ def _equivariant_s1(n: int, prime, dmax: int | None, texts: bool = False):
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     _refuse_large_bases([range(n, n + 1)], prime)
+    dims = _equivariant_s1_dims([n], prime, dmax)[n]
     gens = plane_config_generators(prime, max(n, 1))
     if n % prime.p > 1:
-        dims = _equivariant_s1_dims([n], prime, None)[n]
         gens = [g for g in gens if g.kind != KIND_U]
         (groups,) = _monomial_bases(gens, range(n, n + 1), prime, texts)
         return REGIME_COKER_DELTA, dims, groups
-    dmax = _degree_bound(n, dmax)
-    dims = _CircleAnswer(series_coefficient(gens, n, max(dmax, 0), prime), 2, dmax)
     # a plane degree d <= dmax pairs with the circle degrees that keep the total within dmax
     if (pairs := dims.total()) > MAX_BASIS:
         raise ValueError(f"tensor basis of {pairs} pairs exceeds the limit of {MAX_BASIS}")
+    dmax = dims.bound
     (groups,) = _monomial_bases(gens, range(n, n + 1), prime, texts, dmax)
     groups = {d: same for d, same in groups.items() if d <= dmax}
     return REGIME_TENSOR_BS1, dims, groups

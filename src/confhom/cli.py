@@ -6,43 +6,15 @@ order, and timing goes to stderr only.  Exit codes: 0 on success, 1 when a
 verification fails, 2 on usage errors or mathematically unsupported cases,
 141 (128 + SIGPIPE, with no traceback) when the reader closes stdout early.
 
-A listing's handler builds only what the chosen format prints: a `delta` or
-`equivariant --group S1` table or csv reads its counts from the Hilbert
-series and enumerates no basis; only JSON lists the monomials, and only it
-meets the basis and (monomial, circle degree) pair limits.
-
-`main` is cheap to call repeatedly in one process.  `_COMMANDS` declares
-each command once; `build_parser` declares it to argparse, and `main` first
-reads the argv itself against it (`_read_argv`), which takes only the
-well-formed form and gives the namespace argparse would.  Any other argv
-(help, a usage error, `--opt=value`, an abbreviation) goes to one argparse
-parser, built on its first such call and reused, so argparse is imported
-only then; `build_parser` still returns a new parser on every call.  The
-handler finishes, refusals included, before the first byte is written.  Then
-`_write_json` hands JSON to stdout as it is formatted, byte-identical to
-`json.dumps(payload, indent=2)` with each listing below expanded to its
-rows and the dims to their pairs: `_render` formats each leaf as one
-string, a `GradedDims` (`poincare`, the S1 cokernel) from its sorted cells
-unchecked (the package builds them of ints), the `bv._CircleAnswer` of
-`sign`, Zp and the S1 tensor regime from its numerator, never expanded
-(`_circle_pairs`), and lists of integer rows with one format of a joined
-row template, handing any value it does not know to the stdlib.  A count
-table or csv is one string, from the expansion.
-
-No listing holds a row of its own.  `basis` answers with a `_BasisRows`
-(the texts of each degree group of the basis, and the weight), which
-writes JSON, table and csv one join per degree, since a degree's rows
-differ only in their text; a degree whose texts `csv.writer` would quote
-goes through the writer.  The S1 JSON lists its (monomial, circle degree)
-pairs through a `_TensorPairs`, one chunk per total degree, which encodes
-each monomial's row once and adds only the circle degree per pair, and its
-cokernel rows through a `_CokernelRows`, one join.  The three take each
-degree's texts straight from the enumeration walk, which builds no
-Monomial for a row that is only printed: `basis` through
-`catalog._plane_basis`, the S1 JSON through `bv._equivariant_s1`.  The
-`delta` JSON, which needs factors, takes the walk's Monomials and the
-image of each, and its `_DeltaMaps` writes each map in one pass from their
-texts, with no dense int row and no dict per image.
+The handler finishes, refusals included, before the first byte is written,
+so a refused command writes nothing but its unsupported payload.  Only a
+JSON listing enumerates a basis, and only it meets the basis and pair
+limits; a count table or csv reads the Hilbert series.  JSON is written as
+it is formatted, byte-identical to `json.dumps(payload, indent=2)` with
+each dims written as its pairs and each listing (any value with a
+`write_json`, and a `write_table` and `write_csv` if those formats print
+it) as its rows.  A well-formed argv is read against `_COMMANDS` without
+argparse, which is imported only for help, usage errors and other forms.
 """
 
 from __future__ import annotations
@@ -72,7 +44,6 @@ from .bv import (
     _equivariant_zp,
     default_degree_bound,
     delta,
-    equivariant_zp,
     gravity_op_degree,
 )
 from .catalog import UnsupportedCaseError, _plane_basis, plane_config_generators
@@ -84,32 +55,6 @@ if TYPE_CHECKING:
     import argparse  # imported by `build_parser`, for the forms `_read_argv` leaves to it
 
 
-# Each command: its help, verify's target choices, and its options in
-# argparse's order, each flag -> (dest, int or its choices, required, default).
-_FORMAT = {"--format": ("format", ("json", "table", "csv"), False, "json")}
-_P, _N = ("p", int, True, None), ("n", int, True, None)
-_COMMANDS = {
-    "basis": ("weight-n monomial basis", None, {**_FORMAT, "--p": _P, "--n": _N}),
-    "poincare": ("degree-indexed dimensions", None, {**_FORMAT, "--p": _P, "--n": _N}),
-    "delta": ("matrix of the BV operator", None,
-              {**_FORMAT, "--p": _P, "--n": _N, "--degree": ("degree", int, False, None)}),
-    "equivariant": ("equivariant homology", None,
-                    {**_FORMAT, "--group": ("group", ("S1", "Zp"), True, None),
-                     "--p": _P, "--n": _N, "--dmax": ("dmax", int, False, None)}),
-    "sign": ("sign-coefficient braid quotient homology", None,
-             {**_FORMAT, "--p": _P, "--n": _N, "--q": ("q", int, True, None),
-              "--dmax": ("dmax", int, False, None)}),
-    "gravity-degree": ("degree of an induced operation", None,
-                       {**_FORMAT, "--op-degree": ("op_degree", int, True, None),
-                        "--arity": ("arity", int, True, None),
-                        "--input": ("input", int, True, None),
-                        "--parity": ("parity", ("even", "odd"), True, None)}),
-    "verify": ("run consistency checks", VERIFY_TARGETS,
-               {**_FORMAT, "--p": _P, "--max-n": ("max_n", int, False, 24),
-                "--max-q": ("max_q", int, False, 4)}),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
@@ -118,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mod-p homology of planar configuration spaces and braid quotients",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, targets, options) in _COMMANDS.items():
+    for command, (_, text, targets, options) in _COMMANDS.items():
         sp = sub.add_parser(command, help=text)
         if targets is not None:
             sp.add_argument("target", choices=targets)
@@ -138,7 +83,7 @@ def _read_argv(argv: list) -> SimpleNamespace | None:
     if not argv or set(map(type, argv)) != {str} or argv[0] not in _COMMANDS:
         return None
     command = argv[0]
-    _, targets, options = _COMMANDS[command]
+    _, _, targets, options = _COMMANDS[command]
     values = {dest: default for dest, _, _, default in options.values()}
     values["command"], start = command, 1
     if targets is not None:
@@ -167,8 +112,8 @@ def _read_argv(argv: list) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-# The JSON result, table rows (or GradedDims) and header; a listing leaves None what it omits.
-_Answer = tuple[dict | None, list | None, list[str]]
+# The JSON result, the table (rows, dims or a listing) and header; a listing leaves None what it omits.
+_Answer = tuple[dict | None, object, list[str]]
 
 
 @functools.cache
@@ -192,20 +137,8 @@ class _BasisRows:
     weight: int
 
     def write_json(self, write, nl: str) -> None:
-        """The rows as `_write_json` writes a list of flat dicts closing at
-        `nl`, one chunk per degree."""
-        inner = nl + "  "
-        cell = inner + "  "
-        opener = "{" + cell + '"monomial": '
-        sep, close = "[" + inner + opener, ""
-        for d, texts in self.groups:
-            if texts:
-                close = f',{cell}"degree": {d},{cell}"weight": {self.weight}{inner}}}'
-                joint = close + "," + inner + opener
-                write(sep)
-                write(joint.join(map(_encode_str, texts)))
-                sep = joint
-        write(close + nl + "]" if close else "[]")
+        groups = [((d, self.weight), texts) for d, texts in self.groups]
+        _write_monomial_rows(("degree", "weight"), groups, write, nl)
 
     def write_table(self, write, header: list[str]) -> None:
         """`_render_table` of the rows, one chunk per degree."""
@@ -323,13 +256,10 @@ def _cmd_equivariant(args) -> _Answer:
     prime = as_prime(args.p)
     dmax = args.dmax if args.dmax is not None else default_degree_bound(args.n)
     if args.group == "Zp":
-        if args.format != "json":
-            return None, equivariant_zp(args.n, prime, dmax), ["degree", "dim"]
         dims = _equivariant_zp(args.n, prime, dmax)
-        return {"group": "Zp", "dims": dims, "degree_bound": dmax}, None, ["degree", "dim"]
+        return {"group": "Zp", "dims": dims, "degree_bound": dmax}, dims, ["degree", "dim"]
     if args.format != "json":
-        dims = _equivariant_s1_dims([args.n], prime, dmax)[args.n]
-        return None, dims.expand() if type(dims) is _CircleAnswer else dims, ["degree", "dim"]
+        return None, _equivariant_s1_dims([args.n], prime, dmax)[args.n], ["degree", "dim"]
     regime, dims, groups = _equivariant_s1(args.n, prime, dmax, texts=True)
     if regime == REGIME_TENSOR_BS1:
         basis = _TensorPairs(list(groups.items()), dmax)
@@ -392,13 +322,27 @@ class _CokernelRows:
     groups: list[tuple[int, list[str]]]
 
     def write_json(self, write, nl: str) -> None:
-        """The rows as `_write_json` writes a list of flat dicts closing at
-        `nl`, in one join."""
-        inner = nl + "  "
-        opener = "{" + inner + '  "monomial": '
-        texts = itertools.chain.from_iterable(group for _, group in self.groups)
-        rows = (inner + "}," + inner + opener).join(map(_encode_str, texts))
-        write("[" + inner + opener + rows + inner + "}" + nl + "]" if rows else "[]")
+        texts = list(itertools.chain.from_iterable(group for _, group in self.groups))
+        _write_monomial_rows((), [((), texts)], write, nl)
+
+
+def _write_monomial_rows(keys: tuple, groups: list, write, nl: str) -> None:
+    """The rows {"monomial": text, then each of `keys`: its int value} of
+    `groups` (values, texts) as `_write_json` writes a list of flat dicts
+    closing at `nl`, one chunk per group, whose rows differ only in their text."""
+    inner = nl + "  "
+    cell = inner + "  "
+    opener = "{" + cell + '"monomial": '
+    fields = "".join(f',{cell}"{k}": %d' for k in keys) + inner + "}"
+    sep, close = "[" + inner + opener, ""
+    for values, texts in groups:
+        if texts:
+            close = fields % values
+            joint = close + "," + inner + opener
+            write(sep)
+            write(joint.join(map(_encode_str, texts)))
+            sep = joint
+    write(close + nl + "]" if close else "[]")
 
 
 def _cmd_sign(args) -> _Answer:
@@ -426,14 +370,30 @@ def _cmd_verify(args) -> _Answer:
     return result, table, ["check", "status"]
 
 
-_HANDLERS = {
-    "basis": _cmd_basis,
-    "poincare": _cmd_poincare,
-    "delta": _cmd_delta,
-    "equivariant": _cmd_equivariant,
-    "sign": _cmd_sign,
-    "gravity-degree": _cmd_gravity,
-    "verify": _cmd_verify,
+# Each command: its handler, its help, verify's target choices, and its options
+# in argparse's order, each flag -> (dest, int or its choices, required, default).
+_FORMAT = {"--format": ("format", ("json", "table", "csv"), False, "json")}
+_P, _N = ("p", int, True, None), ("n", int, True, None)
+_COMMANDS = {
+    "basis": (_cmd_basis, "weight-n monomial basis", None, {**_FORMAT, "--p": _P, "--n": _N}),
+    "poincare": (_cmd_poincare, "degree-indexed dimensions", None,
+                 {**_FORMAT, "--p": _P, "--n": _N}),
+    "delta": (_cmd_delta, "matrix of the BV operator", None,
+              {**_FORMAT, "--p": _P, "--n": _N, "--degree": ("degree", int, False, None)}),
+    "equivariant": (_cmd_equivariant, "equivariant homology", None,
+                    {**_FORMAT, "--group": ("group", ("S1", "Zp"), True, None),
+                     "--p": _P, "--n": _N, "--dmax": ("dmax", int, False, None)}),
+    "sign": (_cmd_sign, "sign-coefficient braid quotient homology", None,
+             {**_FORMAT, "--p": _P, "--n": _N, "--q": ("q", int, True, None),
+              "--dmax": ("dmax", int, False, None)}),
+    "gravity-degree": (_cmd_gravity, "degree of an induced operation", None,
+                       {**_FORMAT, "--op-degree": ("op_degree", int, True, None),
+                        "--arity": ("arity", int, True, None),
+                        "--input": ("input", int, True, None),
+                        "--parity": ("parity", ("even", "odd"), True, None)}),
+    "verify": (_cmd_verify, "run consistency checks", VERIFY_TARGETS,
+               {**_FORMAT, "--p": _P, "--max-n": ("max_n", int, False, 24),
+                "--max-q": ("max_q", int, False, 4)}),
 }
 
 
@@ -509,7 +469,7 @@ def _render(x, nl: str) -> str | None:
         return "[" + inner + body + nl + "]"
     if t is dict and all(type(k) is str for k in x):
         return None
-    if t is _BasisRows or t is _TensorPairs or t is _CokernelRows or t is _DeltaMaps:
+    if hasattr(x, "write_json"):
         return None
     # Encoded JSON holds no raw newline, so re-indenting the stdlib's output is exact.
     return json.dumps(x, indent=2).replace("\n", nl)
@@ -580,7 +540,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     fmt = args.format
     try:
-        result, table, header = _HANDLERS[args.command](args)
+        result, table, header = _COMMANDS[args.command][0](args)
         status = "failed" if args.command == "verify" and not result["passed"] else "ok"
     except UnsupportedCaseError as exc:
         result, table, fmt, status = {"error": str(exc)}, None, "json", "unsupported"
@@ -593,9 +553,11 @@ def main(argv=None) -> int:
             payload = {"command": args.command, "params": _params_of(args),
                        "result": result, "status": status}
             _write_json(payload, write)
-        elif type(table) is _BasisRows:
-            (table.write_table if fmt == "table" else table.write_csv)(write, header)
+        elif (writer := getattr(table, "write_" + fmt, None)) is not None:
+            writer(write, header)
         else:
+            if type(table) is _CircleAnswer:
+                table = table.expand()
             if type(table) is GradedDims:
                 table = table.to_pairs()
             write(_render_table(table, header) if fmt == "table" else _render_csv([header, *table]))

@@ -580,7 +580,9 @@ def test_circle_answers_expand_only_outside_the_json(monkeypatch, argv, public, 
     assert _capture(argv)[:2] == (0, out)
 
 
-# (argv, the public call, the exception and its message): the first refusal wins
+# (argv, the public call, the exception and its message): the first refusal wins, in
+# every format unless argv names one; the S1 basis and pair limits are the JSON listing's
+_S1 = ["equivariant", "--group", "S1"]
 _CIRCLE_REFUSALS = [
     (["sign", "--p", "3", "--n", "-1", "--q", "-1", "--dmax", str(MAX_BASIS + 1)],
      lambda: sign_rep_homology(-1, 3, -1, MAX_BASIS + 1), ValueError, "n and q must be >= 0"),
@@ -601,6 +603,19 @@ _CIRCLE_REFUSALS = [
      f"degree bound {MAX_BASIS + 1} exceeds the limit of {MAX_BASIS}"),
     (["equivariant", "--group", "Zp", "--p", "3", "--n", "100000", "--dmax", "100000"],
      lambda: bv.equivariant_zp(100000, 3, 100000), ValueError, "series table of at least"),
+    ([*_S1, "--p", "2", "--n", "-1", "--dmax", str(MAX_BASIS + 1)],
+     lambda: bv.equivariant_s1(-1, 2, MAX_BASIS + 1), ValueError, "n must be >= 0, got -1"),
+    ([*_S1, "--p", "2", "--n", "400", "--dmax", str(MAX_BASIS + 1), "--format", "json"],
+     lambda: bv.equivariant_s1(400, 2, MAX_BASIS + 1), ValueError,
+     f"weight-400 basis of 7389572 monomials exceeds the limit of {MAX_BASIS}"),
+    ([*_S1, "--p", "2", "--n", "400", "--dmax", str(MAX_BASIS + 1), "--format", "table"],
+     lambda: bv._equivariant_s1_dims([400], 2, MAX_BASIS + 1), ValueError,
+     f"degree bound {MAX_BASIS + 1} exceeds the limit of {MAX_BASIS}"),
+    ([*_S1, "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS + 1)],
+     lambda: bv.equivariant_s1(9, 3, MAX_BASIS + 1), ValueError,
+     f"degree bound {MAX_BASIS + 1} exceeds the limit of {MAX_BASIS}"),
+    ([*_S1, "--p", "3", "--n", "9", "--dmax", str(MAX_BASIS), "--format", "json"],
+     lambda: bv.equivariant_s1(9, 3, MAX_BASIS), ValueError, "tensor basis of 3145722 pairs"),
 ]
 
 
@@ -611,8 +626,9 @@ def test_circle_answers_refuse_in_order_before_expanding(monkeypatch, argv, call
     with pytest.raises(error) as exc:
         call()
     assert type(exc.value) is error and str(exc.value).startswith(message)
-    for fmt in ("json", "table", "csv"):
-        code, out, err = _capture(argv + ["--format", fmt])
+    fixed = "--format" in argv
+    for full in [argv] if fixed else [argv + ["--format", fmt] for fmt in ("json", "table", "csv")]:
+        code, out, err = _capture(full)
         assert code == 2 and "Traceback" not in err
         if error is ValueError:
             assert out == "" and err.startswith("error: " + message)
@@ -687,6 +703,9 @@ def test_basis_listing_renders_as_its_rows(groups, weight):
     dicts = [{"monomial": t, "degree": d, "weight": w} for t, d, w in rows]
     assert _render_json({"rows": listing}) == json.dumps({"rows": dicts}, indent=2)
     assert _render_json([listing, 1]) == json.dumps([dicts, 1], indent=2)
+    # the S1 cokernel rows share the writer, with the monomial alone
+    cokernel = [{"monomial": t} for t, _, _ in rows]
+    assert _render_json([cli._CokernelRows(groups)]) == json.dumps([cokernel], indent=2)
 
 
 class _TextMonomial:
@@ -943,6 +962,41 @@ def test_renderer_matches_json_dumps_on_command_payloads(monkeypatch, argv):
     assert _render_json(seen[0]) == expected
     assert out == expected + "\n"
     assert json.dumps(_oracle_payload(seen[0]), indent=2) == expected
+
+
+class _RowsListing:
+    """A listing the CLI does not know: lists [text, int], one chunk per row."""
+
+    def __init__(self, rows: list):
+        self.rows = rows
+
+    def write_json(self, write, nl: str) -> None:
+        inner = nl + "  "
+        sep = "["
+        for row in self.rows:
+            write(sep + inner + json.dumps(row, indent=2).replace("\n", inner))
+            sep = ","
+        write(nl + "]" if self.rows else "[]")
+
+    def write_table(self, write, header: list[str]) -> None:
+        write(cli._render_table(self.rows, header))
+
+    def write_csv(self, write, header: list[str]) -> None:
+        write(cli._render_csv([header, *self.rows]))
+
+
+@pytest.mark.parametrize("rows", [[], [["a^2", 3]], [["x,y", -1], ['"q"', 10**20], ["", 0]]])
+def test_a_listing_renders_through_main_by_its_writers(monkeypatch, rows):
+    # any value with the three writers is a listing, with no registration
+    header = ["monomial", "degree"]
+    handler = lambda args: ({"rows": _RowsListing(rows)}, _RowsListing(rows), header)
+    monkeypatch.setitem(cli._COMMANDS, "basis", (handler, *cli._COMMANDS["basis"][1:]))
+    argv = ["basis", "--p", "2", "--n", "3"]
+    payload = {"command": "basis", "params": {"n": 3, "p": 2}, "result": {"rows": rows},
+               "status": "ok"}
+    assert _capture(argv)[:2] == (0, json.dumps(payload, indent=2) + "\n")
+    assert _capture(argv + ["--format", "table"])[:2] == (0, cli._render_table(rows, header) + "\n")
+    assert _capture(argv + ["--format", "csv"])[:2] == (0, cli._render_csv([header, *rows]) + "\n")
 
 
 def test_renderer_matches_json_dumps_on_a_failed_verify(monkeypatch):
@@ -1347,7 +1401,7 @@ def test_listing_memory_stays_near_the_walk():
 def test_the_handler_finishes_before_the_first_write(monkeypatch, argv, code):
     # a refusal writes nothing to stdout, or only the unsupported payload
     events = []
-    handler = cli._HANDLERS[argv[0]]
+    handler, *spec = cli._COMMANDS[argv[0]]
 
     def spied(args):
         try:
@@ -1355,7 +1409,7 @@ def test_the_handler_finishes_before_the_first_write(monkeypatch, argv, code):
         finally:
             events.append(None)
 
-    monkeypatch.setitem(cli._HANDLERS, argv[0], spied)
+    monkeypatch.setitem(cli._COMMANDS, argv[0], (spied, *spec))
     sink = types.SimpleNamespace(write=events.append, flush=lambda: None)
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == code
