@@ -326,10 +326,14 @@ class _CokernelRows:
         _write_monomial_rows((), [((), texts)], write, nl)
 
 
+_JSON_ESCAPED = bytes(range(0x20)) + b'"\\\x7f'  # the ASCII `_encode_str` escapes
+
+
 def _write_monomial_rows(keys: tuple, groups: list, write, nl: str) -> None:
     """The rows {"monomial": text, then each of `keys`: its int value} of
     `groups` (values, texts) as `_write_json` writes a list of flat dicts
-    closing at `nl`, one chunk per group, whose rows differ only in their text."""
+    closing at `nl`, one chunk per group, whose rows differ only in their text:
+    quoted in one join if `_encode_str` would escape none of them."""
     inner = nl + "  "
     cell = inner + "  "
     opener = "{" + cell + '"monomial": '
@@ -340,7 +344,11 @@ def _write_monomial_rows(keys: tuple, groups: list, write, nl: str) -> None:
             close = fields % values
             joint = close + "," + inner + opener
             write(sep)
-            write(joint.join(map(_encode_str, texts)))
+            blob = "".join(texts)
+            if blob.isascii() and len(blob.encode().translate(None, _JSON_ESCAPED)) == len(blob):
+                write('"' + ('"' + joint + '"').join(texts) + '"')
+            else:
+                write(joint.join(map(_encode_str, texts)))
             sep = joint
     write(close + nl + "]" if close else "[]")
 

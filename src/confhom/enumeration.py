@@ -24,18 +24,19 @@ hands out the basis of each weight of a range in turn, grouped by degree:
 reader that goes by degree takes a basis in.  One loop takes the generators
 down by rank over partial products grouped by the weight they use, built
 once up to the top weight; for each weight the two lowest-rank generators
-close the groups without storing another level (each power of the second
-that fits, then the one exponent of the lowest that fills the rest), and
-each product's text is written on the way; given a degree bound (the S1
-tensor listing), the loop keeps no partial product above it.  The last
-step files each product in a list per degree, sorted by text, as one of
-two things: a reader that needs factors (`monomial_basis`, `bv`, the
-verification sweep) takes Monomials, built through the trusted
-`Monomial._canonical` with that text, so no `text()` is called; a reader
-that only prints or counts (the `basis` listing, the S1 JSON through
-`bv._equivariant_s1`, `poincare`, the sign-slice check) takes the texts
-themselves, and the last step then joins no factors and builds no
-Monomial.  `monomial_basis`, the public one-weight case, flattens its
+close the groups without storing another level, from a table of their
+products by the weight they fill (each power of the second that fits, then
+the one exponent of the lowest that fills the rest), filled as the walk
+meets each weight left; a product's text is one concatenation.  Given a
+degree bound (the S1 tensor listing), the loop keeps no partial product
+above it.  The last step files each product in a list per degree, sorted
+by text, as one of two things: a reader that needs factors
+(`monomial_basis`, `bv`, the verification sweep) takes Monomials, built
+through the trusted `Monomial._canonical` with that text, so no `text()`
+is called; a reader that only prints or counts (the `basis` listing, the
+S1 JSON through `bv._equivariant_s1`, `poincare`, the sign-slice check)
+takes the texts themselves, and the walk then joins no factors and builds
+no Monomial.  `monomial_basis`, the public one-weight case, flattens its
 groups in that order, and `poincare` counts them, the enumeration side of
 the series in the demos and tests; the verification suite counts the plane
 basis it has already swept.
@@ -49,6 +50,7 @@ exhausting memory; `total_dim` refuses weights past 2^20.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import accumulate, chain, repeat
 from math import gcd
 from operator import attrgetter
@@ -64,6 +66,7 @@ _WORD_BITS = 64
 _MAX_TOTAL_WEIGHT = 1 << 20
 # The text in a monomial's slot: the sort key within one degree of a basis.
 _TEXT = attrgetter("_text")
+_RANK = attrgetter("rank")
 
 
 class GradedDims:
@@ -246,21 +249,23 @@ def _monomial_bases(gens, weights: range, p, texts: bool = False, dmax: int | No
 
     One loop takes the generators from the highest rank down to the third
     lowest and keeps the partial products grouped by the weight they use:
-    weight used -> list of (factors, degree, text), up to the top weight.
-    Each generator's powers that fit are written once; each group, heaviest
+    weight used -> list of (degree, text, factors), or (degree, text) with
+    `texts`, each text with a leading space, up to the top weight.  Each
+    generator's powers that fit are written once; each group, heaviest
     first, stays as it is (exponent 0) and appends its products with every
     power that fits to the group of the weight then used, which is above its
     own and so already passed.  The two lowest-rank generators (the point
     class and the next one on the plane) close the groups for each weight n
-    without storing another level (`_close`).  The groups are kept for the
-    weights still to come, and dropped, each once it is closed, at the top
-    weight; each basis is handed out and kept by the walk no longer.
+    without storing another level (`_close`, from the walk's closing table).
+    The groups are kept for the weights still to come, and dropped, each
+    once it is closed, at the top weight; each basis is handed out and kept
+    by the walk no longer.
     """
     as_prime(p)
     if weights and weights[0] < 0:
         raise ValueError(f"weight must be >= 0, got {weights[0]}")
-    ordered: list[Generator] = sorted(gens, key=lambda g: g.rank)
-    if len({g.rank for g in ordered}) != len(ordered):
+    ordered: list[Generator] = sorted(gens, key=_RANK)
+    if len(set(map(_RANK, ordered))) != len(ordered):
         raise ValueError("duplicate generators")
     for g in ordered:
         if g.weight < 1:
@@ -268,7 +273,7 @@ def _monomial_bases(gens, weights: range, p, texts: bool = False, dmax: int | No
     if not weights:
         return
     top = weights[-1]
-    groups: dict[int, list] = {0: [((), 0, "")]}
+    groups: dict[int, list] = {0: [(0, "")] if texts else [(0, "", ())]}
     for g in ordered[:1:-1]:
         powers = _powers(g, top)
         for used in sorted(groups, reverse=True):
@@ -278,18 +283,23 @@ def _monomial_bases(gens, weights: range, p, texts: bool = False, dmax: int | No
                     break
                 if dmax is not None:
                     # the powers' degrees ascend, so each keeps fewer parents
-                    parents = [q for q in parents if q[1] <= dmax - dd]
+                    parents = [q for q in parents if q[0] <= dmax - dd]
                     if not parents:
                         break
                 group = groups.get(used + w)
                 if group is None:
                     group = groups[used + w] = []
                 append = group.append
-                for tail, degree, text in parents:
-                    append((factor + tail, degree + dd, name + text))
+                if texts:
+                    for degree, text in parents:
+                        append((degree + dd, name + text))
+                else:
+                    for degree, text, tail in parents:
+                        append((degree + dd, name + text, factor + tail))
     second_powers = [(0, (), 0, "")]
     for g in ordered[1:2]:
         second_powers += [q for q in _powers(g, top) if dmax is None or q[2] <= dmax]
+    closing: dict[int, list] = {}
     for n in weights:
         if n == 0 or not ordered:
             # the empty product alone at weight 0, and nothing above it without generators
@@ -298,50 +308,73 @@ def _monomial_bases(gens, weights: range, p, texts: bool = False, dmax: int | No
         pending = list(groups.items())
         if n == top:
             groups.clear()
-        yield _close(pending, n, ordered[0], second_powers, texts)
+        yield _close(pending, n, ordered[0], second_powers, closing, texts)
 
 
 def _close(
-    pending: list, n: int, low: Generator, second_powers: list, texts: bool
+    pending: list, n: int, low: Generator, second_powers: list, closing: dict, texts: bool
 ) -> dict[int, list]:
     """The weight-n basis by degree from the groups `pending` (weight used, partial
     products) of the walk, popped last-inserted first, and emptied: in that
     order each degree's list arrives closer to sorted than in the order of
     insertion, which leaves its sort more work.
 
-    For each power of the second-lowest generator that fits, exponent 0
-    first, the lowest fills the weight left with its one exponent, or that
-    product is dropped; a group heavier than n has no weight left and
-    closes nothing.  Factors are prepended as the rank falls, so they
-    arrive in canonical order, and each product carries its canonical text
-    followed by a space: the new factor's text, a space, then the old text.
-    Each product is filed in a list for its degree as that text if `texts`
-    (a listing or a count), and otherwise as a Monomial built with it by
-    the trusted `Monomial._canonical`; each list is sorted by the text,
-    which is distinct within a weight, and the degrees are handed out in
-    ascending order.
+    A group heavier than n closes nothing, the one of weight n the empty
+    product alone, and any other every product in `closing[n - used]`: the
+    walk's table, filled as each weight left is first met, of the (factors,
+    degree, text) products of `low` and the second-lowest generator (its
+    powers `second_powers`, exponent 0 first) that fill it.  Factors are
+    prepended as the rank falls, so they arrive in canonical order, and a
+    product's text is the closer's followed by the partial one's, which
+    starts with a space.  Each product is filed in a list for its degree as
+    that text if `texts` (a listing or a count), and otherwise as a Monomial
+    built with it by the trusted `Monomial._canonical`; each list is sorted
+    by the text, which is distinct within a weight, and the degrees are
+    handed out in ascending order.
     """
     canonical = Monomial._canonical
-    by_degree: dict[int, list] = {}
+    # texts come many to a degree, Monomials one or two: each filed the cheaper way
+    by_degree: dict[int, list] = defaultdict(list) if texts else {}
     while pending:
         # rebinding `group` drops this frame's reference to a popped group
         used, group = pending.pop()
         left = n - used
-        for w, factor, dd, name in second_powers:
-            if w > left:
-                break
-            e, rest = divmod(left - w, low.weight)
-            if rest or (e > 1 and low.exterior):
-                continue
-            if e:
-                factor, dd, name = ((low, e),) + factor, e * low.degree + dd, _power(low, e) + name
-            for tail, degree, text in group:
+        if left < 0:
+            continue
+        if not left:
+            # the group of weight n, closed by the empty product: its texts lose their space
+            for q in group:
+                same = by_degree.get(q[0])
+                if same is None:
+                    same = by_degree[q[0]] = []
+                same.append(q[1][1:] if texts else canonical(q[2], n, q[0], q[1][1:]))
+            continue
+        if (closers := closing.get(left)) is None:
+            closers = closing[left] = []
+            for w, factor, dd, name in second_powers:
+                if w > left:
+                    break
+                e, rest = divmod(left - w, low.weight)
+                if rest or (e > 1 and low.exterior):
+                    continue
+                if e:
+                    factor, dd = ((low, e),) + factor, e * low.degree + dd
+                    name = _power(low, e, "") + name
+                else:
+                    name = name[1:]  # the second's power alone
+                closers.append((factor, dd, name))
+        if texts:
+            for _, dd, name in closers:
+                for degree, text in group:
+                    by_degree[degree + dd].append(name + text)
+            continue
+        for factor, dd, name in closers:
+            for degree, text, tail in group:
                 degree += dd
                 same = by_degree.get(degree)
                 if same is None:
                     same = by_degree[degree] = []
-                text = (name + text)[:-1]
-                same.append(text if texts else canonical(factor + tail, n, degree, text))
+                same.append(canonical(factor + tail, n, degree, name + text))
     key = None if texts else _TEXT
     for same in by_degree.values():
         same.sort(key=key)
@@ -356,9 +389,9 @@ def _powers(g: Generator, n: int) -> list[tuple]:
     return [(e * w, ((g, e),), e * d, _power(g, e)) for e in range(1, top + 1)]
 
 
-def _power(g: Generator, e: int) -> str:
-    """The canonical text of g^e, e >= 1, followed by a space."""
-    return g.name + " " if e == 1 else f"{g.name}^{e} "
+def _power(g: Generator, e: int, sep: str = " ") -> str:
+    """The canonical text of g^e, e >= 1, after `sep`."""
+    return sep + g.name if e == 1 else f"{sep}{g.name}^{e}"
 
 
 def poincare(gens, n: int, p) -> GradedDims:

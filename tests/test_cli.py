@@ -708,6 +708,23 @@ def test_basis_listing_renders_as_its_rows(groups, weight):
     assert _render_json([cli._CokernelRows(groups)]) == json.dumps([cokernel], indent=2)
 
 
+@pytest.mark.parametrize("odd", ['"', "\\", "\t", "\n", "\x7f", "\u00e9", "\u2028"])
+@pytest.mark.parametrize("keys", [("degree", "weight"), ()])
+def test_monomial_rows_quote_plain_groups_and_encode_the_rest(monkeypatch, odd, keys):
+    # a group of printable ASCII without '"' or '\\' is quoted as it stands
+    groups = [([0, 5], ["i^5", "Qi1 i^3", " ~!#[]"]), ([1, 5], []),
+              ([2, 5], ["a" + odd + "b", "u"]), ([3, 5], ["Qi2 i"])]
+    encoded = []
+    monkeypatch.setattr(cli, "_encode_str", lambda t: encoded.append(t) or json.dumps(t))
+    out = []
+    cli._write_monomial_rows(keys, [(tuple(v[:len(keys)]), ts) for v, ts in groups],
+                             out.append, "\n")
+    rows = [{"monomial": t, **dict(zip(keys, v))} for v, ts in groups for t in ts]
+    assert "".join(out) == json.dumps(rows, indent=2)
+    # only the group holding the odd character went text by text
+    assert encoded == ["a" + odd + "b", "u"]
+
+
 class _TextMonomial:
     """A stand-in monomial: the text and degree the pair builder reads."""
 

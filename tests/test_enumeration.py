@@ -285,6 +285,52 @@ def test_the_walk_yields_each_one_weight_basis(factors, max_n, seed):
     assert list(texts) == [_texts_of(groups) for groups in walked]
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    factors=st.lists(
+        st.tuples(st.integers(1, 12), st.integers(0, 6), st.booleans()), max_size=5
+    ),
+    start=st.integers(0, 30),
+    span=st.integers(0, 12),
+    dmax=st.none() | st.integers(-1, 24),
+    texts=st.booleans(),
+    seed=st.randoms(use_true_random=False),
+)
+# an exterior lowest generator, and a lowest one of weight > 1: some weights
+# left close nothing, and the closing table holds them as empty
+@example(factors=[(1, 1, True), (2, 2, False), (3, 1, True)], start=5, span=9, dmax=None,
+         texts=False, seed=random.Random(0))
+@example(factors=[(3, 2, False), (5, 1, True), (4, 0, False)], start=7, span=12, dmax=6,
+         texts=True, seed=random.Random(0))
+@example(factors=[(2, 1, True), (3, 0, False), (5, 2, False), (4, 1, True)], start=1, span=12,
+         dmax=3, texts=False, seed=random.Random(0))
+def test_a_sweep_from_any_weight_closes_each_basis_as_its_one_weight_walk(
+    factors, start, span, dmax, texts, seed
+):
+    # the closing table a sweep fills at one weight is read again at later ones
+    gens = [Generator("tower", k, f"g{k}", *f, (9, k)) for k, f in enumerate(factors)]
+    assume(sum(_weight_sizes(gens, start + span)[0]) <= 20000)
+    seed.shuffle(gens)
+    weights = range(start, start + span)
+    swept = list(_monomial_bases(gens, weights, 3, texts, dmax))
+    assert len(swept) == len(weights)
+    for n, groups in zip(weights, swept):
+        (alone,) = _monomial_bases(gens, range(n, n + 1), 3, texts, dmax)
+        flat = [m for ms in groups.values() for m in ms]
+        if texts:
+            assert groups == alone
+        else:
+            assert list(groups) == list(alone)
+            assert _basis_fields(flat) == _basis_fields([m for ms in alone.values() for m in ms])
+        if n <= 12:
+            kept = [m for d, ms in groups.items() if dmax is None or d <= dmax for m in ms]
+            brute = [m for m in monomial_basis_bruteforce(gens, n)
+                     if dmax is None or m.degree <= dmax]
+            assert (kept if texts else [m.text() for m in kept]) == [m.text() for m in brute]
+            if not texts:
+                assert _basis_fields(kept) == _basis_fields(brute)
+
+
 def _texts_of(groups: dict) -> dict:
     """The walk's Monomial groups as the texts of each monomial."""
     return {d: [m.text() for m in ms] for d, ms in groups.items()}
@@ -343,9 +389,9 @@ def test_the_s1_listing_below_dmax_closes_only_the_products_below_it(monkeypatch
     real = enumeration._close
     parents = []
 
-    def close(pending, n, low, second_powers, texts):
+    def close(pending, n, low, second_powers, closing, texts):
         parents.append(sum(len(group) for _, group in pending))
-        return real(pending, n, low, second_powers, texts)
+        return real(pending, n, low, second_powers, closing, texts)
 
     monkeypatch.setattr(enumeration, "_close", close)
     regime, dims, groups = bv._equivariant_s1(276, as_prime(2), 0, texts=True)
