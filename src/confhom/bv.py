@@ -45,8 +45,8 @@ format and to `verify`.  Every "row n of a series table times
 1/(1 - t^step)" answer (the S1 tensor and Zp here, sign and mod-2 in
 `signhom`) is one `_CircleAnswer` of the row, the step and the bound,
 made by `_rows_times_circle`: the public functions return its `expand()`,
-the CLI writes its JSON pairs from the row, and `verify` compares two by
-their rows.  `_delta_counts`
+the CLI writes its pairs from the row in every format, and `verify`
+compares two by their rows.  `_delta_counts`
 reads the plane slice and the rank in each degree off rows n - 2 and n of
 one table over the plane generators without the odd class, as the
 operator is injective on the sources it does not kill.

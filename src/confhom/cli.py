@@ -11,10 +11,12 @@ so a refused command writes nothing but its unsupported payload.  Only a
 JSON listing enumerates a basis, and only it meets the basis and pair
 limits; a count table or csv reads the Hilbert series.  JSON is written as
 it is formatted, byte-identical to `json.dumps(payload, indent=2)` with
-each dims written as its pairs and each listing (any value with a
-`write_json`, and a `write_table` and `write_csv` if those formats print
-it) as its rows.  A well-formed argv is read against `_COMMANDS` without
-argparse, which is imported only for help, usage errors and other forms.
+each listing (any value with a `write_json`, and a `write_table` and
+`write_csv` if those formats print it) as its rows.  Dims, a `GradedDims`
+or a circle answer, are their (degree, dim) rows in every format, from one
+row writer that reads a circle answer's numerator.  A well-formed argv is
+read against `_COMMANDS` without argparse, which is imported only for
+help, usage errors and other forms.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from .bv import (
 )
 from .catalog import UnsupportedCaseError, _plane_basis, plane_config_generators
 from .enumeration import GradedDims, series_coefficient
-from .signhom import _sign_answer, sign_rep_homology
+# `sign_rep_homology` is not called here: perfbench's self-test checks `cli` binds it
+from .signhom import _sign_answer, sign_rep_homology  # noqa: F401
 from .verify import VERIFY_TARGETS, run_verifications
 
 if TYPE_CHECKING:
@@ -149,8 +152,7 @@ class _BasisRows:
             max([len(header[1])] + [len(d) for d, _ in groups]),
             max([len(header[2])] + [len(weight)] * bool(groups)),
         )
-        write("  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
-              + "  ".join("-" * w for w in widths))
+        write(_table_head(header, widths))
         for d, texts in groups:
             # the last column is not padded: `_render_table` strips it
             tail = "  " + d.ljust(widths[1]) + "  " + weight
@@ -356,11 +358,9 @@ def _write_monomial_rows(keys: tuple, groups: list, write, nl: str) -> None:
 def _cmd_sign(args) -> _Answer:
     prime = as_prime(args.p)
     dmax = args.dmax if args.dmax is not None else default_degree_bound(args.n)
-    if args.format != "json":
-        return None, sign_rep_homology(args.n, prime, args.q, dmax), ["degree", "dim"]
     dims = _sign_answer(args.n, prime, args.q, dmax)
     result = {"dims": dims, "total_through_bound": dims.total(), "degree_bound": dmax}
-    return result, None, ["degree", "dim"]
+    return result, dims, ["degree", "dim"]
 
 
 def _cmd_gravity(args) -> _Answer:
@@ -441,9 +441,9 @@ def _write_json(x, write, nl: str = "\n", head: str = "") -> None:
 
 def _render(x, nl: str) -> str | None:
     """The JSON text of a leaf: a scalar, a `GradedDims` or `_CircleAnswer`,
-    an empty container, a list of strs, of ints or of int rows; None for a
-    listing, a dict with str keys or any other list, which `_write_json`
-    writes item by item."""
+    an empty container, a list of strs or of ints; None for a listing, a
+    dict with str keys or any other list, which `_write_json` writes item
+    by item."""
     # `nl` is a newline and the indent of the line that closes x.
     t = type(x)
     if t is str:
@@ -459,21 +459,14 @@ def _render(x, nl: str) -> str | None:
     if (t is list or t is dict) and not x:
         return "[]" if t is list else "{}"
     inner = nl + "  "
-    if t is GradedDims:
-        pairs = sorted(x.dims.items())
-        body = _format_rows(tuple(itertools.chain.from_iterable(pairs)), 2, len(pairs), inner)
-        return "[" + inner + body + nl + "]" if pairs else "[]"
-    if t is _CircleAnswer:
-        return _circle_pairs(x, nl)
+    if t is GradedDims or t is _CircleAnswer:
+        body = _dim_rows(_dim_cells(x), f"[{inner}  %d,{inner}  %d{inner}]", "," + inner)
+        return "[" + inner + body + nl + "]" if body else "[]"
     if t is list:
         kinds = set(map(type, x))
-        sep = "," + inner
-        if kinds == {str}:
-            body = sep.join(map(_encode_str, x))
-        elif kinds == {int}:
-            body = sep.join(map(int.__repr__, x))
-        elif kinds != {list} or (body := _int_rows(x, inner)) is None:
+        if kinds != {str} and kinds != {int}:
             return None
+        body = ("," + inner).join(map(_encode_str if kinds == {str} else int.__repr__, x))
         return "[" + inner + body + nl + "]"
     if t is dict and all(type(k) is str for k in x):
         return None
@@ -483,56 +476,61 @@ def _render(x, nl: str) -> str | None:
     return json.dumps(x, indent=2).replace("\n", nl)
 
 
-def _circle_pairs(x: _CircleAnswer, nl: str) -> str:
-    """The pairs of `x.expand()` closing at `nl`, from the numerator: each
-    residue class mod the step is its running sum through the top degree and
-    its last sum above it, where each class's row template holds that sum."""
+def _dim_cells(x) -> tuple[list, list, range]:
+    """The (degree, dim) rows of a `GradedDims`, or of a circle answer's
+    expansion from its numerator: the flat cells of the rows through the top
+    degree, the last running sum of the class of each of the degrees top + 1
+    .. top + step, and the degrees above the top, whose rows repeat those."""
+    if type(x) is GradedDims:
+        return list(itertools.chain.from_iterable(sorted(x.dims.items()))), [], range(0)
     cells, step, bound = x.numerator.dims, x.step, x.bound
     lo = min(cells, default=bound + 1)
-    if lo > bound:
-        return "[]"
-    top = min(max(cells), bound)
+    top = min(max(cells, default=lo), bound)
     acc = x.numerator._running_sums(lo, step, top)
     pairs = zip(range(lo, top + 1), acc)
     pairs = [pair for pair in pairs if pair[1]] if 0 in acc else pairs
     head = list(itertools.chain.from_iterable(pairs))
-    # degree top + k, for k = 1..step, holds the last sum of its class, and so on above
-    sums = ([0] * step + acc)[-step:]
-    inner = nl + "  "
-    cell = inner + "  "
-    opener = "[" + cell + "%d," + cell
-    rows = [opener + "%d" + inner + "]"] * (len(head) // 2)
-    tails = itertools.cycle([opener + int.__repr__(s) + inner + "]" for s in sums])
-    rows += itertools.compress(itertools.islice(tails, bound - top), itertools.cycle(sums))
-    degrees = itertools.compress(range(top + 1, bound + 1), itertools.cycle(sums))
-    return "[" + inner + ("," + inner).join(rows) % (*head, *degrees) + nl + "]"
+    return head, ([0] * step + acc)[-step:], range(top + 1, bound + 1)
 
 
-def _int_rows(rows: list, nl: str) -> str | None:
-    """Lists of ints (not bools), all of one nonzero length, one per line at
-    indent `nl` and comma-joined, from one format of a joined row template;
-    None for any other list of lists."""
-    lengths = set(map(len, rows))
-    cells = tuple(itertools.chain.from_iterable(rows))
-    if len(lengths) > 1 or set(map(type, cells)) != {int}:
-        return None
-    return _format_rows(cells, lengths.pop(), len(rows), nl)
+def _dim_rows(cells: tuple[list, list, range], row: str, joint: str) -> str:
+    """The rows of `_dim_cells`, each `row` % (degree, dim), joined by
+    `joint`: one template per row through the top degree, then the rows
+    above it from one template per residue class, its last "%d" the sum."""
+    head, sums, above = cells
+    front, _, back = row.rpartition("%d")
+    rows = [row] * (len(head) // 2)
+    tails = itertools.cycle([front + int.__repr__(s) + back for s in sums])
+    rows += itertools.compress(itertools.islice(tails, len(above)), itertools.cycle(sums))
+    degrees = itertools.compress(above, itertools.cycle(sums))
+    return joint.join(rows) % (*head, *degrees)
 
 
-def _format_rows(cells: tuple, length: int, count: int, nl: str) -> str:
-    """`count` rows of `length` ints from the flat `cells`, unchecked."""
-    cell = nl + "  "
-    row = "[" + cell + ("," + cell).join(["%d"] * length) + nl + "]"
-    return ("," + nl).join([row] * count) % cells
+def _dims_text(x, fmt: str, header: list[str]) -> str:
+    """`_render_table` or `_render_csv` of the pairs of `x`: the degree column
+    as wide as the first or the last degree written, the dim column as the
+    widest dim through the top degree, as each sum above it is one of those."""
+    cells = head, sums, above = _dim_cells(x)
+    if fmt == "csv":
+        return _render_csv([header]) + _dim_rows(cells, "\n%d,%d", "")
+    live = [d for d in above[-len(sums):] if sums[(d - above.start) % len(sums)]]
+    columns = (header[0], *head[:1], *head[-2:-1], *live), (header[1], *head[1::2])
+    widths = [max(map(len, map(str, column))) for column in columns]
+    return _table_head(header, widths) + _dim_rows(cells, f"\n%-{widths[0]}d  %d", "")
+
+
+def _table_head(header: list[str], widths) -> str:
+    """A table's header line and its rule, for columns of these widths."""
+    return ("  ".join(map(str.ljust, header, widths)).rstrip() + "\n"
+            + "  ".join("-" * w for w in widths))
 
 
 def _render_table(table: list, header: list[str]) -> str:
     columns = [list(map(str, col)) for col in zip(*table)] or [[] for _ in header]
     widths = [max(map(len, [h, *col])) for h, col in zip(header, columns)]
     template = "  ".join(f"%-{w}s" for w in widths)
-    lines = [(template % tuple(header)).rstrip(), "  ".join("-" * w for w in widths)]
-    lines += [line.rstrip() for line in map(template.__mod__, zip(*columns))]
-    return "\n".join(lines)
+    lines = [line.rstrip() for line in map(template.__mod__, zip(*columns))]
+    return "\n".join([_table_head(header, widths), *lines])
 
 
 def _render_csv(rows) -> str:
@@ -563,11 +561,9 @@ def main(argv=None) -> int:
             _write_json(payload, write)
         elif (writer := getattr(table, "write_" + fmt, None)) is not None:
             writer(write, header)
+        elif type(table) is GradedDims or type(table) is _CircleAnswer:
+            write(_dims_text(table, fmt, header))
         else:
-            if type(table) is _CircleAnswer:
-                table = table.expand()
-            if type(table) is GradedDims:
-                table = table.to_pairs()
             write(_render_table(table, header) if fmt == "table" else _render_csv([header, *table]))
         write("\n")
         sys.stdout.flush()

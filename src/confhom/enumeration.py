@@ -73,6 +73,7 @@ class GradedDims:
     """A finite map degree -> dimension; the universal answer format."""
 
     __slots__ = ("dims",)
+    __iter__ = None  # `__getitem__` reads every degree, 0 off the map: iterating would never end
 
     def __init__(self, dims: dict[int, int] | None = None):
         self.dims = {d: n for d, n in (dims or {}).items() if n}
@@ -144,6 +145,7 @@ class BigradedDims:
     row of a series table, whose cells are never negative, unchecked."""
 
     __slots__ = ("_dims", "_rows")
+    __iter__ = None  # as for `GradedDims`
 
     def __init__(self, rows):
         self._dims = None

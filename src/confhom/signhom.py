@@ -22,11 +22,11 @@ One series table holds the slice of each weight n it is read at as its
 row n, built by `bv._rows_times_circle` (shared with S1 and Zp) only
 through the highest degree bound read.  Each answer is that row times the
 circle, a `bv._CircleAnswer`: the public functions return its expansion,
-and the q-stability and mod-2 checks compare rows through the bound, an
-exact test of the expansions.  So the verification suite builds one table
-per sphere dimension and run, and the q-stability check builds one table,
-one closed-form catalog and one bracket tower per q for all its weights
-(`_q_stability`).
+the CLI writes its pairs from the row in every format, and the q-stability
+and mod-2 checks compare rows through the bound, an exact test of them.
+So the verification suite builds one table per sphere dimension and run,
+and the q-stability check builds one table, one closed-form catalog and
+one bracket tower per q for all its weights (`_q_stability`).
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def _q_stability(ns: range, p, qs: list) -> list[VerifyReport]:
         VerifyReport(
             name=f"q-stability n={n} p={prime.p} q={qs}",
             passed=not mismatching[n],
-            details={"dims": first[n].expand().to_pairs(), "mismatching_q": mismatching[n]},
+            details={"dims": first[n].expand(), "mismatching_q": mismatching[n]},
         )
         for n in ns
     ]

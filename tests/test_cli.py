@@ -542,7 +542,7 @@ def test_tensor_basis_refused_before_its_series_is_built(capsys, monkeypatch):
 
 
 def _unexpandable(self, step, dmax):
-    raise AssertionError("the JSON writes a circle answer from its numerator")
+    raise AssertionError("the CLI writes a circle answer from its numerator")
 
 
 # (argv, the public function behind it, the expansion from the series slice)
@@ -568,15 +568,14 @@ def test_circle_answers_expand_only_outside_the_json(monkeypatch, argv, public, 
     real = GradedDims.convolve_geometric
     monkeypatch.setattr(GradedDims, "convolve_geometric",
                         lambda self, step, dmax: calls.append(step) or real(self, step, dmax))
+    got = public()
+    assert type(got) is GradedDims and got == want
+    assert calls == [1 if "Zp" in argv else 2]
+    monkeypatch.setattr(GradedDims, "convolve_geometric", _unexpandable)
     pairs = want.to_pairs()
     for fmt, text in (("table", cli._render_table(pairs, header)),
                       ("csv", cli._render_csv([header, *pairs]))):
         assert _capture(argv + ["--format", fmt])[:2] == (0, text + "\n")
-    got = public()
-    assert type(got) is GradedDims and got == want
-    # one expansion for each format and for the public function
-    assert calls == [1 if "Zp" in argv else 2] * 3
-    monkeypatch.setattr(GradedDims, "convolve_geometric", _unexpandable)
     assert _capture(argv)[:2] == (0, out)
 
 
@@ -660,6 +659,35 @@ def test_circle_answer_json_is_its_expansion(cells, step, bound):
     assert _render_json(answer) == _render_json(expanded)
     assert _render_json({"dims": [answer]}) == _render_json({"dims": [expanded]})
     assert answer.total() == expanded.total()
+    # and so are its table and csv, written from the numerator too
+    header, pairs = ["degree", "dim"], expanded.to_pairs()
+    assert cli._dims_text(answer, "table", header) == cli._render_table(pairs, header)
+    assert cli._dims_text(answer, "csv", header) == cli._render_csv([header, *pairs])
+
+
+@pytest.mark.parametrize("cells, table, csv_text", [
+    ({}, "degree  dim\n------  ---", "degree,dim"),
+    ({3: 2}, "degree  dim\n------  ---\n3       2", "degree,dim\n3,2"),
+    # a degree wider than "degree", and a dim wider than "dim"
+    ({0: 1, 10**6: 3}, "degree   dim\n-------  ---\n0        1\n1000000  3",
+     "degree,dim\n0,1\n1000000,3"),
+    ({2: 1, 7: 1000}, "degree  dim\n------  ----\n2       1\n7       1000",
+     "degree,dim\n2,1\n7,1000"),
+], ids=["empty", "one-row", "wide-degree", "wide-dim"])
+def test_dims_table_and_csv_are_their_pairs(cells, table, csv_text):
+    dims, header = GradedDims(cells), ["degree", "dim"]
+    pairs = dims.to_pairs()
+    assert cli._dims_text(dims, "table", header) == table == cli._render_table(pairs, header)
+    assert cli._dims_text(dims, "csv", header) == csv_text == cli._render_csv([header, *pairs])
+
+
+@pytest.mark.parametrize("cells", [{999990: 1}, {999991: 1}], ids=["even", "odd"])
+def test_a_circle_table_is_as_wide_as_its_last_row(cells):
+    # one live parity up to 10^6: the last row is degree 1000000, or 999999
+    # when only odd degrees are live, which "degree" is as wide as
+    answer = bv._CircleAnswer(GradedDims(cells), 2, 10**6)
+    header, pairs = ["degree", "dim"], answer.expand().to_pairs()
+    assert cli._dims_text(answer, "table", header) == cli._render_table(pairs, header)
 
 
 @settings(max_examples=300, deadline=None)
@@ -955,6 +983,11 @@ def _oracle_payload(payload: dict) -> dict:
         result["dims"] = result["dims"].expand()
     if type(result.get("dims")) is GradedDims:
         result["dims"] = result["dims"].to_pairs()
+    if payload["command"] == "verify":
+        # a q-stability report's dims, a GradedDims, as their pairs
+        result["checks"] = [
+            {**c, "details": {**c["details"], "dims": c["details"]["dims"].to_pairs()}}
+            if "dims" in c["details"] else c for c in result["checks"]]
     if payload["command"] == "basis" and payload["status"] == "ok":
         result["rows"] = _basis_rows_oracle(params["n"], params["p"])
     elif payload["command"] == "delta" and payload["status"] == "ok":

@@ -787,3 +787,14 @@ def test_unchecked_method_outputs_equal_validated_construction(dims, step, dmax,
         assert out.dims == GradedDims(dict(out.dims)).dims
     with pytest.raises(ValueError, match="negative dimension"):
         GradedDims({1: -1})
+
+
+def test_dims_values_refuse_iteration():
+    # `__getitem__` reads 0 off the map, so the old sequence protocol never ended
+    dims, table = bv.equivariant_s1(5, 3).dims, BigradedDims([[1, 2], [0, 3]])
+    for value, cell in ((dims, [1, 1]), (table, (1, 1))):
+        with pytest.raises(TypeError):
+            iter(value)
+        with pytest.raises(TypeError):
+            cell in value
+    assert dims[0] == 1 and table[(1, 1)] == 3

@@ -216,7 +216,7 @@ def test_q_stability_compares_each_q_answer_with_the_first(monkeypatch):
                 for g in gens]
 
     expected = verify_q_stability(4, 3, [0, 1, 2])
-    assert expected.passed and [1, 1] in expected.details["dims"]
+    assert expected.passed and expected.details["dims"][1] == 1
     monkeypatch.setattr(signhom, "_shifted_generators", planted)
     report = verify_q_stability(4, 3, [0, 1, 2])
     assert not report.passed

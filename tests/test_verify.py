@@ -300,7 +300,7 @@ def test_q_stability_lists_the_q_whose_answer_differs(monkeypatch):
     # the answers of q = 0 stay the reference; an empty answer shifts to itself
     for c, r in zip(clean, reports):
         assert r.details["dims"] == c.details["dims"]
-        assert r.details["mismatching_q"] == ([1] if c.details["dims"] else [])
+        assert r.details["mismatching_q"] == ([1] if c.details["dims"].dims else [])
     assert not all(r.passed for r in reports)
 
 
