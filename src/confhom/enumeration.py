@@ -42,10 +42,13 @@ the series in the demos and tests; the verification suite counts the plane
 basis it has already swept.
 
 Every count is a Python int, so the series is exact at any size or it is
-refused: the size in bits of the rows built and read is worked out from
-the weight totals and highest degrees of the table before anything is
-built, and more than `MAX_SERIES_BITS` raises ValueError instead of
-exhausting memory; `total_dim` refuses weights past 2^20.
+refused: the size in bits of the rows built and read is worked out before
+anything is built, and more than `MAX_SERIES_BITS` raises ValueError
+instead of exhausting memory; `total_dim` refuses weights past 2^20.  The
+weight totals of the table give its width, and so a bound on its size, the
+rows times their width times the degrees kept; only a table whose bound
+passes the limit is sized exactly, from the highest degree of each row, in
+a second sweep, and that exact size alone decides a refusal.
 """
 
 from __future__ import annotations
@@ -159,9 +162,15 @@ class BigradedDims:
         return self._dims
 
     def weight_slice(self, w: int) -> GradedDims:
-        if not 0 <= w < len(self._rows):
+        # a row past the end is empty; the rows' len() is not read, as a fold's
+        # rows may run past sys.maxsize
+        if w < 0:
             return GradedDims()
-        return GradedDims._trusted(_cells(self._rows[w]))
+        try:
+            row = self._rows[w]
+        except IndexError:
+            return GradedDims()
+        return GradedDims._trusted(_cells(row))
 
     def total(self) -> int:
         return sum(self.dims.values())
@@ -187,8 +196,9 @@ def _cells(row) -> dict[int, int]:
 class _PackedRows:
     """The rows of a series table by weight, each one Python int holding its
     counts at `width` bits per degree (degree d at bit d * width), decoded
-    to its nonzero cells {degree: count} when indexed; a weight below
-    `length` that `ints` lacks is an empty row."""
+    to its nonzero cells {degree: count} when indexed; a weight that `ints`
+    lacks is an empty row.  The table's rows are the weights below `length`,
+    which may pass sys.maxsize, where len() overflows."""
 
     __slots__ = ("_ints", "_length", "_width")
 
@@ -414,7 +424,7 @@ def _plane_totals(max_weight: int, p) -> list[int]:
     from .catalog import plane_config_generators
 
     _check_total_weight(max_weight)
-    return _weight_sizes(plane_config_generators(p, max(max_weight, 1)), max_weight)[0]
+    return _weight_totals(plane_config_generators(p, max(max_weight, 1)), max_weight)
 
 
 def _check_total_weight(max_weight: int) -> None:
@@ -445,27 +455,36 @@ def _strided_sweeps(gens, max_weight: int):
         yield g, sweep[sweep.start % step :: step]
 
 
-def _weight_sizes(gens, max_weight: int) -> tuple[list[int], list[int]]:
-    """Each weight's exact total dimension over all degrees (the
-    one-variable series, in Python ints) and highest degree of a monomial
-    (-1 where there is none; the same sweep in (max, +)), for the weights
-    <= max_weight.  They bound every cell and every row's degrees of the
-    two-variable table at every stage of its expansion.  `_strided_sweeps`
-    visits no row that must stay 0, and the result does not depend on the
-    order of `gens`."""
-    # made in place, not as a sum of two lists: at 2^24 weights each is 128 MiB
-    totals, tops = [0] * (max_weight + 1), [-1] * (max_weight + 1)
-    totals[0], tops[0] = 1, 0
+def _weight_totals(gens, max_weight: int) -> list[int]:
+    """Each weight's exact total dimension over all degrees, the
+    one-variable series in Python ints, for the weights <= max_weight.  It
+    bounds every cell of the two-variable table at every stage of its
+    expansion.  `_strided_sweeps` visits no row that must stay 0, and the
+    result does not depend on the order of `gens`."""
+    totals = [0] * (max_weight + 1)
+    totals[0] = 1
     for g, sweep in _strided_sweeps(gens, max_weight):
-        w0, d0 = g.weight, g.degree
+        w0 = g.weight
         for w in sweep:
             below = totals[w - w0]
             if below:
                 totals[w] += below
-                top = tops[w - w0] + d0
-                if top > tops[w]:
-                    tops[w] = top
-    return totals, tops
+    return totals
+
+
+def _weight_tops(gens, max_weight: int) -> list[int]:
+    """Each weight's highest degree of a monomial, -1 where there is none,
+    for the weights <= max_weight: the sweep of `_weight_totals` in (max, +).
+    It bounds every row's degrees at every stage of the expansion."""
+    tops = [-1] * (max_weight + 1)
+    tops[0] = 0
+    for g, sweep in _strided_sweeps(gens, max_weight):
+        w0, d0 = g.weight, g.degree
+        for w in sweep:
+            below = tops[w - w0]
+            if below >= 0 and below + d0 > tops[w]:
+                tops[w] = below + d0
+    return tops
 
 
 def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
@@ -478,9 +497,12 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     B the bit length of the largest weight total: that total bounds every
     cell at every stage, so the shifted adds that expand the factors never
     carry from one cell into the next.  The rows' size is known before any
-    is built, from one sweep giving each weight's total and highest degree; a
-    table of more than MAX_SERIES_BITS bits, counting each row as at least
-    _WORD_BITS, raises ValueError.  When every generator of degree 0 is
+    is built: one sweep gives the totals, so B and a bound of B * (dmax + 1)
+    bits a row, and only when the rows at that bound would pass
+    MAX_SERIES_BITS does a second sweep give each weight's highest degree,
+    for the exact size (`_check_series_size`).  A table of more than
+    MAX_SERIES_BITS bits, counting each row as at least _WORD_BITS, raises
+    ValueError.  When every generator of degree 0 is
     exterior, the table stops at the heaviest weight a monomial of degree
     <= dmax reaches, each generator taken once if exterior and dmax //
     degree times if not; the empty weights above it are not built.
@@ -493,13 +515,11 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     _check_series_generators(gens)
     gens = [g for g in gens if g.weight <= max_weight and g.degree <= dmax]
     max_weight = _reach(gens, max_weight, dmax)
-    bits = _WORD_BITS * (max_weight + 1)
-    if bits <= MAX_SERIES_BITS:
-        totals, tops = _weight_sizes(gens, max_weight)
-        width = max(totals).bit_length()
-        del totals
-        bits = _rows_bits(tops, width, dmax)
-    _check_series_bits(bits)
+    _check_series_bits(_WORD_BITS * (max_weight + 1))
+    width = max(_weight_totals(gens, max_weight)).bit_length()
+    _check_series_size(
+        max_weight + 1, width, dmax, lambda: _rows_bits(_weight_tops(gens, max_weight), width, dmax)
+    )
     rows = _expand(gens, max_weight, width, (1 << (dmax + 1) * width) - 1)
     nonzero = {w: row for w, row in enumerate(rows) if row}
     return BigradedDims(_PackedRows(nonzero, len(rows), width))
@@ -514,10 +534,20 @@ def _reach(gens, max_weight: int, dmax: int) -> int:
     return min(max_weight, sum(g.weight * (1 if g.exterior else dmax // g.degree) for g in gens))
 
 
+def _check_series_size(rows: int, width: int, dmax: int, exact) -> None:
+    """Refuse a table of `rows` rows at `width` bits per degree, truncated
+    at dmax, whose exact size `exact()` passes MAX_SERIES_BITS.  No row takes
+    more than max(width * (dmax + 1), _WORD_BITS) bits, so `exact`, which
+    reads the highest degree of every row, runs only when `rows` times that
+    passes the limit: a table far below it is sized by its width alone."""
+    if rows * max(width * (dmax + 1), _WORD_BITS) > MAX_SERIES_BITS:
+        _check_series_bits(exact())
+
+
 def _rows_bits(tops: list[int], width: int, dmax: int) -> int:
-    """The size of rows with the highest degrees `tops` (-1: empty),
+    """The exact size of rows with the highest degrees `tops` (-1: empty),
     truncated at dmax: `width` bits per degree, each row at least
-    _WORD_BITS."""
+    _WORD_BITS; read only near MAX_SERIES_BITS (`_check_series_size`)."""
     least = -(-_WORD_BITS // width) - 1  # a row whose top is below it takes one word
     if dmax < least:
         return _WORD_BITS * len(tops)
@@ -630,7 +660,10 @@ def _folded_rows(gens, ns, dmax: int, p) -> BigradedDims:
     every cell, and its bit length is the width.  H, the inner generator's
     rows on H's stride and the rows read are sized, each row at least
     _WORD_BITS, before anything is built, and more than MAX_SERIES_BITS
-    bits raises ValueError.
+    bits raises ValueError.  The width comes from the totals sweep alone,
+    and the highest degree of each row is read only when the rows at the
+    width times dmax + 1 bits each would pass the limit
+    (`_check_series_size`).
     """
     as_prime(p)
     if dmax < 0:
@@ -649,18 +682,20 @@ def _folded_rows(gens, ns, dmax: int, p) -> BigradedDims:
     step = step or 1
     scaled = [_Factor(g, step) for g in heavy]
     inner_rows = last + 1 if light and not light[0].exterior else 0
-    bits = _WORD_BITS * (last + 1 + inner_rows + len(ns))
-    if bits <= MAX_SERIES_BITS:
-        totals, tops = _weight_sizes(scaled, last)
-        width = (sum(totals) * _fillings(light, top_weight)).bit_length()
-        del totals
+    rows = last + 1 + inner_rows + len(ns)
+    _check_series_bits(_WORD_BITS * rows)
+    width = (sum(_weight_totals(scaled, last)) * _fillings(light, top_weight)).bit_length()
+
+    def exact() -> int:
         # no weight-x row of a product passes x times its steepest factor's ratio
         steepest = _steepest(heavy + light[:1])
         inner_tops = [_top_degree(steepest, k * step) for k in range(inner_rows)]
         steepest = _steepest(gens)
         read_tops = [_top_degree(steepest, n) for n in ns]
-        bits = sum(_rows_bits(t, width, dmax) for t in (tops, inner_tops, read_tops))
-    _check_series_bits(bits)
+        tops = (_weight_tops(scaled, last), inner_tops, read_tops)
+        return sum(_rows_bits(t, width, dmax) for t in tops)
+
+    _check_series_size(rows, width, dmax, exact)
     keep = (1 << (dmax + 1) * width) - 1
     hrows = _expand(scaled, last, width, keep)
     rows_at = _inner_rows(hrows, step, light[:1], width, keep)

@@ -89,6 +89,14 @@ def _stable_plane_slice(p, bound):
     return poincare(plane_config_generators(p, m), m, p).truncate(bound)
 
 
+def _stable_sign_slice_p2(q, bound):
+    """The degree <= bound part of the weight-n shifted slice at p = 2 for
+    every n >= 2 * bound, enumerated at 2 * bound: every shifted generator but
+    the point class, of shifted degree 0, has weight 2^k and shifted degree
+    2^k - 1, at most twice its degree, as for `_stable_plane_slice`."""
+    return _enumerated_shifted_slice(2 * bound, 2, q).truncate(bound)
+
+
 @pytest.mark.parametrize("p, n, bound", [(2, 100000, 10), (3, 30000, 9), (5, 50001, 12)])
 def test_zp_at_large_weight_matches_the_stable_slice(p, n, bound):
     stable = _stable_plane_slice(p, bound).convolve_geometric(1, bound)
@@ -112,12 +120,18 @@ LARGE_WEIGHT_SMALL_BOUND = [
     (["sign", "--p", "3", "--n", "300001", "--q", "1", "--dmax", "200"], []),
     (["equivariant", "--group", "Zp", "--p", "2", "--n", "100000", "--dmax", "10"],
      _stable_plane_slice(2, 10).convolve_geometric(1, 10).to_pairs()),
+    # weights past sys.maxsize, whose table has too many rows for len()
+    (["equivariant", "--group", "Zp", "--p", "3", "--n", "99999999999999999999", "--dmax", "4"],
+     _stable_plane_slice(3, 4).convolve_geometric(1, 4).to_pairs()),
+    (["sign", "--p", "2", "--n", "99999999999999999999", "--q", "1", "--dmax", "4"],
+     _stable_sign_slice_p2(1, 4).convolve_geometric(2, 4).to_pairs()),
 ]
 
 
 @pytest.mark.parametrize("argv, dims", LARGE_WEIGHT_SMALL_BOUND,
                          ids=["sign-p1000000007", "sign-p3", "sign-p3-q0-dmax200",
-                              "sign-p3-q1-dmax200", "zp-p2"])
+                              "sign-p3-q1-dmax200", "zp-p2", "zp-p3-past-maxsize",
+                              "sign-p2-past-maxsize"])
 def test_large_weight_with_small_degree_bound_answers(argv, dims):
     proc = subprocess.run([sys.executable, "-m", "confhom", *argv],
                           capture_output=True, text=True, timeout=5)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -26,7 +27,9 @@ from confhom.enumeration import (
     MAX_SERIES_BITS,
     _monomial_bases,
     _plane_totals,
-    _weight_sizes,
+    _rows_bits,
+    _weight_tops,
+    _weight_totals,
 )
 
 from oracles import (
@@ -269,7 +272,7 @@ def _basis_fields(basis):
 def test_the_walk_yields_each_one_weight_basis(factors, max_n, seed):
     # generator k has rank (9, k): the first listed is the lowest
     gens = [Generator("tower", k, f"g{k}", *f, (9, k)) for k, f in enumerate(factors)]
-    assume(sum(_weight_sizes(gens, max_n)[0]) <= 20000)
+    assume(sum(_weight_totals(gens, max_n)) <= 20000)
     seed.shuffle(gens)
     walked = list(_monomial_bases(gens, range(max_n + 1), 3))
     assert len(walked) == max_n + 1
@@ -309,7 +312,7 @@ def test_a_sweep_from_any_weight_closes_each_basis_as_its_one_weight_walk(
 ):
     # the closing table a sweep fills at one weight is read again at later ones
     gens = [Generator("tower", k, f"g{k}", *f, (9, k)) for k, f in enumerate(factors)]
-    assume(sum(_weight_sizes(gens, start + span)[0]) <= 20000)
+    assume(sum(_weight_totals(gens, start + span)) <= 20000)
     seed.shuffle(gens)
     weights = range(start, start + span)
     swept = list(_monomial_bases(gens, weights, 3, texts, dmax))
@@ -524,6 +527,38 @@ def test_series_table_sizes_its_rows_in_one_sweep(monkeypatch):
     assert len(calls) == 2 * len(gens)
 
 
+def test_series_table_near_the_limit_reads_the_highest_degrees(monkeypatch):
+    # with the limit between the exact size and the bound from the width,
+    # a second sweep per generator gives the highest degrees for the exact
+    # size, and the table is built
+    gens = plane_config_generators(3, 50)
+    want = series_table(gens, 50, 60, 3).dims
+    width = max(_weight_totals(gens, 50)).bit_length()
+    exact = _rows_bits(_weight_tops(gens, 50), width, 60)
+    bound = 51 * max(width * 61, 64)
+    assert exact < bound
+    calls = []
+    real = enumeration._sweep
+    monkeypatch.setattr(enumeration, "_sweep", lambda g, w: calls.append(g) or real(g, w))
+    monkeypatch.setattr(enumeration, "MAX_SERIES_BITS", (exact + bound) // 2)
+    assert series_table(gens, 50, 60, 3).dims == want
+    assert len(calls) == 3 * len(gens)
+
+
+def test_tables_below_the_limit_read_no_highest_degree(monkeypatch):
+    # the count answers' tables are sized by their totals alone
+    def fail(*args):
+        raise AssertionError("highest degrees read below the limit")
+
+    monkeypatch.setattr(enumeration, "_weight_tops", fail)
+    monkeypatch.setattr(enumeration, "_rows_bits", fail)
+    for p, n in ((2, 104), (3, 195), (5, 400)):
+        gens = plane_config_generators(p, n)
+        assert series_coefficient(gens, n, None, p).total() == total_dim(n, p)
+        series_table(gens, 60, 60, p)
+    signhom.sign_rep_homology(280, 3, 1)
+
+
 def _weight_one_exterior(count):
     return [Generator("tower", k, f"e{k}", 1, 1, True, (9, k)) for k in range(count)]
 
@@ -598,8 +633,8 @@ def test_strided_expansion_matches_product_expansion(factors, max_weight, dmax, 
     for (w, d), count in cells.items():
         totals[w] += count
         tops[w] = max(tops[w], d)
-    assert _weight_sizes(gens, max_weight) == (totals, tops)
-    assert _weight_sizes(shuffled, max_weight) == (totals, tops)
+    assert _weight_totals(gens, max_weight) == _weight_totals(shuffled, max_weight) == totals
+    assert _weight_tops(gens, max_weight) == _weight_tops(shuffled, max_weight) == tops
 
 
 @settings(max_examples=300, deadline=None)
@@ -638,6 +673,64 @@ def test_the_fold_reads_the_rows_of_the_swept_table(factors, n, offset, more):
     table = enumeration._folded_rows(gens, ns, dmax, 3)
     for m in ns:
         assert table.weight_slice(m) == swept.weight_slice(m)
+
+
+def _sized(build):
+    """The answer of `build()`, and the rows, width, exact size and bound its
+    table was sized by: the arguments of its `_check_series_size` call."""
+    seen = []
+    real = enumeration._check_series_size
+
+    def spy(rows, width, dmax, exact):
+        seen.append((rows, width, exact(), rows * max(width * (dmax + 1), 64)))
+        return real(rows, width, dmax, exact)
+
+    with mock.patch.object(enumeration, "_check_series_size", spy):
+        table = build()
+    (sizes,) = seen
+    return table, sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors=_factor_lists(), n=st.integers(0, 40), below=st.integers(0, 40),
+       dmax=st.integers(0, 30))
+# rows of 64 bits alone; a bound far above the exact size; two rows one apart
+@example(factors=[(1, 0, True), (2, 1, True)], n=3, below=0, dmax=0)
+@example(factors=[(1, 0, False), (2, 1, False), (4, 3, False), (8, 7, False)], n=40,
+         below=17, dmax=30)
+@example(factors=[(1, 2, False), (3, 1, True), (5, 0, True)], n=40, below=39, dmax=30)
+def test_a_limit_refuses_exactly_the_tables_of_more_bits(factors, n, below, dmax):
+    # the bound from the width decides only whether the exact size is read:
+    # at a limit below, at, between and above the two sizes, the table, and
+    # the one- and two-row reads, refuse when the exact size passes the
+    # limit, naming it, and are otherwise the table built under the real one
+    gens = [Generator("tower", k, f"g{k}", *f, (9, k)) for k, f in enumerate(factors)]
+    builds = [
+        lambda: series_table(gens, n, dmax, 3),
+        lambda: enumeration._complete_table(gens, [n], 3, dmax),
+        lambda: enumeration._complete_table(gens, [min(below, n), n + 1], 3, dmax),
+    ]
+    for build in builds:
+        table, (rows, width, exact, bound) = _sized(build)
+        assert 64 * rows <= exact <= bound
+        for limit in (exact - 1, exact, (exact + bound) // 2, bound + 1):
+            with mock.patch.object(enumeration, "MAX_SERIES_BITS", limit):
+                if exact > limit:
+                    with pytest.raises(ValueError, match=f"at least {exact} bits exceeds the "
+                                                         f"limit of {limit}$"):
+                        build()
+                else:
+                    assert build().dims == table.dims
+    # the table's exact size from the product: its rows at the width of the
+    # largest total, each at least 64 bits
+    table, (rows, width, exact, _) = _sized(builds[0])
+    kept = [f for f in factors if f[0] <= n and f[1] <= dmax]
+    totals, tops = [0] * rows, [-1] * rows
+    for (w, d), count in product_expansion(kept, rows - 1).items():
+        totals[w] += count
+        tops[w] = max(tops[w], d)
+    assert width == max(totals).bit_length()
+    assert exact == sum(max(width * (min(t, dmax) + 1), 64) for t in tops)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

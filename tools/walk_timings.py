@@ -11,7 +11,8 @@ times as the spread.  With `--parent`, the other tree's package is loaded
 in the same interpreter under another name, every run times both trees
 back to back, in turns, so that both see the same load on the host, and
 each round also gives the ratio of the two trees' least times.  Standard
-library only.
+library only; `series_timings.py` runs its shapes through the same loader,
+rounds and command line (`run`).
 """
 
 from __future__ import annotations
@@ -41,10 +42,14 @@ def _package(src: Path, name: str):
     return package
 
 
-def _shapes(pkg) -> dict[str, list[tuple]]:
-    """Each shape's walks, as the arguments of `_monomial_bases`."""
-    bv, algebra = sys.modules[pkg.__name__ + ".bv"], sys.modules[pkg.__name__ + ".algebra"]
-    catalog = sys.modules[pkg.__name__ + ".catalog"]
+def _modules(pkg, *names):
+    """The submodules `names` of the package `pkg`, which is already imported."""
+    return [sys.modules[f"{pkg.__name__}.{name}"] for name in names]
+
+
+def _shapes(pkg) -> dict:
+    """Each shape as a function that runs its walks once."""
+    bv, algebra, catalog, enumeration = _modules(pkg, "bv", "algebra", "catalog", "enumeration")
 
     def one_weight(p, ns, texts):
         prime = algebra.as_prime(p)
@@ -62,7 +67,7 @@ def _shapes(pkg) -> dict[str, list[tuple]]:
         return [(catalog.plane_config_generators(prime, n), range(n, n + 1), prime, True,
                  bv._equivariant_s1_dims([n], prime, None)[n].bound) for n in ns]
 
-    return {
+    shapes = {
         # the `basis` listing's walks, as texts
         "basis p=2 n=60,75,90 texts": one_weight(2, (60, 75, 90), True),
         "basis p=2 n=80 texts": one_weight(2, (80,), True),
@@ -85,20 +90,26 @@ def _shapes(pkg) -> dict[str, list[tuple]]:
         "s1 tensor p=3 n=42,54,66 texts dmax": s1_tensor(3, (42, 54, 66)),
     }
 
+    def walks(args):
+        def walk_all():
+            for gens, weights, prime, texts, dmax in args:
+                for _ in enumeration._monomial_bases(gens, weights, prime, texts, dmax):
+                    pass
+        return walk_all
 
-def _once(walk, walks) -> float:
+    return {name: walks(args) for name, args in shapes.items()}
+
+
+def _once(run) -> float:
     start = time.perf_counter()
-    for gens, weights, prime, texts, dmax in walks:
-        for _ in walk(gens, weights, prime, texts, dmax):
-            pass
+    run()
     return time.perf_counter() - start
 
 
-def measure(packages: dict, rounds: int, runs: int) -> dict:
-    """{shape: {tree: [least ms of each round]}} over the packages by tree."""
-    trees = {side: (sys.modules[pkg.__name__ + ".enumeration"]._monomial_bases, _shapes(pkg))
-             for side, pkg in packages.items()}
-    names = list(next(iter(trees.values()))[1])
+def measure(trees: dict, rounds: int, runs: int) -> dict:
+    """{shape: {tree: [least ms of each round]}}, trees given as {tree:
+    {shape: a function that runs it once}}, every tree with the same shapes."""
+    names = list(next(iter(trees.values())))
     result = {name: {side: [] for side in trees} for name in names}
     for r in range(rounds):
         for name in names:
@@ -106,8 +117,7 @@ def measure(packages: dict, rounds: int, runs: int) -> dict:
             order = list(trees) if r % 2 == 0 else list(trees)[::-1]
             for i in range(runs + 1):
                 for side in order:
-                    walk, shapes = trees[side]
-                    elapsed = _once(walk, shapes[name])
+                    elapsed = _once(trees[side][name])
                     if i:  # the first run warms up
                         best[side] = min(best[side], elapsed)
             for side in trees:
@@ -121,7 +131,13 @@ def _iqr(values: list[float]) -> float:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    return run(argv, __doc__, _shapes, "walk shape")
+
+
+def run(argv, doc: str, shapes_of, kind: str) -> int:
+    """The command line of a timing tool: `shapes_of(package)` gives each
+    shape's function, run in rounds on this tree and on `--parent`'s."""
+    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("--runs", type=int, default=40, help="runs per shape and round (least kept)")
     ap.add_argument("--rounds", type=int, default=5, help="rounds (each keeps its least time)")
     ap.add_argument("--parent", type=Path, help="the src directory of the tree to compare with")
@@ -132,7 +148,8 @@ def main(argv=None) -> int:
     if args.parent is not None:
         packages = {"parent": _package(args.parent.resolve(), "confhom_parent"), **packages}
     shapes = {}
-    for name, by_side in measure(packages, args.rounds, args.runs).items():
+    trees = {side: shapes_of(pkg) for side, pkg in packages.items()}
+    for name, by_side in measure(trees, args.rounds, args.runs).items():
         row = {side: {"min_ms": min(t), "median_ms": round(statistics.median(t), 4),
                       "iqr_ms": _iqr(t)} for side, t in by_side.items()}
         line = "  ".join(f"{side} {r['min_ms']:8.3f} ms (IQR {r['iqr_ms']:.3f})"
@@ -149,7 +166,7 @@ def main(argv=None) -> int:
         print(f"{line}  {name}")
     if args.out:
         args.out.write_text(json.dumps({
-            "what": "wall time of each walk shape in ms: the least of each round's runs, "
+            "what": f"wall time of each {kind} in ms: the least of each round's runs, "
                     "then their least, median and interquartile range over the rounds",
             "rounds": args.rounds,
             "runs_per_round": args.runs,
