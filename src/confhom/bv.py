@@ -41,15 +41,15 @@ Python-int counts, serves as the oracle for both regimes.
 Every dimension of these answers comes from the Hilbert series; only the
 JSON listings enumerate a basis and share its limits.
 `_equivariant_s1_dims` gives the S1 dims of a range of weights to every
-format and to `verify`.  Every "row n of a series table times
+format and to `verify`.  Every "weight-n slice of a series times
 1/(1 - t^step)" answer (the S1 tensor and Zp here, sign and mod-2 in
-`signhom`) is one `_CircleAnswer` of the row, the step and the bound,
-made by `_rows_times_circle`: the public functions return its `expand()`,
-the CLI writes its pairs from the row in every format, and `verify`
-compares two by their rows.  `_delta_counts`
-reads the plane slice and the rank in each degree off rows n - 2 and n of
-one table over the plane generators without the odd class, as the
-operator is injective on the sources it does not kill.
+`signhom`) is one `_CircleAnswer` of the slice `_complete_table` hands
+out, the step and the bound, made by `_rows_times_circle`: the public
+functions return its `expand()`, the CLI writes its pairs from the slice
+in every format, and `verify` compares two by their slices.
+`_delta_counts` reads the plane slice and the rank in each degree off the
+slices n - 2 and n of the series over the plane generators without the
+odd class, as the operator is injective on the sources it does not kill.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def _image_rows(images, target) -> list[list[int]]:
 
 def _delta_counts(n: int, p, degree: int | None) -> list[tuple[int, int, int, int]]:
     """(degree, source dim, target dim, rank) of the operator in weight n,
-    from rows n - 2 and n of one series table, S, over the plane generators
+    from the slices n - 2 and n of the series, S, over the plane generators
     without the odd class, for `degree` or else every degree of the basis.
     The plane slice is S(n) + t S(n - 2), the monomials without and with u.
     At odd p the operator is injective on the sources it does not kill,
@@ -214,11 +214,11 @@ def _delta_counts(n: int, p, degree: int | None) -> list[tuple[int, int, int, in
     prime = as_prime(p)
     gens = [g for g in plane_config_generators(prime, max(n, 1)) if g.kind != KIND_U]
     ns = [n - 2, n] if prime.p != 2 and n >= 2 else [n]
-    table = _complete_table(gens, ns, prime)
-    plane = dict(table.weight_slice(n).dims)
+    slices = _complete_table(gens, ns, prime)
+    plane = dict(slices[n].dims)
     ranks: dict[int, int] = {}
     if len(ns) == 2:
-        below = table.weight_slice(n - 2).dims
+        below = slices[n - 2].dims
         for d, c in below.items():
             plane[d + 1] = plane.get(d + 1, 0) + c
         if n % prime.p > 1:
@@ -273,8 +273,8 @@ def _equivariant_s1(n: int, prime, dmax: int | None, texts: bool = False):
 def _equivariant_s1_dims(ns, p, dmax: int | None) -> dict:
     """`equivariant_s1(n, p, dmax).dims` for each n of the ascending ns, from
     one table per regime and no basis: the plane slice times the circle, as
-    a `_CircleAnswer`, or row n of the series over the plane generators
-    without the odd class.
+    a `_CircleAnswer`, or the weight-n slice of the series over the plane
+    generators without the odd class.
     Besides the series' own size limit, only a negative n and, in the tensor
     regime, a dmax above MAX_BASIS are refused: the basis and pair-count
     limits belong to the listing."""
@@ -289,8 +289,7 @@ def _equivariant_s1_dims(ns, p, dmax: int | None) -> dict:
         dims = _rows_times_circle(gens, tensor, prime, dmax, 2)
     if coker:
         gens = [g for g in plane_config_generators(prime, coker[-1]) if g.kind != KIND_U]
-        table = _complete_table(gens, coker, prime)
-        dims.update((n, table.weight_slice(n)) for n in coker)
+        dims.update(_complete_table(gens, coker, prime))
     return dims
 
 
@@ -322,8 +321,8 @@ def _rows_times_circle(gens, ns, prime, dmax: int | None, step: int) -> dict[int
     through the largest bound, built after every bound is checked."""
     bounds = {n: _degree_bound(n, dmax) for n in ns}
     # a negative bound reads no degree, and the table's least bound is 0
-    table = _complete_table(gens, ns, prime, max(0, *bounds.values()))
-    return {n: _CircleAnswer(table.weight_slice(n), step, bounds[n]) for n in ns}
+    slices = _complete_table(gens, ns, prime, max(0, *bounds.values()))
+    return {n: _CircleAnswer(slices[n], step, bounds[n]) for n in ns}
 
 
 def serre_e3(n: int, p, degree_bound: int | None = None) -> BigradedDims:

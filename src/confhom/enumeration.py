@@ -5,16 +5,18 @@ graded-commutative algebra (a geometric factor per polynomial generator,
 `1 + t^d s^w` per exterior one), on a weight x degree table whose rows
 are Python ints, one per weight, holding that weight's counts at a fixed
 number of bits per degree.  Every dimension-only command reads its answer
-from rows of `_complete_table` (`series_coefficient` reads one): the table
-of every generator but the two lightest is expanded in place on its own
-stride, and those two are folded in only at the weights the rows read, a
-polynomial one as running sums or a recurrence along a residue class of
-the table's rows, an exterior one as two terms, so a one-row read costs
-about n / (the stride) steps where a sweep of every weight costs n per
-generator.  `series_table` sweeps every factor over every weight, for a
-reader of a range of rows and as the fold's oracle; `total_dim` reads the
-one-variable series in weight alone.  A row read is decoded by halving
-into its nonzero cells alone (`_PackedRows`).
+from the weight slices `_complete_table` hands out, {n: GradedDims} for
+exactly the weights asked (`series_coefficient` reads one).  For one or
+two, the table of every generator but the two lightest is expanded in
+place on its own stride, and those two are folded in only at the weights
+read, a polynomial one as running sums or a recurrence along a residue
+class of the table's rows, an exterior one as two terms, so a one-row read
+costs about n / (the stride) steps where a sweep of every weight costs n
+per generator; no other row is kept.  For a range, `series_table` sweeps
+every factor over every weight into a table whose rows are decoded as they
+are read (`_PackedRows`); it is also the fold's oracle.  Every row is
+decoded by halving into its nonzero cells alone (`_decode`).  `total_dim`
+reads the one-variable series in weight alone.
 Both take the generators heaviest first, each sweep strided by the gcd of
 the weights so far: rows off the stride stay 0, and the table is the same
 in any order.
@@ -143,9 +145,10 @@ class BigradedDims:
     """A finite map (weight, degree) -> dimension over a table of Python
     ints indexed [weight][degree] (the spectral-sequence page indexes it
     [fiber degree][base column]): any sequence of int rows, ragged or lazy,
-    or of dicts of their nonzero cells (`_PackedRows`); `dims` is the dict
-    of its nonzero cells, made when first read, and `weight_slice` reads one
-    row of a series table, whose cells are never negative, unchecked."""
+    or of dicts of their nonzero cells (`_PackedRows`, the rows of
+    `series_table`); `dims` is the dict of its nonzero cells, made when
+    first read, and `weight_slice` reads one row of a series table, whose
+    cells are never negative, unchecked."""
 
     __slots__ = ("_dims", "_rows")
     __iter__ = None  # as for `GradedDims`
@@ -162,15 +165,8 @@ class BigradedDims:
         return self._dims
 
     def weight_slice(self, w: int) -> GradedDims:
-        # a row past the end is empty; the rows' len() is not read, as a fold's
-        # rows may run past sys.maxsize
-        if w < 0:
-            return GradedDims()
-        try:
-            row = self._rows[w]
-        except IndexError:
-            return GradedDims()
-        return GradedDims._trusted(_cells(row))
+        rows = self._rows
+        return GradedDims._trusted(_cells(rows[w]) if 0 <= w < len(rows) else {})
 
     def total(self) -> int:
         return sum(self.dims.values())
@@ -194,45 +190,43 @@ def _cells(row) -> dict[int, int]:
 
 
 class _PackedRows:
-    """The rows of a series table by weight, each one Python int holding its
+    """The rows of `series_table` by weight, each one Python int holding its
     counts at `width` bits per degree (degree d at bit d * width), decoded
-    to its nonzero cells {degree: count} when indexed; a weight that `ints`
-    lacks is an empty row.  The table's rows are the weights below `length`,
-    which may pass sys.maxsize, where len() overflows."""
+    to its nonzero cells {degree: count} when indexed (`_decode`)."""
 
-    __slots__ = ("_ints", "_length", "_width")
+    __slots__ = ("_ints", "_width")
 
-    def __init__(self, ints: dict[int, int], length: int, width: int):
+    def __init__(self, ints: list[int], width: int):
         self._ints = ints
-        self._length = length
         self._width = width
 
     def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self):
-        return map(self.__getitem__, range(self._length))
+        return len(self._ints)
 
     def __getitem__(self, w: int) -> dict[int, int]:
-        """Row w by halving: each level splits every nonzero chunk of cells
-        by one mask and one shift, so k cells cost about log2 k levels of
-        int operations and no step per zero cell."""
-        row, b = self._ints.get(w, 0), self._width
-        cells = {0: row} if row else {}
-        # the largest power of 2 below the row's cell count
-        half = 1 << (-(-row.bit_length() // b) - 1).bit_length() >> 1
-        while half:
-            shift = half * b
-            mask = (1 << shift) - 1
-            split = {}
-            for d, chunk in cells.items():
-                if low := chunk & mask:
-                    split[d] = low
-                if high := chunk >> shift:
-                    split[d + half] = high
-            cells = split
-            half >>= 1
-        return cells
+        return _decode(self._ints[w], self._width)
+
+
+def _decode(row: int, width: int) -> dict[int, int]:
+    """A packed row's nonzero cells {degree: count}, degrees ascending, by
+    halving: each level splits every nonzero chunk of cells by one mask and
+    one shift, so k cells cost about log2 k levels of int operations and no
+    step per zero cell."""
+    cells = {0: row} if row else {}
+    # the largest power of 2 below the row's cell count
+    half = 1 << (-(-row.bit_length() // width) - 1).bit_length() >> 1
+    while half:
+        shift = half * width
+        mask = (1 << shift) - 1
+        split = {}
+        for d, chunk in cells.items():
+            if low := chunk & mask:
+                split[d] = low
+            if high := chunk >> shift:
+                split[d + half] = high
+        cells = split
+        half >>= 1
+    return cells
 
 
 def monomial_basis(gens, n: int, p) -> list[Monomial]:
@@ -520,9 +514,8 @@ def series_table(gens, max_weight: int, dmax: int, p) -> BigradedDims:
     _check_series_size(
         max_weight + 1, width, dmax, lambda: _rows_bits(_weight_tops(gens, max_weight), width, dmax)
     )
-    rows = _expand(gens, max_weight, width, (1 << (dmax + 1) * width) - 1)
-    nonzero = {w: row for w, row in enumerate(rows) if row}
-    return BigradedDims(_PackedRows(nonzero, len(rows), width))
+    keep = (1 << (dmax + 1) * width) - 1
+    return BigradedDims(_PackedRows(_expand(gens, max_weight, width, keep), width))
 
 
 def _reach(gens, max_weight: int, dmax: int) -> int:
@@ -585,33 +578,35 @@ def series_coefficient(gens, n: int, dmax: int | None, p) -> GradedDims:
 
     With dmax None the bound is n times the largest degree-to-weight ratio
     of the generators, which no weight-n monomial exceeds, so the slice is
-    complete: the dimensions `poincare` counts by enumeration.  It is row n
-    of `_complete_table`, which folds in the two lightest generators only
-    at the weights row n reads.
+    complete: the dimensions `poincare` counts by enumeration.  It is the
+    one slice `_complete_table` hands out for [n], from the fold, which
+    takes in the two lightest generators only at the weights row n reads.
     """
-    return _complete_table(gens, [n], p, dmax).weight_slice(n)
+    return _complete_table(gens, [n], p, dmax)[n]
 
 
-def _complete_table(gens, ns, p, dmax: int | None = None) -> BigradedDims:
-    """Rows ns (ascending, nonempty) of the series, truncated at dmax or, if
-    lower, at ns[-1] times the largest degree-to-weight ratio of the
-    generators: no monomial of weight n <= ns[-1] passes n times that ratio,
-    and generators heavier than n never reach row n, so row n is
+def _complete_table(gens, ns, p, dmax: int | None = None) -> dict[int, GradedDims]:
+    """The weight slices {n: GradedDims} of the series for exactly the
+    weights ns (ascending, nonempty), truncated at dmax or, if lower, at
+    ns[-1] times the largest degree-to-weight ratio of the generators: no
+    monomial of weight n <= ns[-1] passes n times that ratio, and generators
+    heavier than n never reach row n, so slice n is
     `series_coefficient(gens, n, dmax, p)`.
 
-    One or two rows (`poincare`, `sign`, Zp, the S1 and `delta` counts)
-    come from the fold, `_folded_rows`, which keeps no other row.  A reader
+    One or two slices (`poincare`, `sign`, Zp, the S1 and `delta` counts)
+    come from the fold, `_folded_rows`, which builds no other row.  A reader
     of more, a range of weights (the verification tables,
     `bv._equivariant_s1_dims` over a range), reads most rows of the table
-    anyway, and takes `series_table`, which sweeps every factor over every
-    weight in one tight loop each."""
+    anyway, and its slices are read off `series_table`, which sweeps every
+    factor over every weight in one tight loop each."""
     if ns[0] < 0:
         raise ValueError(f"weight must be >= 0, got {ns[0]}")
     _check_series_generators(gens)
     bound = _top_degree(_steepest(gens), ns[-1])
     dmax = bound if dmax is None else min(dmax, bound)
     if len(ns) > 2:
-        return series_table(gens, ns[-1], dmax, p)
+        table = series_table(gens, ns[-1], dmax, p)
+        return {n: table.weight_slice(n) for n in ns}
     return _folded_rows(gens, ns, dmax, p)
 
 
@@ -639,10 +634,12 @@ class _Factor:
         self.weight, self.degree, self.exterior = g.weight // stride, g.degree, g.exterior
 
 
-def _folded_rows(gens, ns, dmax: int, p) -> BigradedDims:
-    """Rows ns of the series over `gens`, truncated at dmax: the table H of
-    every generator but the two lightest, times one of those two (the inner
-    one) on H's rows, times the other (the outer one) at each row read.
+def _folded_rows(gens, ns, dmax: int, p) -> dict[int, GradedDims]:
+    """The slices {n: GradedDims} of the series over `gens` for the weights
+    ns, truncated at dmax, each decoded from its one packed row (`_decode`):
+    the table H of every generator but the two lightest, times one of those
+    two (the inner one) on H's rows, times the other (the outer one) at each
+    row read.
 
     H is expanded by the strided sweeps on its own stride, the gcd of its
     weights, and, when its generators of degree 0 are all exterior, only up
@@ -701,7 +698,7 @@ def _folded_rows(gens, ns, dmax: int, p) -> BigradedDims:
     rows_at = _inner_rows(hrows, step, light[:1], width, keep)
     del hrows
     rows = _outer_rows(rows_at, ns, light[1:], width, dmax, keep)
-    return BigradedDims(_PackedRows(rows, top_weight + 1, width))
+    return {n: GradedDims._trusted(_decode(row, width)) for n, row in rows.items()}
 
 
 def _fillings(light, max_weight: int) -> int:

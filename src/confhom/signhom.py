@@ -38,7 +38,7 @@ from .algebra import _shared, as_prime
 from .brackets import LabelClass, cohen_generators, enumerate_basic_brackets
 from .bv import _CircleAnswer, _rows_times_circle
 from .catalog import sphere_labelled_generators
-from .enumeration import BigradedDims, GradedDims, _complete_table
+from .enumeration import GradedDims, _complete_table
 from .reports import VerifyReport
 
 # What the closed forms and the bracket tower must agree on, generator by generator.
@@ -58,8 +58,8 @@ def _shifted(g, sphere_dim: int):
     return replace(g, degree=g.degree - sphere_dim * g.weight)
 
 
-def _shifted_table(prime, sphere_dim: int, ns: range) -> BigradedDims:
-    """Rows ns of their series: row n is `shifted_weight_slice(n, prime, sphere_dim)`."""
+def _shifted_table(prime, sphere_dim: int, ns: range) -> dict[int, GradedDims]:
+    """The slices ns of their series: slice n is `shifted_weight_slice(n, prime, sphere_dim)`."""
     return _complete_table(_shifted_generators(prime, sphere_dim, ns[-1]), ns, prime)
 
 
@@ -67,7 +67,7 @@ def shifted_weight_slice(n: int, p, sphere_dim: int) -> GradedDims:
     """Weight-n slice of the algebra over labels in a sphere of dimension
     sphere_dim (2q+1 for sign coefficients, 2q for the mod-2 trivial route),
     degrees shifted down by n * sphere_dim."""
-    return _shifted_table(as_prime(p), sphere_dim, range(n, n + 1)).weight_slice(n)
+    return _shifted_table(as_prime(p), sphere_dim, range(n, n + 1))[n]
 
 
 def _answers_by_weight(

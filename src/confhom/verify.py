@@ -207,10 +207,10 @@ def _series_agreement(prime, max_n: int) -> _Step:
 
     def visit(step, n, by_deg):
         counted = GradedDims({d: len(ms) for d, ms in by_deg.items()})
-        if counted != plane.weight_slice(n):
+        if counted != plane[n]:
             step.failures.append(f"n={n}")
         enumerated = GradedDims({d - n: len(ms) for d, ms in next(labelled_bases).items()})
-        if sign.weight_slice(n) != enumerated:
+        if sign[n] != enumerated:
             step.failures.append(f"n={n} sign slice")
 
     return _Step(f"enumeration-vs-series p={prime.p} n<={max_n}", max_n, visit)

@@ -120,7 +120,7 @@ LARGE_WEIGHT_SMALL_BOUND = [
     (["sign", "--p", "3", "--n", "300001", "--q", "1", "--dmax", "200"], []),
     (["equivariant", "--group", "Zp", "--p", "2", "--n", "100000", "--dmax", "10"],
      _stable_plane_slice(2, 10).convolve_geometric(1, 10).to_pairs()),
-    # weights past sys.maxsize, whose table has too many rows for len()
+    # weights past sys.maxsize: the fold builds the rows read and none below
     (["equivariant", "--group", "Zp", "--p", "3", "--n", "99999999999999999999", "--dmax", "4"],
      _stable_plane_slice(3, 4).convolve_geometric(1, 4).to_pairs()),
     (["sign", "--p", "2", "--n", "99999999999999999999", "--q", "1", "--dmax", "4"],
@@ -137,6 +137,24 @@ def test_large_weight_with_small_degree_bound_answers(argv, dims):
                           capture_output=True, text=True, timeout=5)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["dims"] == dims
+
+
+def test_complete_table_hands_out_exactly_its_slices():
+    # one or two slices from the fold, a range read off the swept table
+    gens = plane_config_generators(3, 40)
+    swept = enumeration.series_table(gens, 40, 30, 3)
+    for ns in ([17], [13, 40], [0, 1, 2], list(range(5, 41, 5))):
+        slices = enumeration._complete_table(gens, ns, 3, 30)
+        assert list(slices) == ns
+        for n in ns:
+            assert type(slices[n]) is GradedDims and slices[n] == swept.weight_slice(n)
+    # past sys.maxsize no weight but n is decoded
+    n = 10**20
+    gens = plane_config_generators(3, n)
+    started = time.perf_counter()
+    slices = enumeration._complete_table(gens, [n], 3, 4)
+    assert slices == {n: _stable_plane_slice(3, 4)}
+    assert time.perf_counter() - started < 1.0
 
 
 # Each exited 2 while the series swept every weight 0..n: the two lightest
@@ -391,17 +409,19 @@ def test_prime_beyond_certified_range_exits_2(capsys):
 
 
 def test_delta_counts_read_only_the_rows_the_table_holds(monkeypatch):
-    # the plane slice and the ranks are rows n and n - 2 of one table over the
-    # plane generators without the odd class, and no other weight is read
-    real = enumeration.BigradedDims.weight_slice
-    rows = []
+    # the plane slice and the ranks are the slices n and n - 2 of one read of
+    # the series over the plane generators without the odd class, and no
+    # other weight is built
+    real = bv._complete_table
+    reads = []
 
-    def counted(self, w):
-        rows.append(w)
-        return real(self, w)
+    def counted(gens, ns, prime, dmax=None):
+        slices = real(gens, ns, prime, dmax)
+        reads.append((list(ns), list(slices)))
+        return slices
 
-    monkeypatch.setattr(enumeration.BigradedDims, "weight_slice", counted)
+    monkeypatch.setattr(bv, "_complete_table", counted)
     n, p = 100000, 1000000007
     # i^n and i^(n-2) u, with Delta(i^n) = n(n-1) i^(n-2) u != 0 mod p
     assert bv._delta_counts(n, p, None) == [(0, 1, 1, 1), (1, 1, 0, 0)]
-    assert sorted(rows) == [n - 2, n]
+    assert reads == [([n - 2, n], [n - 2, n])]

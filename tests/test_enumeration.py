@@ -449,7 +449,7 @@ def _packed(cells: list[int], width: int) -> int:
 
 def _assert_decodes(cells: list[int], width: int) -> None:
     row = _packed(cells, width)
-    got = enumeration._PackedRows({0: row}, 1, width)[0]
+    got = enumeration._decode(row, width)
     assert got == _nonzero(_decode_by_text(row, width)) == _nonzero(cells)
     assert list(got) == sorted(got)
 
@@ -498,7 +498,7 @@ def test_series_table_rows_read_as_the_per_cell_decoder(p):
                  signhom._shifted_generators(as_prime(p), 1, 60)):
         table = series_table(gens, 60, 90, p)
         packed = table._rows
-        want = {w: _nonzero(_decode_by_text(packed._ints.get(w, 0), packed._width))
+        want = {w: _nonzero(_decode_by_text(packed._ints[w], packed._width))
                 for w in range(len(packed))}
         for w, cells in want.items():
             assert table.weight_slice(w).dims == cells
@@ -671,8 +671,9 @@ def test_the_fold_reads_the_rows_of_the_swept_table(factors, n, offset, more):
     # the fold reads any rows at once; `_complete_table` sweeps for more than two
     ns = sorted({n} | {m for m in more if m <= n})
     table = enumeration._folded_rows(gens, ns, dmax, 3)
+    assert list(table) == ns
     for m in ns:
-        assert table.weight_slice(m) == swept.weight_slice(m)
+        assert table[m] == swept.weight_slice(m)
 
 
 def _sized(build):
@@ -720,7 +721,8 @@ def test_a_limit_refuses_exactly_the_tables_of_more_bits(factors, n, below, dmax
                                                          f"limit of {limit}$"):
                         build()
                 else:
-                    assert build().dims == table.dims
+                    # the slices of a `_complete_table` read, the cells of `series_table`
+                    assert build() == table
     # the table's exact size from the product: its rows at the width of the
     # largest total, each at least 64 bits
     table, (rows, width, exact, _) = _sized(builds[0])

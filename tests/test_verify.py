@@ -49,22 +49,15 @@ def test_report_payload_shape():
     assert payload["details"]["monomials_checked"] > 0
 
 
-class _ShiftedTable:
-    """A series table whose every weight slice sits one degree too high."""
-
-    def __init__(self, table):
-        self.weight_slice = lambda n: table.weight_slice(n).shift(1)
+def _shifted_slices(real):
+    """`real`, a reader of series slices, with every slice one degree too high."""
+    return lambda *args: {n: dims.shift(1) for n, dims in real(*args).items()}
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_series_agreement_checks_the_shifted_sign_slice(p, monkeypatch):
     assert verify.verify_series_agreement(p, 12).passed
-    real = verify._shifted_table
-
-    def off_by_one(prime, sphere_dim, max_n):
-        return _ShiftedTable(real(prime, sphere_dim, max_n))
-
-    monkeypatch.setattr(verify, "_shifted_table", off_by_one)
+    monkeypatch.setattr(verify, "_shifted_table", _shifted_slices(verify._shifted_table))
     report = verify.verify_series_agreement(p, 12)
     assert not report.passed
     assert report.name == f"enumeration-vs-series p={p} n<=12"
@@ -140,10 +133,6 @@ def _unclassifiable(m, prime, n):
 
 def _shifted(real):
     return lambda *args: real(*args).shift(1)
-
-
-def _shifted_slices(real):
-    return lambda *args: _ShiftedTable(real(*args))
 
 
 def _times_t(answer):
